@@ -12,27 +12,99 @@ import argparse
 import json
 import random
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import courant, nambu, plectic
 from .courant import CheckResult
-from .dsl import DslError, parse_form, parse_multivec, parse_section
-from .exterior import Context, ext_d, i_vec, random_point
+from .dsl import DslError, parse, parse_form, parse_multivec, parse_section
+from .exterior import Context, Form, ext_d, i_vec, random_point
 
 
 class UsageError(Exception):
     """Input error that should exit with code 2 and a message."""
 
 
-CHECK_TARGETS = (
-    "courant-axioms",
-    "dorfman-axioms",
-    "deformation",
-    "gauge",
-    "nambu",
-    "plectic",
-    "admissible",
-)
+def _random_scope(_ctx, _structure, args) -> str:
+    return f"{args.samples} seeded random samples with polynomial coefficients of degree <= 2"
+
+
+def _plectic_suite(ctx: Context, omega: Form, args) -> list[CheckResult]:
+    candidate = plectic.PlecticCandidate(ctx, omega)
+    rng = random.Random(args.seed)
+    points = [random_point(rng, ctx.m) for _ in range(args.points)]
+    checks = [plectic.nondegeneracy_check(candidate, points)]
+    checks.extend(plectic.graph_closure_omega(candidate, args.seed, args.samples))
+    if args.theta:
+        theta = parse_form(args.theta, ctx, ctx.n + 2)
+        checks.extend(plectic.deformed_graph_check(candidate, theta, args.seed, args.samples))
+    return checks
+
+
+def _plectic_scope(ctx: Context, omega: Form, args) -> str:
+    if plectic.PlecticCandidate(ctx, omega).is_constant:
+        rank = "exact global rank test"
+    else:
+        rank = f"rank certified only at {args.points} seeded rational points"
+    return f"{rank}; closure over all coordinate-vector pairs plus {args.samples} seeded random pairs"
+
+
+@dataclass(frozen=True)
+class CheckTarget:
+    """What `check <target>` runs and reports.
+
+    A target with a flag requires its structure tensor in --<flag>; with
+    kind = (name, extra) it is parsed as a `name` of degree n + extra.
+    suite(ctx, structure, args) gives the checks and scope(ctx, structure,
+    args) the quantifier_scope text.
+    """
+
+    suite: Callable
+    flag: str | None = None
+    kind: tuple[str, int] | None = None
+    scope: Callable = _random_scope
+    reports_points: bool = False
+
+
+CHECK_TARGETS = {
+    "courant-axioms": CheckTarget(
+        lambda ctx, _, a: courant.check_courant_axioms(ctx, a.seed, a.samples)
+    ),
+    "dorfman-axioms": CheckTarget(
+        lambda ctx, _, a: courant.check_dorfman_axioms(ctx, a.seed, a.samples)
+    ),
+    "deformation": CheckTarget(
+        lambda ctx, theta, a: courant.check_deformation(ctx, theta, a.seed, a.samples),
+        "theta",
+        ("form", 2),
+        lambda _ctx, _theta, a: f"exhaustive constant coordinate-vector triples plus {a.samples} "
+        "seeded random triples",
+    ),
+    "gauge": CheckTarget(
+        lambda ctx, phi, a: courant.check_gauge_isomorphism(ctx, phi, a.seed, a.samples),
+        "phi",
+        ("form", 1),
+    ),
+    "nambu": CheckTarget(
+        lambda ctx, pi, a: nambu.check_nambu(
+            nambu.NambuCandidate(ctx, pi), a.seed, a.samples, a.degree
+        ),
+        "pi",
+        ("multivec", 1),
+        lambda _ctx, _pi, a: "fundamental identity over all n-tuples of distinct monomials of total "
+        f"degree <= {a.degree} (linearity in each argument covers every polynomial tuple in "
+        "that range); graph closure over all constant basis n-form pairs plus "
+        f"{a.samples} seeded random pairs",
+    ),
+    "plectic": CheckTarget(_plectic_suite, "omega", ("form", 1), _plectic_scope, True),
+    "admissible": CheckTarget(
+        lambda ctx, omega, a: plectic.check_admissible_lie_algebroid(
+            plectic.PlecticCandidate(ctx, omega), a.seed, a.samples
+        ),
+        "omega",
+        ("form", 1),
+    ),
+}
 
 
 @dataclass
@@ -138,93 +210,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _scope_random(samples: int) -> str:
-    return f"{samples} seeded random samples with polynomial coefficients of degree <= 2"
-
-
 def _run_check(args) -> SuiteReport:
     ctx = Context(args.dim, args.order)
-    target = args.target
-    seed, samples, degree = args.seed, args.samples, args.degree
-    scope = _scope_random(samples)
-
-    if target == "courant-axioms":
-        checks = courant.check_courant_axioms(ctx, seed, samples)
-    elif target == "dorfman-axioms":
-        checks = courant.check_dorfman_axioms(ctx, seed, samples)
-    elif target == "deformation":
-        if not args.theta:
-            raise UsageError("--theta is required for target=deformation")
-        theta = parse_form(args.theta, ctx, ctx.n + 2)
-        checks = courant.check_deformation(ctx, theta, seed, samples)
-        scope = (
-            f"exhaustive constant coordinate-vector triples plus {samples} seeded random triples"
-        )
-    elif target == "gauge":
-        if not args.phi:
-            raise UsageError("--phi is required for target=gauge")
-        phi = parse_form(args.phi, ctx, ctx.n + 1)
-        checks = courant.check_gauge_isomorphism(ctx, phi, seed, samples)
-    elif target == "nambu":
-        if not args.pi:
-            raise UsageError("--pi is required for target=nambu")
-        candidate = nambu.NambuCandidate(ctx, parse_multivec(args.pi, ctx, ctx.n + 1))
-        fundamental = nambu.np_fundamental_check(candidate, degree)
-        closure = nambu.graph_closure_check(candidate, seed, samples, degree)
-        agreement = CheckResult(
-            "closure_iff_fundamental", "graph closure holds iff the fundamental identity holds"
-        )
-        agreement.record_verdict(
-            (candidate.pi,),
-            fundamental.passed == closure.passed,
-            f"fundamental={fundamental.passed} closure={closure.passed}",
-        )
-        checks = [fundamental, closure, agreement]
-        if fundamental.passed:
-            checks.extend(nambu.check_nambu_leibniz_algebroid(candidate, seed, samples))
-        scope = (
-            f"fundamental identity over all n-tuples of distinct monomials of total degree <= {degree} "
-            f"(linearity in each argument covers every polynomial tuple in that range); "
-            f"graph closure over all constant basis n-form pairs plus {samples} seeded random pairs"
-        )
-    elif target == "plectic":
-        if not args.omega:
-            raise UsageError("--omega is required for target=plectic")
-        candidate = plectic.PlecticCandidate(ctx, parse_form(args.omega, ctx, ctx.n + 1))
-        rng = random.Random(seed)
-        points = [random_point(rng, ctx.m) for _ in range(args.points)]
-        checks = [plectic.nondegeneracy_check(candidate, points)]
-        checks.extend(plectic.graph_closure_omega(candidate, seed, samples))
-        if candidate.is_constant:
-            scope = (
-                f"exact global rank test; closure over all coordinate-vector pairs "
-                f"plus {samples} seeded random pairs"
-            )
-        else:
-            scope = (
-                f"rank certified only at {args.points} seeded rational points; closure over all "
-                f"coordinate-vector pairs plus {samples} seeded random pairs"
-            )
-        if args.theta:
-            theta = parse_form(args.theta, ctx, ctx.n + 2)
-            checks.extend(plectic.deformed_graph_check(candidate, theta, seed, samples))
-    elif target == "admissible":
-        if not args.omega:
-            raise UsageError("--omega is required for target=admissible")
-        candidate = plectic.PlecticCandidate(ctx, parse_form(args.omega, ctx, ctx.n + 1))
-        checks = plectic.check_admissible_lie_algebroid(candidate, seed, samples)
-    else:  # pragma: no cover - argparse restricts choices
-        raise AssertionError(target)
-
+    target = CHECK_TARGETS[args.target]
+    if args.samples < 1:
+        raise UsageError("samples must be at least 1")
+    structure = None
+    if target.flag:
+        text = getattr(args, target.flag)
+        if not text:
+            raise UsageError(f"--{target.flag} is required for target={args.target}")
+        kind, extra = target.kind
+        structure = parse(text, ctx, (kind, ctx.n + extra))
+    checks = target.suite(ctx, structure, args)
     return SuiteReport(
-        suite=target,
+        suite=args.target,
         m=ctx.m,
         n=ctx.n,
-        seed=seed,
-        samples=samples,
-        degree=degree,
-        points=args.points if target == "plectic" else 0,
-        quantifier_scope=scope,
+        seed=args.seed,
+        samples=args.samples,
+        degree=args.degree,
+        points=args.points if target.reports_points else 0,
+        quantifier_scope=target.scope(ctx, structure, args),
         checks=checks,
     )
 

@@ -196,6 +196,12 @@ class CheckResult:
         if not agree:
             self.failures.append(Failure(tuple(str(v) for v in inputs), note))
 
+    def record_iff(self, inputs, left: tuple[str, CheckResult], right: tuple[str, CheckResult]):
+        """One case that passes iff the two (label, check) pairs both pass or both fail."""
+        (left_label, left_check), (right_label, right_check) = left, right
+        note = f"{left_label}={left_check.passed} {right_label}={right_check.passed}"
+        self.record_verdict(inputs, left_check.passed == right_check.passed, note)
+
 
 def _require_samples(samples: int) -> None:
     if samples < 1:
@@ -326,25 +332,17 @@ def check_deformation(
     leibniz = CheckResult(
         "deformed_leibniz", "[e1,[e2,e3]]_theta = [[e1,e2],e3]_theta + [e2,[e1,e3]]_theta"
     )
-    for i, j, k in product(range(1, ctx.m + 1), repeat=3):
-        e1 = Section.of_vec(ctx, MultiVec.basis(ctx.m, (i,)))
-        e2 = Section.of_vec(ctx, MultiVec.basis(ctx.m, (j,)))
-        e3 = Section.of_vec(ctx, MultiVec.basis(ctx.m, (k,)))
-        leibniz.record((e1, e2, e3), _leibniz_residual_deformed(e1, e2, e3, theta))
+    coordinate = [Section.of_vec(ctx, MultiVec.basis(ctx.m, (i,))) for i in range(1, ctx.m + 1)]
+    triples = list(product(coordinate, repeat=3))
     for _ in range(samples):
-        e1 = random_section(rng, ctx)
-        e2 = random_section(rng, ctx)
-        e3 = random_section(rng, ctx)
+        triples.append(tuple(random_section(rng, ctx) for _ in range(3)))
+    for e1, e2, e3 in triples:
         leibniz.record((e1, e2, e3), _leibniz_residual_deformed(e1, e2, e3, theta))
 
     agreement = CheckResult(
         "closed_iff_leibniz", "the twisted bracket obeys Leibniz iff d theta = 0"
     )
-    agreement.record_verdict(
-        (theta,),
-        closed.passed == leibniz.passed,
-        f"d-closed={closed.passed} leibniz={leibniz.passed}",
-    )
+    agreement.record_iff((theta,), ("d-closed", closed), ("leibniz", leibniz))
     return [closed, leibniz, agreement]
 
 

@@ -121,22 +121,61 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
-# -- abstract syntax -----------------------------------------------------
+# -- one-pass parser with grading checks -------------------------------------
+
+# Parentheses are the only construct that recurses; this bounds their
+# nesting well inside Python's recursion limit.
+MAX_PAREN_DEPTH = 100
+
+# binary operators from the loosest to the tightest binding level
+_LEVELS = ("+-", "^", "*")
 
 
-@dataclass(frozen=True)
-class Node:
-    op: str  # rat var covec vec neg add sub mul wedge
-    position: int
-    value: object = None
-    left: "Node | None" = None
-    right: "Node | None" = None
+def _is_zero_scalar(value) -> bool:
+    return isinstance(value, Poly) and value.is_zero
+
+
+def _kind_name(value) -> str:
+    if isinstance(value, Poly):
+        return "scalar"
+    if isinstance(value, Form):
+        return f"form of degree {value.degree}"
+    return f"multivector of degree {value.degree}"
+
+
+def _combine(op: Token, left, right, m: int):
+    """Apply a binary operator after checking the grading of its operands."""
+    if op.text in "+-":
+        if _is_zero_scalar(left) and not isinstance(right, Poly):
+            left = type(right).zero(m, right.degree)
+        if _is_zero_scalar(right) and not isinstance(left, Poly):
+            right = type(left).zero(m, left.degree)
+        if type(left) is not type(right) or getattr(left, "degree", None) != getattr(
+            right, "degree", None
+        ):
+            raise GradingError(
+                op.position,
+                f"cannot {'add' if op.text == '+' else 'subtract'} "
+                f"{_kind_name(right)} and {_kind_name(left)}",
+            )
+        return left + right if op.text == "+" else left - right
+    if isinstance(left, Poly) or isinstance(right, Poly):
+        return left * right
+    if op.text == "*":
+        raise GradingError(op.position, "'*' needs at least one scalar operand; use '^' on tensors")
+    if type(left) is not type(right):
+        raise GradingError(op.position, f"cannot wedge {_kind_name(left)} with {_kind_name(right)}")
+    return left.wedge(right)
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
+    """Recursive descent that evaluates each value as soon as it is parsed."""
+
+    def __init__(self, tokens: list[Token], ctx: Context):
         self.tokens = tokens
         self.pos = 0
+        self.m = ctx.m
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -152,117 +191,50 @@ class _Parser:
             raise ParseError(token.position, f"expected {text!r}, found {token.text or 'end of input'!r}")
         return self.advance()
 
-    def parse_expr(self) -> Node:
-        node = self.parse_wedge()
-        while self.peek().kind == "OP" and self.peek().text in "+-":
-            op = self.advance()
-            right = self.parse_wedge()
-            node = Node("add" if op.text == "+" else "sub", op.position, left=node, right=right)
-        return node
+    def expect_end(self) -> None:
+        tail = self.peek()
+        if tail.kind != "EOF":
+            raise ParseError(tail.position, f"unexpected trailing input {tail.text!r}")
 
-    def parse_wedge(self) -> Node:
-        node = self.parse_prod()
-        while self.peek().kind == "OP" and self.peek().text == "^":
+    def parse_expr(self, level: int = 0):
+        """Left-associative chain of the operators at `level` and tighter."""
+        if level == len(_LEVELS):
+            return self.parse_atom()
+        value = self.parse_expr(level + 1)
+        while self.peek().kind == "OP" and self.peek().text in _LEVELS[level]:
             op = self.advance()
-            right = self.parse_prod()
-            node = Node("wedge", op.position, left=node, right=right)
-        return node
+            value = _combine(op, value, self.parse_expr(level + 1), self.m)
+        return value
 
-    def parse_prod(self) -> Node:
-        node = self.parse_atom()
-        while self.peek().kind == "OP" and self.peek().text == "*":
-            op = self.advance()
-            right = self.parse_atom()
-            node = Node("mul", op.position, left=node, right=right)
-        return node
-
-    def parse_atom(self) -> Node:
-        token = self.peek()
+    def parse_atom(self):
+        negations = 0
+        while self.peek().kind == "OP" and self.peek().text == "-":
+            self.advance()
+            negations += 1
+        token = self.advance()
         if token.kind == "RATIONAL":
-            self.advance()
-            return Node("rat", token.position, token.value)
-        if token.kind == "VAR":
-            self.advance()
-            return Node("var", token.position, token.value)
-        if token.kind == "COVEC":
-            self.advance()
-            return Node("covec", token.position, token.value)
-        if token.kind == "VEC":
-            self.advance()
-            return Node("vec", token.position, token.value)
-        if token.kind == "OP" and token.text == "(":
-            self.advance()
-            node = self.parse_expr()
+            value = Poly.const(self.m, token.value)
+        elif token.kind in ("VAR", "COVEC", "VEC"):
+            if not 1 <= token.value <= self.m:
+                raise GradingError(
+                    token.position, f"coordinate index {token.value} out of range 1..{self.m}"
+                )
+            if token.kind == "VAR":
+                value = Poly.var(self.m, token.value)
+            else:
+                value = (Form if token.kind == "COVEC" else MultiVec).basis(self.m, (token.value,))
+        elif token.kind == "OP" and token.text == "(":
+            if self.depth == MAX_PAREN_DEPTH:
+                raise ParseError(
+                    token.position, f"parentheses nested deeper than {MAX_PAREN_DEPTH} levels"
+                )
+            self.depth += 1
+            value = self.parse_expr()
+            self.depth -= 1
             self.expect(")")
-            return node
-        if token.kind == "OP" and token.text == "-":
-            self.advance()
-            return Node("neg", token.position, left=self.parse_atom())
-        raise ParseError(token.position, f"expected a value, found {token.text or 'end of input'!r}")
-
-
-# -- elaboration with grading checks --------------------------------------
-
-
-def _is_zero_scalar(value) -> bool:
-    return isinstance(value, Poly) and value.is_zero
-
-
-def _kind_name(value) -> str:
-    if isinstance(value, Poly):
-        return "scalar"
-    if isinstance(value, Form):
-        return f"form of degree {value.degree}"
-    return f"multivector of degree {value.degree}"
-
-
-def _check_index(node: Node, ctx: Context) -> int:
-    if not 1 <= node.value <= ctx.m:
-        raise GradingError(node.position, f"coordinate index {node.value} out of range 1..{ctx.m}")
-    return node.value
-
-
-def _elaborate(node: Node, ctx: Context):
-    m = ctx.m
-    if node.op == "rat":
-        return Poly.const(m, node.value)
-    if node.op == "var":
-        return Poly.var(m, _check_index(node, ctx))
-    if node.op == "covec":
-        return Form.basis(m, (_check_index(node, ctx),))
-    if node.op == "vec":
-        return MultiVec.basis(m, (_check_index(node, ctx),))
-    if node.op == "neg":
-        return -_elaborate(node.left, ctx)
-    left = _elaborate(node.left, ctx)
-    right = _elaborate(node.right, ctx)
-    if node.op in ("add", "sub"):
-        if _is_zero_scalar(left) and not isinstance(right, Poly):
-            left = type(right).zero(m, right.degree)
-        if _is_zero_scalar(right) and not isinstance(left, Poly):
-            right = type(left).zero(m, left.degree)
-        if type(left) is not type(right) or getattr(left, "degree", None) != getattr(
-            right, "degree", None
-        ):
-            raise GradingError(
-                node.position,
-                f"cannot {'add' if node.op == 'add' else 'subtract'} "
-                f"{_kind_name(right)} and {_kind_name(left)}",
-            )
-        return left + right if node.op == "add" else left - right
-    if node.op == "mul":
-        if isinstance(left, Poly) or isinstance(right, Poly):
-            return left * right
-        raise GradingError(node.position, "'*' needs at least one scalar operand; use '^' on tensors")
-    if node.op == "wedge":
-        if isinstance(left, Poly) or isinstance(right, Poly):
-            return left * right
-        if type(left) is not type(right):
-            raise GradingError(
-                node.position, f"cannot wedge {_kind_name(left)} with {_kind_name(right)}"
-            )
-        return left.wedge(right)
-    raise AssertionError(f"unhandled node {node.op}")
+        else:
+            raise ParseError(token.position, f"expected a value, found {token.text or 'end of input'!r}")
+        return -value if negations % 2 else value
 
 
 def _coerce(value, ctx: Context, expected, position: int = 0):
@@ -290,25 +262,23 @@ def parse(text: str, ctx: Context, expected):
 
     expected is "scalar", "section", ("form", k), or ("multivec", k).
     """
-    tokens = tokenize(text)
-    parser = _Parser(tokens)
+    parser = _Parser(tokenize(text), ctx)
     if expected == "section":
-        open_paren = parser.expect("(")
-        vec_node = parser.parse_expr()
+        parser.expect("(")
+        vec_start = parser.peek().position
+        vec_value = parser.parse_expr()
         parser.expect(";")
-        form_node = parser.parse_expr()
+        form_start = parser.peek().position
+        form_value = parser.parse_expr()
         parser.expect(")")
-        tail = parser.peek()
-        if tail.kind != "EOF":
-            raise ParseError(tail.position, f"unexpected trailing input {tail.text!r}")
-        vec_value = _coerce(_elaborate(vec_node, ctx), ctx, ("multivec", 1), vec_node.position)
-        form_value = _coerce(_elaborate(form_node, ctx), ctx, ("form", ctx.n), form_node.position)
+        parser.expect_end()
+        vec_value = _coerce(vec_value, ctx, ("multivec", 1), vec_start)
+        form_value = _coerce(form_value, ctx, ("form", ctx.n), form_start)
         return Section(ctx, vec_value, form_value)
-    node = parser.parse_expr()
-    tail = parser.peek()
-    if tail.kind != "EOF":
-        raise ParseError(tail.position, f"unexpected trailing input {tail.text!r}")
-    return _coerce(_elaborate(node, ctx), ctx, expected, node.position)
+    start = parser.peek().position
+    value = parser.parse_expr()
+    parser.expect_end()
+    return _coerce(value, ctx, expected, start)
 
 
 def parse_scalar(text: str, ctx: Context) -> Poly:

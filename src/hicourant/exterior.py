@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 from .scalar import ChartMismatchError, Poly, join_signed_terms, monomial_text, monomials_up_to
 
@@ -61,6 +61,19 @@ def _merge_indices(left: MultiIndex, right: MultiIndex) -> tuple[int, MultiIndex
     return sign, tuple(merged)
 
 
+def _collect(cls, m: int, degree: int, terms):
+    """Tensor summing (index, Poly) terms per index, with zero sums dropped."""
+    out: dict[MultiIndex, Poly] = {}
+    for idx, term in terms:
+        cur = out.get(idx)
+        s = term if cur is None else cur + term
+        if s.is_zero:
+            out.pop(idx, None)
+        else:
+            out[idx] = s
+    return cls._raw(m, degree, out)
+
+
 def _split_sign(sub: MultiIndex, full: MultiIndex) -> tuple[int, MultiIndex] | None:
     """Sign s with dx^sub ^ dx^rest = s * dx^full, rest = full minus sub; None if sub not in full."""
     sub_set = set(sub)
@@ -83,7 +96,7 @@ class _Alternating:
         if degree < 0:
             raise ValueError("tensor degree must be nonnegative")
         clean: dict[MultiIndex, Poly] = {}
-        if coeffs and degree <= m:
+        if coeffs:
             for idx, poly in coeffs.items():
                 idx = tuple(idx)
                 if len(idx) != degree:
@@ -149,15 +162,9 @@ class _Alternating:
 
     def __add__(self, other):
         self._check_compatible(other)
-        merged = dict(self.coeffs)
-        for idx, p in other.coeffs.items():
-            cur = merged.get(idx)
-            s = p if cur is None else cur + p
-            if s.is_zero:
-                merged.pop(idx, None)
-            else:
-                merged[idx] = s
-        return type(self)._raw(self.m, self.degree, merged)
+        return _collect(
+            type(self), self.m, self.degree, chain(self.coeffs.items(), other.coeffs.items())
+        )
 
     def __neg__(self):
         return type(self)._raw(self.m, self.degree, {i: -p for i, p in self.coeffs.items()})
@@ -170,12 +177,8 @@ class _Alternating:
             scalar = Poly.const(self.m, scalar)
         if not isinstance(scalar, Poly):
             return NotImplemented
-        out = {}
-        for idx, p in self.coeffs.items():
-            q = p * scalar
-            if not q.is_zero:
-                out[idx] = q
-        return type(self)._raw(self.m, self.degree, out)
+        terms = ((idx, p * scalar) for idx, p in self.coeffs.items())
+        return _collect(type(self), self.m, self.degree, terms)
 
     __rmul__ = __mul__
 
@@ -185,25 +188,16 @@ class _Alternating:
             raise TypeError("wedge requires both factors of the same variance")
         if self.m != other.m:
             raise ChartMismatchError(f"chart dimension mismatch: {self.m} vs {other.m}")
-        degree = self.degree + other.degree
-        out: dict[MultiIndex, Poly] = {}
-        if degree <= self.m:
+
+        def terms():
             for i1, p1 in self.coeffs.items():
                 for i2, p2 in other.coeffs.items():
                     merged = _merge_indices(i1, i2)
-                    if merged is None:
-                        continue
-                    sign, idx = merged
-                    term = p1 * p2
-                    if sign < 0:
-                        term = -term
-                    cur = out.get(idx)
-                    s = term if cur is None else cur + term
-                    if s.is_zero:
-                        out.pop(idx, None)
-                    else:
-                        out[idx] = s
-        return type(self)._raw(self.m, degree, out)
+                    if merged is not None:
+                        sign, idx = merged
+                        yield idx, p1 * p2 if sign > 0 else -(p1 * p2)
+
+        return _collect(type(self), self.m, self.degree + other.degree, terms())
 
     __xor__ = wedge
 
@@ -259,20 +253,14 @@ def _require(value, kind, degree=None, label="argument"):
 
 def _i_basis(idx: int, a: Form) -> Form:
     """Interior product with the coordinate vector field @idx."""
-    out: dict[MultiIndex, Poly] = {}
-    for I, p in a.coeffs.items():
-        if idx not in I:
-            continue
-        t = I.index(idx)
-        key = I[:t] + I[t + 1 :]
-        term = -p if t % 2 else p
-        cur = out.get(key)
-        s = term if cur is None else cur + term
-        if s.is_zero:
-            out.pop(key, None)
-        else:
-            out[key] = s
-    return Form._raw(a.m, a.degree - 1, out)
+
+    def terms():
+        for I, p in a.coeffs.items():
+            if idx in I:
+                t = I.index(idx)
+                yield I[:t] + I[t + 1 :], -p if t % 2 else p
+
+    return _collect(Form, a.m, a.degree - 1, terms())
 
 
 def i_vec(X: MultiVec, a: Form) -> Form:
@@ -283,23 +271,15 @@ def i_vec(X: MultiVec, a: Form) -> Form:
         raise ChartMismatchError(f"chart dimension mismatch: {X.m} vs {a.m}")
     if a.degree == 0:
         return Form.zero(a.m, 0)
-    out: dict[MultiIndex, Poly] = {}
-    for I, p in a.coeffs.items():
-        for t, idx in enumerate(I):
-            xc = X.coeffs.get((idx,))
-            if xc is None:
-                continue
-            key = I[:t] + I[t + 1 :]
-            term = xc * p
-            if t % 2:
-                term = -term
-            cur = out.get(key)
-            s = term if cur is None else cur + term
-            if s.is_zero:
-                out.pop(key, None)
-            else:
-                out[key] = s
-    return Form._raw(a.m, a.degree - 1, out)
+
+    def terms():
+        for I, p in a.coeffs.items():
+            for t, idx in enumerate(I):
+                xc = X.coeffs.get((idx,))
+                if xc is not None:
+                    yield I[:t] + I[t + 1 :], -(xc * p) if t % 2 else xc * p
+
+    return _collect(Form, a.m, a.degree - 1, terms())
 
 
 def contract_form_into_vec(xi: Form, P: MultiVec) -> MultiVec:
@@ -310,23 +290,16 @@ def contract_form_into_vec(xi: Form, P: MultiVec) -> MultiVec:
         raise ChartMismatchError(f"chart dimension mismatch: {xi.m} vs {P.m}")
     if xi.degree > P.degree:
         raise ValueError(f"form degree {xi.degree} exceeds multivector degree {P.degree}")
-    out: dict[MultiIndex, Poly] = {}
-    for K, c in xi.coeffs.items():
-        for J, p in P.coeffs.items():
-            split = _split_sign(K, J)
-            if split is None:
-                continue
-            sign, rest = split
-            term = c * p
-            if sign < 0:
-                term = -term
-            cur = out.get(rest)
-            s = term if cur is None else cur + term
-            if s.is_zero:
-                out.pop(rest, None)
-            else:
-                out[rest] = s
-    return MultiVec._raw(P.m, P.degree - xi.degree, out)
+
+    def terms():
+        for K, c in xi.coeffs.items():
+            for J, p in P.coeffs.items():
+                split = _split_sign(K, J)
+                if split is not None:
+                    sign, rest = split
+                    yield rest, c * p if sign > 0 else -(c * p)
+
+    return _collect(MultiVec, P.m, P.degree - xi.degree, terms())
 
 
 def contract_vec_into_form(P: MultiVec, a: Form) -> Form:
@@ -352,24 +325,18 @@ def contract_vec_into_form(P: MultiVec, a: Form) -> Form:
 def ext_d(a: Form) -> Form:
     """Coordinate exterior derivative d(f dx^I) = sum_j (d_j f) dx_j ^ dx^I."""
     _require(a, Form, label="form")
-    out: dict[MultiIndex, Poly] = {}
-    for I, p in a.coeffs.items():
-        for j in range(1, a.m + 1):
-            if j in I:
-                continue
-            dp = p.partial(j)
-            if dp.is_zero:
-                continue
-            below = sum(1 for i in I if i < j)
-            key = I[:below] + (j,) + I[below:]
-            term = -dp if below % 2 else dp
-            cur = out.get(key)
-            s = term if cur is None else cur + term
-            if s.is_zero:
-                out.pop(key, None)
-            else:
-                out[key] = s
-    return Form._raw(a.m, a.degree + 1, out)
+
+    def terms():
+        for I, p in a.coeffs.items():
+            for j in range(1, a.m + 1):
+                if j in I:
+                    continue
+                dp = p.partial(j)
+                if not dp.is_zero:
+                    below = sum(1 for i in I if i < j)
+                    yield I[:below] + (j,) + I[below:], -dp if below % 2 else dp
+
+    return _collect(Form, a.m, a.degree + 1, terms())
 
 
 def d_scalar(f: Poly) -> Form:
@@ -397,11 +364,8 @@ def lie_form_components(X: MultiVec, a: Form) -> Form:
     _require(a, Form, label="form")
     out: dict[MultiIndex, Poly] = {}
     for I in combinations(range(1, a.m + 1), a.degree):
-        total = Poly.zero(a.m)
         base = a.coeffs.get(I)
-        for (j,), xj in X.coeffs.items():
-            if base is not None:
-                total = total + xj * base.partial(j)
+        total = Poly.zero(a.m) if base is None else vec_apply(X, base)
         for t, it in enumerate(I):
             for (j,), xj in X.coeffs.items():
                 comp = a.component(I[:t] + (j,) + I[t + 1 :])
@@ -423,11 +387,8 @@ def lie_multivec(X: MultiVec, P: MultiVec) -> MultiVec:
     _require(P, MultiVec, label="multivector")
     out: dict[MultiIndex, Poly] = {}
     for I in combinations(range(1, P.m + 1), P.degree):
-        total = Poly.zero(P.m)
         base = P.coeffs.get(I)
-        for (j,), xj in X.coeffs.items():
-            if base is not None:
-                total = total + xj * base.partial(j)
+        total = Poly.zero(P.m) if base is None else vec_apply(X, base)
         for t, it in enumerate(I):
             xit = X.coeffs.get((it,))
             if xit is None:
@@ -455,12 +416,10 @@ def vec_bracket(X: MultiVec, Y: MultiVec) -> MultiVec:
         total = Poly.zero(X.m)
         yi = Y.coeffs.get((i,))
         xi = X.coeffs.get((i,))
-        for (j,), xj in X.coeffs.items():
-            if yi is not None:
-                total = total + xj * yi.partial(j)
-        for (j,), yj in Y.coeffs.items():
-            if xi is not None:
-                total = total - yj * xi.partial(j)
+        if yi is not None:
+            total = vec_apply(X, yi)
+        if xi is not None:
+            total = total - vec_apply(Y, xi)
         if not total.is_zero:
             out[(i,)] = total
     return MultiVec._raw(X.m, 1, out)

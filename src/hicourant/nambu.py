@@ -160,19 +160,40 @@ def leibniz_nm1_bracket(c: NambuCandidate, xi: Form, eta: Form) -> Form:
     return lie_form(pi_sharp(c, ext_d(xi)), eta)
 
 
+def check_nambu(
+    c: NambuCandidate, seed: int = 0, samples: int = 25, max_degree: int = 2
+) -> list[CheckResult]:
+    """Fundamental identity, graph closure and their agreement, then the induced
+    Leibniz structures if the fundamental-identity sweep passed."""
+    fundamental = np_fundamental_check(c, max_degree)
+    closure = graph_closure_check(c, seed, samples, max_degree)
+    agreement = CheckResult(
+        "closure_iff_fundamental", "graph closure holds iff the fundamental identity holds"
+    )
+    agreement.record_iff((c.pi,), ("fundamental", fundamental), ("closure", closure))
+    checks = [fundamental, closure, agreement]
+    if fundamental.passed:
+        checks.extend(_leibniz_algebroid_checks(c, seed, samples))
+    return checks
+
+
 def check_nambu_leibniz_algebroid(
-    c: NambuCandidate, seed: int = 0, samples: int = 25
+    c: NambuCandidate, seed: int = 0, samples: int = 25, max_degree: int = 2
 ) -> list[CheckResult]:
     """Verify the Leibniz algebroid on n-forms and the Leibniz algebra on (n-1)-forms.
 
-    Refuses candidates that fail the fundamental-identity sweep, since
-    none of these identities is promised otherwise.
+    Refuses candidates that fail the fundamental-identity sweep up to
+    max_degree, since none of these identities is promised otherwise.
     """
-    if not np_fundamental_check(c, 2).passed:
+    if not np_fundamental_check(c, max_degree).passed:
         raise NotNambuPoissonError(
             "candidate fails the fundamental identity; the induced brackets "
             "are only Leibniz structures for Nambu-Poisson tensors"
         )
+    return _leibniz_algebroid_checks(c, seed, samples)
+
+
+def _leibniz_algebroid_checks(c: NambuCandidate, seed: int, samples: int) -> list[CheckResult]:
     ctx = c.ctx
     rng = random.Random(seed)
     leibniz = CheckResult(

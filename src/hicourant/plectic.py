@@ -98,63 +98,27 @@ class HamiltonianPair:
 # -- exact linear algebra over the rationals ----------------------------------
 
 
-def _flat_matrix(c: PlecticCandidate) -> tuple[list[tuple[int, ...]], list[list[Fraction]]]:
-    """Rows of the constant matrix of X -> i_X omega against the basis n-forms."""
-    ctx = c.ctx
-    rows_index = list(combinations(range(1, ctx.m + 1), ctx.n))
-    matrix = []
-    columns = [i_vec(MultiVec.basis(ctx.m, (j,)), c.omega) for j in range(1, ctx.m + 1)]
-    for idx in rows_index:
-        matrix.append([col.coeff(idx).constant_term() for col in columns])
-    return rows_index, matrix
-
-
-def _evaluated_matrix(c: PlecticCandidate, point) -> list[list[Fraction]]:
+def _flat_matrix(c: PlecticCandidate, value) -> list[list[Fraction]]:
+    """Matrix of X -> i_X omega against the basis n-forms, entries value(coefficient):
+    value is Poly.constant_term for constant omega, or evaluation at a point."""
     ctx = c.ctx
     columns = [i_vec(MultiVec.basis(ctx.m, (j,)), c.omega) for j in range(1, ctx.m + 1)]
     return [
-        [col.coeff(idx).eval_at(point) for col in columns]
+        [value(col.coeff(idx)) for col in columns]
         for idx in combinations(range(1, ctx.m + 1), ctx.n)
     ]
 
 
-def _rank_and_kernel(matrix: list[list[Fraction]], ncols: int):
-    """Exact rank and one kernel vector (None if the kernel is trivial)."""
-    rows = [row[:] for row in matrix]
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = Fraction(1) / rows[r][col]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                factor = rows[i][col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-    if r == ncols:
-        return r, None
-    free = next(col for col in range(ncols) if col not in pivots)
-    kernel = [Fraction(0)] * ncols
-    kernel[free] = Fraction(1)
-    for row_idx, col in enumerate(pivots):
-        kernel[col] = -rows[row_idx][free]
-    return r, kernel
+def _rank_and_kernel(matrix: list[list[Fraction]], ncols: int, rhs: list[Poly] | None = None):
+    """Gauss-Jordan over the rationals: (rank, kernel, solution).
 
-
-def _solve_constant(matrix: list[list[Fraction]], rhs: list[Poly], m: int):
-    """Solve matrix * x = rhs over polynomials; None when inconsistent.
-
-    Gauss-Jordan with rational pivots; free variables are set to zero,
-    so for a nondegenerate matrix the solution is the unique one.
+    kernel is one nonzero kernel vector, or None if the kernel is trivial.
+    solution solves matrix * x = rhs with free variables set to zero (the
+    unique solution for a nondegenerate matrix), or is None when the system
+    is inconsistent; without rhs it is the zero vector.
     """
-    ncols = len(matrix[0]) if matrix else 0
     rows = [row[:] for row in matrix]
-    b = list(rhs)
+    b = list(rhs) if rhs is not None else [0] * len(rows)
     pivots: list[int] = []
     r = 0
     for col in range(ncols):
@@ -173,13 +137,19 @@ def _solve_constant(matrix: list[list[Fraction]], rhs: list[Poly], m: int):
                 b[i] = b[i] - factor * b[r]
         pivots.append(col)
         r += 1
-    for i in range(r, len(rows)):
-        if not b[i].is_zero:
-            return None
-    solution = [Poly.zero(m) for _ in range(ncols)]
-    for row_idx, col in enumerate(pivots):
-        solution[col] = b[row_idx]
-    return solution
+    kernel = None
+    if r < ncols:
+        free = next(col for col in range(ncols) if col not in pivots)
+        kernel = [Fraction(0)] * ncols
+        kernel[free] = Fraction(1)
+        for row_idx, col in enumerate(pivots):
+            kernel[col] = -rows[row_idx][free]
+    solution = None
+    if not any(b[r:]):
+        solution = [0] * ncols
+        for row_idx, col in enumerate(pivots):
+            solution[col] = b[row_idx]
+    return r, kernel, solution
 
 
 def nondegeneracy_check(c: PlecticCandidate, points) -> CheckResult:
@@ -195,35 +165,46 @@ def nondegeneracy_check(c: PlecticCandidate, points) -> CheckResult:
     ctx = c.ctx
     if c.is_constant:
         check = CheckResult("nondegeneracy_exact_rank", "i_X omega = 0 implies X = 0 (exact rank)")
-        _, matrix = _flat_matrix(c)
-        rank, kernel = _rank_and_kernel(matrix, ctx.m)
-        witness = Form.zero(ctx.m, 0)
-        if rank < ctx.m:
-            coeffs = {(j,): Poly.const(ctx.m, kernel[j - 1]) for j in range(1, ctx.m + 1)}
-            witness = MultiVec(ctx.m, 1, coeffs)
-        check.record((c.omega,), witness)
-        return check
-    check = CheckResult(
-        "nondegeneracy_at_points", "i_X omega = 0 implies X = 0 (rank at sampled points)"
-    )
-    for point in points:
-        matrix = _evaluated_matrix(c, point)
-        rank, kernel = _rank_and_kernel(matrix, ctx.m)
-        point_text = "(" + ", ".join(str(v) for v in point) + ")"
-        if rank < ctx.m:
-            coeffs = {(j,): Poly.const(ctx.m, kernel[j - 1]) for j in range(1, ctx.m + 1)}
-            check.record_verdict(
-                (c.omega, point_text), False, f"kernel field {MultiVec(ctx.m, 1, coeffs)}"
+        probes = [((c.omega,), "", Poly.constant_term)]
+    else:
+        check = CheckResult(
+            "nondegeneracy_at_points", "i_X omega = 0 implies X = 0 (rank at sampled points)"
+        )
+        probes = [
+            (
+                (c.omega, "(" + ", ".join(str(v) for v in point) + ")"),
+                "kernel field ",
+                lambda p, point=point: p.eval_at(point),
             )
+            for point in points
+        ]
+    for inputs, label, value in probes:
+        _, kernel, _ = _rank_and_kernel(_flat_matrix(c, value), ctx.m)
+        if kernel is None:
+            check.record_verdict(inputs, True, "")
         else:
-            check.record_verdict((c.omega, point_text), True, "")
+            field = MultiVec(ctx.m, 1, {(j,): v for j, v in enumerate(kernel, 1)})
+            check.record_verdict(inputs, False, f"{label}{field}")
     return check
+
+
+def _graph_pairs(c: PlecticCandidate, seed: int, samples: int):
+    """Graph sections X + i_X omega, Y + i_Y omega with the form part i_{[X,Y]} omega
+    that closure requires, over all coordinate-vector pairs, then seeded random pairs."""
+    ctx = c.ctx
+    rng = random.Random(seed)
+    fields = [MultiVec.basis(ctx.m, (j,)) for j in range(1, ctx.m + 1)]
+    pairs = [(xv, yv) for xv in fields for yv in fields]
+    for _ in range(samples):
+        pairs.append((random_multivec(rng, ctx.m, 1), random_multivec(rng, ctx.m, 1)))
+    for xv, yv in pairs:
+        e1 = Section(ctx, xv, omega_flat(c, xv))
+        e2 = Section(ctx, yv, omega_flat(c, yv))
+        yield e1, e2, omega_flat(c, vec_bracket(xv, yv))
 
 
 def graph_closure_omega(c: PlecticCandidate, seed: int = 0, samples: int = 25) -> list[CheckResult]:
     """Closedness, graph closure, isotropy, and their forced agreement."""
-    ctx = c.ctx
-    rng = random.Random(seed)
     closed = CheckResult("omega_closed", "d omega = 0")
     closed.record((c.omega,), ext_d(c.omega))
 
@@ -231,23 +212,12 @@ def graph_closure_omega(c: PlecticCandidate, seed: int = 0, samples: int = 25) -
         "graph_closure", "[X + i_X omega, Y + i_Y omega] has form part i_{[X,Y]} omega"
     )
     isotropy = CheckResult("graph_isotropy", "<X + i_X omega, Y + i_Y omega> = 0")
-    fields = [MultiVec.basis(ctx.m, (j,)) for j in range(1, ctx.m + 1)]
-    pairs = [(xv, yv) for xv in fields for yv in fields]
-    for _ in range(samples):
-        pairs.append((random_multivec(rng, ctx.m, 1), random_multivec(rng, ctx.m, 1)))
-    for xv, yv in pairs:
-        e1 = Section(ctx, xv, omega_flat(c, xv))
-        e2 = Section(ctx, yv, omega_flat(c, yv))
-        result = dorfman_bracket(e1, e2)
-        closure.record((e1, e2), result.form - omega_flat(c, vec_bracket(xv, yv)))
+    for e1, e2, expected in _graph_pairs(c, seed, samples):
+        closure.record((e1, e2), dorfman_bracket(e1, e2).form - expected)
         isotropy.record((e1, e2), pairing(e1, e2))
 
     agreement = CheckResult("closure_iff_closed", "the graph is closed iff d omega = 0")
-    agreement.record_verdict(
-        (c.omega,),
-        closed.passed == closure.passed,
-        f"d-closed={closed.passed} graph-closed={closure.passed}",
-    )
+    agreement.record_iff((c.omega,), ("d-closed", closed), ("graph-closed", closure))
     return [closed, closure, isotropy, agreement]
 
 
@@ -255,10 +225,8 @@ def deformed_graph_check(
     c: PlecticCandidate, theta: Form, seed: int = 0, samples: int = 25
 ) -> list[CheckResult]:
     """Graph closure under the theta-twisted bracket iff d omega + theta = 0."""
-    ctx = c.ctx
-    if theta.degree != ctx.n + 2:
-        raise ValueError(f"deformation form must have degree n+2={ctx.n + 2}")
-    rng = random.Random(seed)
+    if theta.degree != c.ctx.n + 2:
+        raise ValueError(f"deformation form must have degree n+2={c.ctx.n + 2}")
     matched = CheckResult("omega_theta_matched", "d omega + theta = 0")
     matched.record((c.omega, theta), ext_d(c.omega) + theta)
 
@@ -266,24 +234,13 @@ def deformed_graph_check(
         "deformed_graph_closure",
         "[X + i_X omega, Y + i_Y omega]_theta has form part i_{[X,Y]} omega",
     )
-    fields = [MultiVec.basis(ctx.m, (j,)) for j in range(1, ctx.m + 1)]
-    pairs = [(xv, yv) for xv in fields for yv in fields]
-    for _ in range(samples):
-        pairs.append((random_multivec(rng, ctx.m, 1), random_multivec(rng, ctx.m, 1)))
-    for xv, yv in pairs:
-        e1 = Section(ctx, xv, omega_flat(c, xv))
-        e2 = Section(ctx, yv, omega_flat(c, yv))
-        result = deformed_dorfman(e1, e2, theta)
-        closure.record((e1, e2), result.form - omega_flat(c, vec_bracket(xv, yv)))
+    for e1, e2, expected in _graph_pairs(c, seed, samples):
+        closure.record((e1, e2), deformed_dorfman(e1, e2, theta).form - expected)
 
     agreement = CheckResult(
         "deformed_closure_iff_matched", "the graph is closed under [.,.]_theta iff d omega + theta = 0"
     )
-    agreement.record_verdict(
-        (c.omega, theta),
-        matched.passed == closure.passed,
-        f"matched={matched.passed} graph-closed={closure.passed}",
-    )
+    agreement.record_iff((c.omega, theta), ("matched", matched), ("graph-closed", closure))
     return [matched, closure, agreement]
 
 
@@ -302,13 +259,12 @@ def solve_admissible(c: PlecticCandidate, alpha: Form) -> AdmissiblePair | None:
             "exact solving needs constant-coefficient omega; "
             "supply a candidate vector field and verify it instead"
         )
-    rows_index, matrix = _flat_matrix(c)
-    rhs = [alpha.coeff(idx) for idx in rows_index]
-    solution = _solve_constant(matrix, rhs, ctx.m)
+    rhs = [alpha.coeff(idx) for idx in combinations(range(1, ctx.m + 1), ctx.n)]
+    _, _, solution = _rank_and_kernel(_flat_matrix(c, Poly.constant_term), ctx.m, rhs)
     if solution is None:
         return None
-    coeffs = {(j,): solution[j - 1] for j in range(1, ctx.m + 1) if not solution[j - 1].is_zero}
-    return AdmissiblePair(c, alpha, MultiVec(ctx.m, 1, coeffs))
+    field = MultiVec(ctx.m, 1, {(j,): x for j, x in enumerate(solution, 1)})
+    return AdmissiblePair(c, alpha, field)
 
 
 def solve_hamiltonian(c: PlecticCandidate, xi: Form) -> HamiltonianPair | None:
@@ -388,11 +344,8 @@ def check_admissible_lie_algebroid(
         total = total + as_section(admissible_bracket(c, ca, pb))
         jacobi.record((pa.alpha, pb.alpha, pc.alpha), total)
 
-        form17 = lie_form(pa.x_alpha, pb.alpha) - lie_form(pb.x_alpha, pa.alpha)
-        form17 = form17 - ext_d(i_vec(pa.x_alpha, i_vec(pb.x_alpha, c.omega)))
         anchor_rule.record(
-            (pa.alpha, pb.alpha),
-            form17 - omega_flat(c, vec_bracket(pa.x_alpha, pb.x_alpha)),
+            (pa.alpha, pb.alpha), ab.alpha - omega_flat(c, vec_bracket(pa.x_alpha, pb.x_alpha))
         )
 
         fb = AdmissiblePair(c, f * pb.alpha, f * pb.x_alpha)

@@ -125,9 +125,6 @@ class Poly:
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * self.m, Fraction(0))
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def _lift(self, other):
         if isinstance(other, Poly):
             if self.m != other.m:
@@ -228,8 +225,6 @@ class Poly:
         return total
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.m, other)
         if not isinstance(other, Poly):
             return NotImplemented
         return self.m == other.m and self.terms == other.terms

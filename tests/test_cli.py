@@ -176,3 +176,42 @@ def test_json_failure_witness_replays():
     residual = lie_multivec(pi_sharp(candidate, omega), candidate.pi)
     assert str(residual) == witness["residual"]
     assert not residual.is_zero
+
+
+def test_samples_below_one_rejected_for_every_target():
+    for target, *flags in [
+        ("gauge", "--phi", "x3*dx1^dx2"),
+        ("admissible", "--omega", "dx1^dx2^dx3"),
+    ]:
+        for samples in ("0", "-5"):
+            result = run_cli("check", target, "-m", "3", "-n", "1", *flags, f"--samples={samples}")
+            assert result.returncode == 2, (target, samples)
+            assert result.stdout == ""
+            assert "samples must be at least 1" in result.stderr
+
+
+def test_nambu_degree_bound_reaches_the_algebroid_guard():
+    result = run_cli(
+        "check", "nambu", "-m", "5", "-n", "2", "--pi", "@1^@2^@3 + @3^@4^@5",
+        "--degree", "1", "--samples", "2", "--json",
+    )
+    assert result.returncode == 1, result.stderr
+    checks = {check["name"]: check for check in json.loads(result.stdout)["checks"]}
+    assert checks["fundamental_identity"]["passed"]
+    assert not checks["graph_closure_dorfman"]["passed"]
+    assert not checks["closure_iff_fundamental"]["passed"]
+    assert "form_bracket_leibniz" in checks
+
+
+def test_deep_or_long_dsl_input_never_raises_a_traceback():
+    inputs = [
+        "+".join(["x1*@1"] * 1200),
+        "(" * 3000 + "@1" + ")" * 3000,
+        "-" * 3000 + "@1",
+    ]
+    for text in inputs:
+        result = run_cli("bracket", "dorfman", "-m", "2", "-n", "1", f"({text} ; 0)", "(@2 ; 0)")
+        assert "Traceback" not in result.stderr
+        assert result.returncode in (0, 2)
+        if result.returncode == 2:
+            assert result.stderr.startswith("error: at position ")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from hicourant.courant import Section, random_section
 from hicourant.dsl import (
+    MAX_PAREN_DEPTH,
     GradingError,
     LexError,
     ParseError,
@@ -105,6 +106,26 @@ def test_grading_errors():
         parse("dx1", CTX32, ("form", 2))
     with pytest.raises(GradingError):
         parse("@1", CTX32, ("form", 1))
+
+
+def test_wrong_kind_reports_where_the_value_starts():
+    with pytest.raises(GradingError) as err:
+        parse("  x1 + x2", CTX32, ("form", 1))
+    assert err.value.position == 2
+
+
+def test_parenthesis_depth_limit():
+    deepest = "(" * MAX_PAREN_DEPTH + "x1" + ")" * MAX_PAREN_DEPTH
+    assert parse_scalar(deepest, CTX32) == Poly.var(3, 1)
+    with pytest.raises(ParseError) as err:
+        parse_scalar("(" + deepest + ")", CTX32)
+    assert err.value.position == MAX_PAREN_DEPTH
+
+
+def test_long_sums_and_negation_chains_parse_iteratively():
+    assert parse_scalar("+".join(["x1"] * 3000), CTX32) == 3000 * Poly.var(3, 1)
+    assert parse_scalar("-" * 3001 + "x1", CTX32) == -Poly.var(3, 1)
+    assert parse_scalar("-" * 3000 + "x1", CTX32) == Poly.var(3, 1)
 
 
 def test_round_trip_seeded_values():

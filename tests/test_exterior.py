@@ -120,6 +120,8 @@ def test_vec_bracket_examples():
 def test_degree_above_dimension_is_zero():
     assert wedge(dx(2, 1, 2), dx(2, 1)).is_zero
     assert Form(2, 3).is_zero
+    with pytest.raises(ValueError):
+        Form(2, 3, {(1, 2, 3): 1})
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])

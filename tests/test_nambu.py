@@ -227,3 +227,13 @@ def test_poisson_bivector_recovers_cotangent_algebroid():
 def test_non_nambu_candidate_refused():
     with pytest.raises(NotNambuPoissonError):
         check_nambu_leibniz_algebroid(PANEL[6][1], seed=0, samples=2)
+
+
+def test_algebroid_guard_uses_the_given_degree():
+    c = NambuCandidate(Context(5, 2), dd(5, 1, 2, 3) + dd(5, 3, 4, 5))
+    assert np_fundamental_check(c, 1).passed
+    assert not np_fundamental_check(c, 2).passed
+    with pytest.raises(NotNambuPoissonError):
+        check_nambu_leibniz_algebroid(c, seed=0, samples=1)
+    results = check_nambu_leibniz_algebroid(c, seed=0, samples=1, max_degree=1)
+    assert [r.name for r in results][0] == "form_bracket_leibniz"

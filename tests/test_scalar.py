@@ -74,6 +74,13 @@ def test_argument_errors():
         X1 * Poly.var(2, 1)
 
 
+def test_equality_agrees_with_hash():
+    assert Poly.const(2, 3) != 3
+    assert Poly.const(2, Fraction(1, 2)) != Fraction(1, 2)
+    assert len({Poly.const(2, 3), 3}) == 2
+    assert len({Poly.const(2, 3), Poly.const(2, 3)}) == 1
+
+
 def test_canonical_zero_never_stored():
     p = poly3({(1, 0, 0): Fraction(1)}) + poly3({(1, 0, 0): Fraction(-1)})
     assert p.terms == {}
