@@ -45,7 +45,6 @@ from .exterior import (
     full_pair,
     i_vec,
     lie_form,
-    lie_form_components,
     lie_multivec,
     random_form,
     random_multivec,

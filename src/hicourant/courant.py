@@ -1,10 +1,10 @@
 """Brackets on sections of the generalized tangent bundle TM (+) Wedge^n T*M.
 
 A section pairs a vector field with an n-form.  This module provides the
-symmetric pairing, the skew higher-order Courant bracket, the non-skew
-higher-order Dorfman bracket, deformations by an (n+2)-form, gauge
-shears by an (n+1)-form, and seeded exact verification suites for the
-identities those operations satisfy.
+symmetric pairing, the non-skew higher-order Dorfman bracket that every
+other bracket is derived from, the skew higher-order Courant bracket,
+deformations by an (n+2)-form, gauge shears by an (n+1)-form, and seeded
+exact verification suites for the identities those operations satisfy.
 """
 
 from __future__ import annotations
@@ -100,27 +100,22 @@ def pairing(e1: Section, e2: Section) -> Form:
     return HALF * (i_vec(e1.vec, e2.form) + i_vec(e2.vec, e1.form))
 
 
-def courant_bracket(e1: Section, e2: Section) -> Section:
-    """Skew bracket [X,Y] + L_X b - L_Y a + (d i_Y a - d i_X b) / 2."""
-    e1._check_ctx(e2)
-    x, a = e1.vec, e1.form
-    y, b = e2.vec, e2.form
-    form = lie_form(x, b) - lie_form(y, a)
-    form = form + HALF * (ext_d(i_vec(y, a)) - ext_d(i_vec(x, b)))
-    return Section(e1.ctx, vec_bracket(x, y), form)
-
-
 def dorfman_bracket(e1: Section, e2: Section) -> Section:
-    """Non-skew bracket [X,Y] + L_X b - L_Y a + d i_Y a.
+    """Non-skew bracket [X,Y] + L_X b - i_Y da.
 
-    Equals the Courant bracket plus d of the pairing; the two
-    construction routes are cross-checked in the test suite.
+    By the Cartan formula this is [X,Y] + L_X b - L_Y a + d i_Y a, with one
+    Lie derivative instead of two; the test oracles build that form.
     """
     e1._check_ctx(e2)
     x, a = e1.vec, e1.form
     y, b = e2.vec, e2.form
-    form = lie_form(x, b) - lie_form(y, a) + ext_d(i_vec(y, a))
+    form = lie_form(x, b) - i_vec(y, ext_d(a))
     return Section(e1.ctx, vec_bracket(x, y), form)
+
+
+def courant_bracket(e1: Section, e2: Section) -> Section:
+    """Skew bracket [X,Y] + L_X b - L_Y a + (d i_Y a - d i_X b) / 2 = Dorfman - d<e1,e2>."""
+    return dorfman_bracket(e1, e2).add_form(-ext_d(pairing(e1, e2)))
 
 
 def anchor(e: Section) -> MultiVec:
@@ -230,27 +225,25 @@ def check_courant_axioms(ctx: Context, seed: int = 0, samples: int = 25) -> list
         e2 = random_section(rng, ctx)
         e3 = random_section(rng, ctx)
         f = random_poly(rng, ctx.m)
+        e12 = courant_bracket(e1, e2)
 
         lhs = (
             courant_bracket(e1, courant_bracket(e2, e3))
             + courant_bracket(e2, courant_bracket(e3, e1))
-            + courant_bracket(e3, courant_bracket(e1, e2))
+            + courant_bracket(e3, e12)
         )
         rhs = Section.of_form(ctx, ext_d(t_map(e1, e2, e3)))
         jacobiator.record((e1, e2, e3), lhs - rhs)
 
         lhs = courant_bracket(e1, f * e2)
-        rhs = f * courant_bracket(e1, e2) + vec_apply(e1.vec, f) * e2
+        rhs = f * e12 + vec_apply(e1.vec, f) * e2
         rhs = rhs - Section.of_form(ctx, wedge(d_scalar(f), pairing(e1, e2)))
         scalar_rule.record((e1, e2, f), lhs - rhs)
 
-        anchor_morphism.record(
-            (e1, e2),
-            anchor(courant_bracket(e1, e2)) - vec_bracket(anchor(e1), anchor(e2)),
-        )
+        anchor_morphism.record((e1, e2), anchor(e12) - vec_bracket(anchor(e1), anchor(e2)))
 
         lhs = lie_form(anchor(e1), pairing(e2, e3))
-        rhs = pairing(courant_bracket(e1, e2).add_form(ext_d(pairing(e1, e2))), e3)
+        rhs = pairing(e12.add_form(ext_d(pairing(e1, e2))), e3)
         rhs = rhs + pairing(e2, courant_bracket(e1, e3).add_form(ext_d(pairing(e1, e3))))
         pairing_compat.record((e1, e2, e3), lhs - rhs)
     return [jacobiator, scalar_rule, anchor_morphism, pairing_compat]
@@ -280,30 +273,27 @@ def check_dorfman_axioms(ctx: Context, seed: int = 0, samples: int = 25) -> list
         e2 = random_section(rng, ctx)
         e3 = random_section(rng, ctx)
         f = random_poly(rng, ctx.m)
+        e12 = dorfman_bracket(e1, e2)
+        e13 = dorfman_bracket(e1, e3)
 
         lhs = dorfman_bracket(e1, dorfman_bracket(e2, e3))
-        rhs = dorfman_bracket(dorfman_bracket(e1, e2), e3) + dorfman_bracket(
-            e2, dorfman_bracket(e1, e3)
-        )
+        rhs = dorfman_bracket(e12, e3) + dorfman_bracket(e2, e13)
         leibniz.record((e1, e2, e3), lhs - rhs)
 
         lhs = dorfman_bracket(e1, f * e2)
-        rhs = f * dorfman_bracket(e1, e2) + vec_apply(e1.vec, f) * e2
+        rhs = f * e12 + vec_apply(e1.vec, f) * e2
         scalar_left.record((e1, e2, f), lhs - rhs)
 
         lhs = dorfman_bracket(f * e1, e2)
-        rhs = f * dorfman_bracket(e1, e2) - vec_apply(e2.vec, f) * e1
+        rhs = f * e12 - vec_apply(e2.vec, f) * e1
         rhs = rhs + Section.of_form(ctx, wedge(d_scalar(f), 2 * pairing(e1, e2)))
         scalar_right.record((e1, e2, f), lhs - rhs)
 
         lhs = lie_form(anchor(e1), pairing(e2, e3))
-        rhs = pairing(dorfman_bracket(e1, e2), e3) + pairing(e2, dorfman_bracket(e1, e3))
+        rhs = pairing(e12, e3) + pairing(e2, e13)
         pairing_compat.record((e1, e2, e3), lhs - rhs)
 
-        anchor_morphism.record(
-            (e1, e2),
-            anchor(dorfman_bracket(e1, e2)) - vec_bracket(anchor(e1), anchor(e2)),
-        )
+        anchor_morphism.record((e1, e2), anchor(e12) - vec_bracket(anchor(e1), anchor(e2)))
     return [leibniz, scalar_left, scalar_right, pairing_compat, anchor_morphism]
 
 

@@ -75,16 +75,16 @@ def tokenize(text: str) -> list[Token]:
             tokens.append(Token("OP", ch, start))
             i += 1
             continue
-        if ch.isdigit():
-            while i < length and text[i].isdigit():
+        if "0" <= ch <= "9":
+            while i < length and "0" <= text[i] <= "9":
                 i += 1
             numerator = int(text[start:i])
             if i < length and text[i] == "/":
                 j = i + 1
-                if j >= length or not text[j].isdigit():
+                if j >= length or not "0" <= text[j] <= "9":
                     raise LexError(i, "expected digits after '/' in a rational literal")
                 i = j
-                while i < length and text[i].isdigit():
+                while i < length and "0" <= text[i] <= "9":
                     i += 1
                 denominator = int(text[j:i])
                 if denominator == 0:
@@ -97,7 +97,7 @@ def tokenize(text: str) -> list[Token]:
         if ch == "@":
             i += 1
             j = i
-            while i < length and text[i].isdigit():
+            while i < length and "0" <= text[i] <= "9":
                 i += 1
             if i == j:
                 raise LexError(start, "expected a coordinate index after '@'")
@@ -108,7 +108,7 @@ def tokenize(text: str) -> list[Token]:
                 i += 1
             word = text[start:i]
             j = i
-            while i < length and text[i].isdigit():
+            while i < length and "0" <= text[i] <= "9":
                 i += 1
             if i == j or word not in ("x", "dx"):
                 raise LexError(start, f"unrecognized name {text[start:i]!r}")

@@ -2,9 +2,9 @@
 
 Forms and multivector fields of degree k store Poly coefficients against
 strictly increasing index tuples.  All Cartan operators live here --
-wedge, interior products, exterior derivative, Lie derivatives, the
-vector field bracket -- with one fixed set of sign conventions that
-every other module inherits:
+wedge, interior products, exterior derivative, one Lie derivative each
+of forms and multivectors, the vector field bracket [X, Y] = L_X Y --
+with one fixed set of sign conventions that every other module inherits:
 
 * the basis pairing is <dx_I, @_I> = 1, with no 1/k! factors;
 * a form contracts into a multivector through the leading slots,
@@ -345,23 +345,16 @@ def d_scalar(f: Poly) -> Form:
 
 
 def lie_form(X: MultiVec, a: Form) -> Form:
-    """Lie derivative of a form via the Cartan formula i_X d + d i_X."""
-    transported = i_vec(X, ext_d(a))
-    if a.degree == 0:
-        # a scalar has no slot to contract, so the d i_X term is vacuous
-        return transported
-    return transported + ext_d(i_vec(X, a))
-
-
-def lie_form_components(X: MultiVec, a: Form) -> Form:
     """Lie derivative of a form via the component formula.
 
     (L_X a)_I = sum_j X^j d_j a_I + sum_t sum_j a_{I[t -> j]} d_{i_t} X^j.
-    Kept independent of the Cartan-formula path so the two can be
-    cross-checked against each other.
+    The Cartan route i_X d + d i_X is the independent cross-check in the
+    test oracles.
     """
     _require(X, MultiVec, 1, "vector field")
     _require(a, Form, label="form")
+    if X.m != a.m:
+        raise ChartMismatchError(f"chart dimension mismatch: {X.m} vs {a.m}")
     out: dict[MultiIndex, Poly] = {}
     for I in combinations(range(1, a.m + 1), a.degree):
         base = a.coeffs.get(I)
@@ -406,23 +399,12 @@ def lie_multivec(X: MultiVec, P: MultiVec) -> MultiVec:
 
 
 def vec_bracket(X: MultiVec, Y: MultiVec) -> MultiVec:
-    """Jacobi-Lie bracket [X, Y]^i = sum_j (X^j d_j Y^i - Y^j d_j X^i)."""
+    """Jacobi-Lie bracket [X, Y] = L_X Y, so [X, Y]^i = sum_j (X^j d_j Y^i - Y^j d_j X^i)."""
     _require(X, MultiVec, 1)
     _require(Y, MultiVec, 1)
     if X.m != Y.m:
         raise ChartMismatchError(f"chart dimension mismatch: {X.m} vs {Y.m}")
-    out: dict[MultiIndex, Poly] = {}
-    for i in range(1, X.m + 1):
-        total = Poly.zero(X.m)
-        yi = Y.coeffs.get((i,))
-        xi = X.coeffs.get((i,))
-        if yi is not None:
-            total = vec_apply(X, yi)
-        if xi is not None:
-            total = total - vec_apply(Y, xi)
-        if not total.is_zero:
-            out[(i,)] = total
-    return MultiVec._raw(X.m, 1, out)
+    return lie_multivec(X, Y)
 
 
 def vec_apply(X: MultiVec, f: Poly) -> Poly:

@@ -81,6 +81,11 @@ class AdmissiblePair:
         if self.alpha != i_vec(self.x_alpha, self.candidate.omega):
             raise ValueError("alpha is not i_{x_alpha} omega: pair is not admissible")
 
+    @property
+    def section(self) -> Section:
+        """The graph section x_alpha + alpha."""
+        return Section(self.candidate.ctx, self.x_alpha, self.alpha)
+
 
 @dataclass(frozen=True)
 class HamiltonianPair:
@@ -278,14 +283,13 @@ def solve_hamiltonian(c: PlecticCandidate, xi: Form) -> HamiltonianPair | None:
 
 
 def admissible_bracket(c: PlecticCandidate, a: AdmissiblePair, b: AdmissiblePair) -> AdmissiblePair:
-    """Bracket L_{X_a} b - L_{X_b} a - d i_{X_a} i_{X_b} omega with field [X_a, X_b]."""
+    """Bracket L_{X_a} b - L_{X_b} a - d i_{X_a} i_{X_b} omega with field [X_a, X_b]:
+    the Dorfman bracket of X_a + a and X_b + b, as i_{X_b} i_{X_a} = -i_{X_a} i_{X_b}."""
     if a.candidate != c or b.candidate != c:
         raise ValueError("both pairs must belong to this structure")
-    form = lie_form(a.x_alpha, b.alpha) - lie_form(b.x_alpha, a.alpha)
-    form = form - ext_d(i_vec(a.x_alpha, i_vec(b.x_alpha, c.omega)))
-    field = vec_bracket(a.x_alpha, b.x_alpha)
+    bracket = dorfman_bracket(a.section, b.section)
     try:
-        return AdmissiblePair(c, form, field)
+        return AdmissiblePair(c, bracket.form, bracket.vec)
     except ValueError as exc:
         raise InconsistentCandidateError(
             "bracket left the admissible bundle; omega cannot be closed"
@@ -320,9 +324,6 @@ def check_admissible_lie_algebroid(
     anchor_rule = CheckResult("anchor_property", "form part of [a,b]_w equals i_{[X_a,X_b]} omega")
     scalar_rule = CheckResult("scalar_rule", "[a, f*b]_w = f*[a,b]_w + X_a(f)*b")
 
-    def as_section(pair: AdmissiblePair) -> Section:
-        return Section(ctx, pair.x_alpha, pair.alpha)
-
     def fresh_pair() -> AdmissiblePair:
         field = random_multivec(rng, ctx.m, 1)
         return AdmissiblePair(c, omega_flat(c, field), field)
@@ -335,13 +336,13 @@ def check_admissible_lie_algebroid(
 
         ab = admissible_bracket(c, pa, pb)
         ba = admissible_bracket(c, pb, pa)
-        skew.record((pa.alpha, pb.alpha), as_section(ab) + as_section(ba))
+        skew.record((pa.alpha, pb.alpha), ab.section + ba.section)
 
         bc = admissible_bracket(c, pb, pc)
         ca = admissible_bracket(c, pc, pa)
-        total = as_section(admissible_bracket(c, ab, pc))
-        total = total + as_section(admissible_bracket(c, bc, pa))
-        total = total + as_section(admissible_bracket(c, ca, pb))
+        total = admissible_bracket(c, ab, pc).section
+        total = total + admissible_bracket(c, bc, pa).section
+        total = total + admissible_bracket(c, ca, pb).section
         jacobi.record((pa.alpha, pb.alpha, pc.alpha), total)
 
         anchor_rule.record(
@@ -349,13 +350,9 @@ def check_admissible_lie_algebroid(
         )
 
         fb = AdmissiblePair(c, f * pb.alpha, f * pb.x_alpha)
-        lhs = admissible_bracket(c, pa, fb)
-        rhs_form = f * ab.alpha + vec_apply(pa.x_alpha, f) * pb.alpha
-        rhs_field = f * ab.x_alpha + vec_apply(pa.x_alpha, f) * pb.x_alpha
-        scalar_rule.record(
-            (pa.alpha, pb.alpha, f),
-            Section(ctx, lhs.x_alpha - rhs_field, lhs.alpha - rhs_form),
-        )
+        lhs = admissible_bracket(c, pa, fb).section
+        rhs = f * ab.section + vec_apply(pa.x_alpha, f) * pb.section
+        scalar_rule.record((pa.alpha, pb.alpha, f), lhs - rhs)
     return [skew, jacobi, anchor_rule, scalar_rule]
 
 

@@ -3,13 +3,18 @@
 Everything here works on full permutation expansions of the component
 functions, independent of the sparse merge-and-sign paths in the
 package, so the two can be cross-checked against each other exactly.
+The Cartan-route Lie derivative i_X d + d i_X and the textbook Dorfman
+and Courant brackets built on it are the second route for the package's
+component-formula Lie derivative and its one bracket kernel.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
 
-from hicourant.exterior import Form, MultiVec
+from hicourant.courant import Section
+from hicourant.exterior import Form, MultiVec, ext_d, i_vec
 from hicourant.scalar import Poly
 
 
@@ -160,3 +165,41 @@ def oracle_lie_multivec(X: MultiVec, P: MultiVec) -> MultiVec:
                 piece_total = factor if s == 0 else oracle_wedge(piece_total, factor)
             total = total + f * piece_total
     return total
+
+
+def oracle_lie_form(X: MultiVec, a: Form) -> Form:
+    """Lie derivative of a form via the Cartan formula i_X d + d i_X."""
+    transported = i_vec(X, ext_d(a))
+    if a.degree == 0:
+        # a scalar has no slot to contract, so the d i_X term is vacuous
+        return transported
+    return transported + ext_d(i_vec(X, a))
+
+
+def oracle_vec_bracket(X: MultiVec, Y: MultiVec) -> MultiVec:
+    """[X, Y]^i = sum_j (X^j d_j Y^i - Y^j d_j X^i), straight from the components."""
+    m = X.m
+    out = {}
+    for i in range(1, m + 1):
+        total = Poly.zero(m)
+        for j in range(1, m + 1):
+            xj, yj = X.coeff((j,)), Y.coeff((j,))
+            total = total + xj * Y.coeff((i,)).partial(j) - yj * X.coeff((i,)).partial(j)
+        if not total.is_zero:
+            out[(i,)] = total
+    return MultiVec(m, 1, out)
+
+
+def oracle_dorfman(e1: Section, e2: Section) -> Section:
+    """Textbook Dorfman bracket [X,Y] + L_X b - L_Y a + d i_Y a, Lie derivatives by Cartan."""
+    x, a, y, b = e1.vec, e1.form, e2.vec, e2.form
+    form = oracle_lie_form(x, b) - oracle_lie_form(y, a) + ext_d(i_vec(y, a))
+    return Section(e1.ctx, oracle_vec_bracket(x, y), form)
+
+
+def oracle_courant(e1: Section, e2: Section) -> Section:
+    """Textbook Courant bracket [X,Y] + L_X b - L_Y a + (d i_Y a - d i_X b) / 2."""
+    x, a, y, b = e1.vec, e1.form, e2.vec, e2.form
+    form = oracle_lie_form(x, b) - oracle_lie_form(y, a)
+    form = form + Fraction(1, 2) * (ext_d(i_vec(y, a)) - ext_d(i_vec(x, b)))
+    return Section(e1.ctx, oracle_vec_bracket(x, y), form)

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+from hicourant import cli
 from hicourant.dsl import parse_multivec, parse_scalar
 from hicourant.exterior import Context, Form, ext_d, lie_multivec, wedge
 from hicourant.nambu import NambuCandidate, pi_sharp
@@ -215,3 +216,12 @@ def test_deep_or_long_dsl_input_never_raises_a_traceback():
         assert result.returncode in (0, 2)
         if result.returncode == 2:
             assert result.stderr.startswith("error: at position ")
+
+
+def test_non_ascii_digits_are_positioned_lex_errors(capsys):
+    # str.isdigit accepts these, and int() rejects '²' or reads '١' as 1
+    for section in ("(@1 ; x²*dx1)", "(@1 ; ١*dx1)", "(@1 ; dx١)"):
+        assert cli.main(["bracket", "dorfman", "-m2", "-n1", section, "(@2 ; 0)"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: at position 6: ")

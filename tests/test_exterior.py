@@ -14,7 +14,6 @@ from hicourant.exterior import (
     full_pair,
     i_vec,
     lie_form,
-    lie_form_components,
     lie_multivec,
     random_form,
     random_multivec,
@@ -29,7 +28,9 @@ from oracles import (
     oracle_contract_vec_into_form,
     oracle_ext_d,
     oracle_i_vec,
+    oracle_lie_form,
     oracle_lie_multivec,
+    oracle_vec_bracket,
     oracle_wedge,
 )
 
@@ -146,6 +147,15 @@ def test_oracle_cross_checks(m):
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
+def test_vec_bracket_matches_component_oracle(m):
+    rng = random.Random(9000 + m)
+    for _ in range(25):
+        X = random_multivec(rng, m, 1)
+        Y = random_multivec(rng, m, 1)
+        assert vec_bracket(X, Y) == oracle_vec_bracket(X, Y)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
 def test_graded_commutativity(m):
     rng = random.Random(2000 + m)
     for _ in range(30):
@@ -171,7 +181,7 @@ def test_cartan_vs_component_lie(m):
     for _ in range(40):
         a = random_form(rng, m, rng.randint(0, m))
         X = random_multivec(rng, m, 1)
-        assert lie_form(X, a) == lie_form_components(X, a)
+        assert lie_form(X, a) == oracle_lie_form(X, a)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])

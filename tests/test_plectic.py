@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from hicourant.courant import deformed_dorfman, dorfman_bracket, gauge, random_section
-from hicourant.exterior import Context, Form, MultiVec, ext_d, i_vec, lie_form
+from hicourant.exterior import Context, Form, MultiVec, ext_d, i_vec, lie_form, random_multivec
 from hicourant.plectic import (
     AdmissiblePair,
     HamiltonianPair,
@@ -26,6 +26,8 @@ from hicourant.plectic import (
     solve_hamiltonian,
 )
 from hicourant.scalar import Poly
+
+from oracles import oracle_lie_form, oracle_vec_bracket
 
 
 def dx(m, *idx):
@@ -164,6 +166,29 @@ def test_admissible_bracket_examples():
     out = admissible_bracket(SYMPLECTIC41, pa, pb)
     assert out.x_alpha == -dd(4, 1)
     assert out.alpha == omega_flat(SYMPLECTIC41, -dd(4, 1)) == -dx(4, 2)
+
+
+CLOSED_POLY41 = PlecticCandidate(
+    Context(4, 1), SYMPLECTIC41.omega + ext_d(var(4, 1) * var(4, 3) * dx(4, 2))
+)
+
+
+@pytest.mark.parametrize(
+    "candidate", [VOLUME32, SYMPLECTIC41, CLOSED_POLY41], ids=["volume32", "symplectic41", "poly41"]
+)
+def test_admissible_bracket_matches_textbook_formula(candidate):
+    # L_{X_a} b - L_{X_b} a - d i_{X_a} i_{X_b} omega, Lie derivatives by the Cartan formula
+    rng = random.Random(19)
+    for _ in range(10):
+        xa = random_multivec(rng, candidate.ctx.m, 1)
+        xb = random_multivec(rng, candidate.ctx.m, 1)
+        a = AdmissiblePair(candidate, omega_flat(candidate, xa), xa)
+        b = AdmissiblePair(candidate, omega_flat(candidate, xb), xb)
+        form = oracle_lie_form(xa, b.alpha) - oracle_lie_form(xb, a.alpha)
+        form = form - ext_d(i_vec(xa, i_vec(xb, candidate.omega)))
+        out = admissible_bracket(candidate, a, b)
+        assert out.alpha == form
+        assert out.x_alpha == oracle_vec_bracket(xa, xb)
 
 
 @pytest.mark.parametrize("candidate", [VOLUME32, SYMPLECTIC41], ids=["volume32", "symplectic41"])
