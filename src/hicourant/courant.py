@@ -100,17 +100,20 @@ def pairing(e1: Section, e2: Section) -> Form:
     return HALF * (i_vec(e1.vec, e2.form) + i_vec(e2.vec, e1.form))
 
 
-def dorfman_bracket(e1: Section, e2: Section) -> Section:
-    """Non-skew bracket [X,Y] + L_X b - i_Y da.
+def dorfman_form(e1: Section, e2: Section) -> Form:
+    """Form part L_X b - i_Y da of the Dorfman bracket of e1 = X + a and e2 = Y + b.
 
-    By the Cartan formula this is [X,Y] + L_X b - L_Y a + d i_Y a, with one
-    Lie derivative instead of two; the test oracles build that form.
+    By the Cartan formula this is L_X b - L_Y a + d i_Y a, with one Lie
+    derivative instead of two; the test oracles build that form.
     """
     e1._check_ctx(e2)
-    x, a = e1.vec, e1.form
-    y, b = e2.vec, e2.form
-    form = lie_form(x, b) - i_vec(y, ext_d(a))
-    return Section(e1.ctx, vec_bracket(x, y), form)
+    return lie_form(e1.vec, e2.form) - i_vec(e2.vec, ext_d(e1.form))
+
+
+def dorfman_bracket(e1: Section, e2: Section) -> Section:
+    """Non-skew bracket [X,Y] + L_X b - i_Y da."""
+    form = dorfman_form(e1, e2)
+    return Section(e1.ctx, vec_bracket(e1.vec, e2.vec), form)
 
 
 def courant_bracket(e1: Section, e2: Section) -> Section:
@@ -315,6 +318,7 @@ def check_deformation(
     """
     if theta.degree != ctx.n + 2:
         raise ValueError(f"deformation form must have degree n+2={ctx.n + 2}")
+    _require_samples(samples)
     rng = random.Random(seed)
     closed = CheckResult("theta_closed", "d theta = 0")
     closed.record((theta,), ext_d(theta))
@@ -342,6 +346,7 @@ def check_gauge_isomorphism(
     """Verify the gauge shear intertwines the d(phi)-twisted and plain brackets."""
     if phi.degree != ctx.n + 1:
         raise ValueError(f"gauge form must have degree n+1={ctx.n + 1}")
+    _require_samples(samples)
     rng = random.Random(seed)
     dphi = ext_d(phi)
     intertwiner = CheckResult(

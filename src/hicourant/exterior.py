@@ -1,16 +1,21 @@
 """Sparse alternating tensor calculus on a polynomial coordinate chart.
 
 Forms and multivector fields of degree k store Poly coefficients against
-strictly increasing index tuples.  All Cartan operators live here --
-wedge, interior products, exterior derivative, one Lie derivative each
-of forms and multivectors, the vector field bracket [X, Y] = L_X Y --
-with one fixed set of sign conventions that every other module inherits:
+strictly increasing index tuples.  All Cartan operators live here, with
+one fixed set of sign conventions that every other module inherits:
 
 * the basis pairing is <dx_I, @_I> = 1, with no 1/k! factors;
 * a form contracts into a multivector through the leading slots,
   defined by <i_xi P, eta> = <P, xi ^ eta> for all test forms eta;
 * a decomposable multivector contracts into a form left factor first,
   i_{X ^ Y} = i_Y o i_X, so (i_{X ^ Y} a)(...) = a(X, Y, ...).
+
+Index signs come only from _merge_indices (dx^I ^ dx^J: wedge, ext_d),
+_split_sign (dx^I ^ dx^rest = s dx^J: every contraction and the pairing)
+and component.  wedge, i_vec, both contractions and full_pair are one
+coefficient-pair loop, _bilinear; lie_form and lie_multivec (and so
+vec_bracket) are one component-formula body, _lie; _same_chart is the one
+chart check on operands.
 """
 
 from __future__ import annotations
@@ -40,25 +45,12 @@ class Context:
 
 
 def _merge_indices(left: MultiIndex, right: MultiIndex) -> tuple[int, MultiIndex] | None:
-    """Koszul sign and sorted union of two strictly increasing tuples, None on overlap."""
-    merged: list[int] = []
-    sign = 1
-    i = j = 0
-    while i < len(left) and j < len(right):
-        if left[i] == right[j]:
+    """Sign s and sorted union K with dx^left ^ dx^right = s * dx^K, None on overlap."""
+    for k in left:
+        if k in right:
             return None
-        if left[i] < right[j]:
-            merged.append(left[i])
-            i += 1
-        else:
-            # right[j] jumps over the remaining left entries
-            if (len(left) - i) % 2:
-                sign = -sign
-            merged.append(right[j])
-            j += 1
-    merged.extend(left[i:])
-    merged.extend(right[j:])
-    return sign, tuple(merged)
+    inversions = sum(1 for k in left for l in right if k > l)
+    return -1 if inversions % 2 else 1, tuple(sorted(left + right))
 
 
 def _collect(cls, m: int, degree: int, terms):
@@ -76,12 +68,17 @@ def _collect(cls, m: int, degree: int, terms):
 
 def _split_sign(sub: MultiIndex, full: MultiIndex) -> tuple[int, MultiIndex] | None:
     """Sign s with dx^sub ^ dx^rest = s * dx^full, rest = full minus sub; None if sub not in full."""
-    sub_set = set(sub)
-    if not sub_set <= set(full):
+    rest = tuple(x for x in full if x not in sub)
+    if len(rest) + len(sub) != len(full):
         return None
-    rest = tuple(x for x in full if x not in sub_set)
     inversions = sum(1 for k in sub for l in rest if k > l)
-    return (-1) ** inversions, rest
+    return -1 if inversions % 2 else 1, rest
+
+
+def _same_chart(a, b) -> None:
+    """The one chart check on operands: tensors and Polys of one chart dimension."""
+    if a.m != b.m:
+        raise ChartMismatchError(f"chart dimension mismatch: {a.m} vs {b.m}")
 
 
 class _Alternating:
@@ -155,8 +152,7 @@ class _Alternating:
     def _check_compatible(self, other):
         if type(self) is not type(other):
             raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
-        if self.m != other.m:
-            raise ChartMismatchError(f"chart dimension mismatch: {self.m} vs {other.m}")
+        _same_chart(self, other)
         if self.degree != other.degree:
             raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
 
@@ -186,18 +182,7 @@ class _Alternating:
         """Alternating product of two same-variance tensors."""
         if type(self) is not type(other):
             raise TypeError("wedge requires both factors of the same variance")
-        if self.m != other.m:
-            raise ChartMismatchError(f"chart dimension mismatch: {self.m} vs {other.m}")
-
-        def terms():
-            for i1, p1 in self.coeffs.items():
-                for i2, p2 in other.coeffs.items():
-                    merged = _merge_indices(i1, i2)
-                    if merged is not None:
-                        sign, idx = merged
-                        yield idx, p1 * p2 if sign > 0 else -(p1 * p2)
-
-        return _collect(type(self), self.m, self.degree + other.degree, terms())
+        return _bilinear(type(self), self.degree + other.degree, self, other, _merge_indices)
 
     __xor__ = wedge
 
@@ -251,75 +236,54 @@ def _require(value, kind, degree=None, label="argument"):
         raise ValueError(f"{label} must have degree {degree}, got {value.degree}")
 
 
-def _i_basis(idx: int, a: Form) -> Form:
-    """Interior product with the coordinate vector field @idx."""
+def _bilinear(cls, degree: int, a, b, rule):
+    """Tensor summing sign * a_I * b_J at index K over coefficient pairs,
+    where rule(I, J) gives (sign, K), or None when the pair does not combine."""
+    _same_chart(a, b)
 
     def terms():
         for I, p in a.coeffs.items():
-            if idx in I:
-                t = I.index(idx)
-                yield I[:t] + I[t + 1 :], -p if t % 2 else p
+            for J, q in b.coeffs.items():
+                hit = rule(I, J)
+                if hit is not None:
+                    sign, idx = hit
+                    yield idx, p * q if sign > 0 else -(p * q)
 
-    return _collect(Form, a.m, a.degree - 1, terms())
+    return _collect(cls, a.m, degree, terms())
 
 
 def i_vec(X: MultiVec, a: Form) -> Form:
-    """First-slot contraction of a form by a vector field."""
+    """First-slot contraction of a form by a vector field; zero on scalars."""
     _require(X, MultiVec, 1, "vector field")
     _require(a, Form, label="form")
-    if X.m != a.m:
-        raise ChartMismatchError(f"chart dimension mismatch: {X.m} vs {a.m}")
-    if a.degree == 0:
-        return Form.zero(a.m, 0)
-
-    def terms():
-        for I, p in a.coeffs.items():
-            for t, idx in enumerate(I):
-                xc = X.coeffs.get((idx,))
-                if xc is not None:
-                    yield I[:t] + I[t + 1 :], -(xc * p) if t % 2 else xc * p
-
-    return _collect(Form, a.m, a.degree - 1, terms())
+    return _bilinear(Form, max(a.degree - 1, 0), X, a, _split_sign)
 
 
 def contract_form_into_vec(xi: Form, P: MultiVec) -> MultiVec:
     """Leading-slot contraction i_xi P, defined by <i_xi P, eta> = <P, xi ^ eta>."""
     _require(xi, Form, label="contracting form")
     _require(P, MultiVec, label="multivector")
-    if xi.m != P.m:
-        raise ChartMismatchError(f"chart dimension mismatch: {xi.m} vs {P.m}")
     if xi.degree > P.degree:
         raise ValueError(f"form degree {xi.degree} exceeds multivector degree {P.degree}")
-
-    def terms():
-        for K, c in xi.coeffs.items():
-            for J, p in P.coeffs.items():
-                split = _split_sign(K, J)
-                if split is not None:
-                    sign, rest = split
-                    yield rest, c * p if sign > 0 else -(c * p)
-
-    return _collect(MultiVec, P.m, P.degree - xi.degree, terms())
+    return _bilinear(MultiVec, P.degree - xi.degree, xi, P, _split_sign)
 
 
 def contract_vec_into_form(P: MultiVec, a: Form) -> Form:
     """Iterated interior product i_P a with the left factor contracted first."""
     _require(P, MultiVec, label="multivector")
     _require(a, Form, label="form")
-    if P.m != a.m:
-        raise ChartMismatchError(f"chart dimension mismatch: {P.m} vs {a.m}")
     if P.degree > a.degree:
         raise ValueError(f"multivector degree {P.degree} exceeds form degree {a.degree}")
-    total = Form.zero(a.m, a.degree - P.degree)
-    for I, p in P.coeffs.items():
-        current = a
-        for idx in I:
-            current = _i_basis(idx, current)
-            if current.is_zero:
-                break
-        if not current.is_zero:
-            total = total + p * current
-    return total
+    return _bilinear(Form, a.degree - P.degree, P, a, _split_sign)
+
+
+def full_pair(P: MultiVec, a: Form) -> Poly:
+    """Full basis pairing <P, a> of a multivector and a form of equal degree."""
+    _require(P, MultiVec, label="multivector")
+    _require(a, Form, label="form")
+    if P.degree != a.degree:
+        raise ValueError(f"degree mismatch: {P.degree} vs {a.degree}")
+    return _bilinear(Form, 0, P, a, _split_sign).coeff(())
 
 
 def ext_d(a: Form) -> Form:
@@ -329,12 +293,13 @@ def ext_d(a: Form) -> Form:
     def terms():
         for I, p in a.coeffs.items():
             for j in range(1, a.m + 1):
-                if j in I:
+                merged = _merge_indices((j,), I)
+                if merged is None:
                     continue
                 dp = p.partial(j)
                 if not dp.is_zero:
-                    below = sum(1 for i in I if i < j)
-                    yield I[:below] + (j,) + I[below:], -dp if below % 2 else dp
+                    sign, idx = merged
+                    yield idx, dp if sign > 0 else -dp
 
     return _collect(Form, a.m, a.degree + 1, terms())
 
@@ -344,91 +309,64 @@ def d_scalar(f: Poly) -> Form:
     return ext_d(Form(f.m, 0, {(): f}))
 
 
-def lie_form(X: MultiVec, a: Form) -> Form:
-    """Lie derivative of a form via the component formula.
+def _lie(X: MultiVec, T):
+    """Component formula (L_X T)_I = X(T_I) + sum_t sum_j T_{I[t -> j]} A_{i_t j}.
 
-    (L_X a)_I = sum_j X^j d_j a_I + sum_t sum_j a_{I[t -> j]} d_{i_t} X^j.
-    The Cartan route i_X d + d i_X is the independent cross-check in the
-    test oracles.
+    A is read off the Jacobian d_l X^k, built once per call: A_{ij} = d_i X^j
+    on forms and A_{ij} = -d_j X^i on multivectors.
     """
-    _require(X, MultiVec, 1, "vector field")
-    _require(a, Form, label="form")
-    if X.m != a.m:
-        raise ChartMismatchError(f"chart dimension mismatch: {X.m} vs {a.m}")
+    _same_chart(X, T)
+    m = T.m
+    covariant = isinstance(T, Form)
+    rows: dict[int, list[tuple[int, Poly]]] = {}
+    for (k,), xk in X.coeffs.items():
+        for l in range(1, m + 1):
+            d = xk.partial(l)
+            if not d.is_zero:
+                i, j, entry = (l, k, d) if covariant else (k, l, -d)
+                rows.setdefault(i, []).append((j, entry))
     out: dict[MultiIndex, Poly] = {}
-    for I in combinations(range(1, a.m + 1), a.degree):
-        base = a.coeffs.get(I)
-        total = Poly.zero(a.m) if base is None else vec_apply(X, base)
+    for I in combinations(range(1, m + 1), T.degree):
+        base = T.coeffs.get(I)
+        total = Poly.zero(m) if base is None else vec_apply(X, base)
         for t, it in enumerate(I):
-            for (j,), xj in X.coeffs.items():
-                comp = a.component(I[:t] + (j,) + I[t + 1 :])
+            for j, entry in rows.get(it, ()):
+                comp = T.component(I[:t] + (j,) + I[t + 1 :])
                 if not comp.is_zero:
-                    total = total + comp * xj.partial(it)
+                    total = total + comp * entry
         if not total.is_zero:
             out[I] = total
-    return Form._raw(a.m, a.degree, out)
+    return type(T)._raw(m, T.degree, out)
+
+
+def lie_form(X: MultiVec, a: Form) -> Form:
+    """Lie derivative L_X a; the Cartan route i_X d + d i_X is the test oracle."""
+    _require(X, MultiVec, 1, "vector field")
+    _require(a, Form, label="form")
+    return _lie(X, a)
 
 
 def lie_multivec(X: MultiVec, P: MultiVec) -> MultiVec:
-    """Lie derivative of a multivector field along a vector field.
-
-    (L_X P)^I = sum_j X^j d_j P^I - sum_t sum_j P^{I[t -> j]} d_j X^{i_t};
-    on decomposables this is sum_t Y_1 ^ ... ^ [X, Y_t] ^ ... ^ Y_k
-    extended by the Leibniz rule in the coefficients.
-    """
+    """Lie derivative L_X P, on decomposables sum_t Y_1 ^ ... ^ [X, Y_t] ^ ... ^ Y_k."""
     _require(X, MultiVec, 1, "vector field")
     _require(P, MultiVec, label="multivector")
-    out: dict[MultiIndex, Poly] = {}
-    for I in combinations(range(1, P.m + 1), P.degree):
-        base = P.coeffs.get(I)
-        total = Poly.zero(P.m) if base is None else vec_apply(X, base)
-        for t, it in enumerate(I):
-            xit = X.coeffs.get((it,))
-            if xit is None:
-                continue
-            for j in range(1, P.m + 1):
-                dxit = xit.partial(j)
-                if dxit.is_zero:
-                    continue
-                comp = P.component(I[:t] + (j,) + I[t + 1 :])
-                if not comp.is_zero:
-                    total = total - comp * dxit
-        if not total.is_zero:
-            out[I] = total
-    return MultiVec._raw(P.m, P.degree, out)
+    return _lie(X, P)
 
 
 def vec_bracket(X: MultiVec, Y: MultiVec) -> MultiVec:
     """Jacobi-Lie bracket [X, Y] = L_X Y, so [X, Y]^i = sum_j (X^j d_j Y^i - Y^j d_j X^i)."""
     _require(X, MultiVec, 1)
     _require(Y, MultiVec, 1)
-    if X.m != Y.m:
-        raise ChartMismatchError(f"chart dimension mismatch: {X.m} vs {Y.m}")
     return lie_multivec(X, Y)
 
 
 def vec_apply(X: MultiVec, f: Poly) -> Poly:
     """Directional derivative X(f) = sum_j X^j d_j f."""
     _require(X, MultiVec, 1, "vector field")
+    _same_chart(X, f)
     total = Poly.zero(f.m)
     for (j,), xj in X.coeffs.items():
         total = total + xj * f.partial(j)
-    return total
-
-
-def full_pair(P: MultiVec, a: Form) -> Poly:
-    """Full basis pairing <P, a> of a multivector and a form of equal degree."""
-    _require(P, MultiVec, label="multivector")
-    _require(a, Form, label="form")
-    if P.m != a.m:
-        raise ChartMismatchError(f"chart dimension mismatch: {P.m} vs {a.m}")
-    if P.degree != a.degree:
-        raise ValueError(f"degree mismatch: {P.degree} vs {a.degree}")
-    total = Poly.zero(P.m)
-    for idx, p in P.coeffs.items():
-        q = a.coeffs.get(idx)
-        if q is not None:
-            total = total + p * q
     return total
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .courant import CheckResult, Section, dorfman_bracket
+from .courant import CheckResult, Section, _require_samples, dorfman_bracket, dorfman_form
 from .exterior import (
     Context,
     Form,
@@ -108,6 +108,7 @@ def graph_closure_check(
     passes iff the bracket of two graph sections lands back on the
     graph: vector part equal to pi# of the form part, exactly.
     """
+    _require_samples(samples)
     ctx = c.ctx
     check = CheckResult(
         "graph_closure_dorfman",
@@ -131,7 +132,7 @@ def nambu_form_bracket(c: NambuCandidate, a: Form, b: Form) -> Form:
     the form part of the Dorfman bracket of the graph sections pi#a + a, pi#b + b."""
     if a.degree != c.ctx.n or b.degree != c.ctx.n:
         raise ValueError(f"both forms must have degree n={c.ctx.n}")
-    return dorfman_bracket(_graph_section(c, a), _graph_section(c, b)).form
+    return dorfman_form(_graph_section(c, a), _graph_section(c, b))
 
 
 def marrero_bracket(c: NambuCandidate, a: Form, b: Form) -> Form:
@@ -157,6 +158,7 @@ def check_nambu(
 ) -> list[CheckResult]:
     """Fundamental identity, graph closure and their agreement, then the induced
     Leibniz structures if the fundamental-identity sweep passed."""
+    _require_samples(samples)
     fundamental = np_fundamental_check(c, max_degree)
     closure = graph_closure_check(c, seed, samples, max_degree)
     agreement = CheckResult(
@@ -177,6 +179,7 @@ def check_nambu_leibniz_algebroid(
     Refuses candidates that fail the fundamental-identity sweep up to
     max_degree, since none of these identities is promised otherwise.
     """
+    _require_samples(samples)
     if not np_fundamental_check(c, max_degree).passed:
         raise NotNambuPoissonError(
             "candidate fails the fundamental identity; the induced brackets "

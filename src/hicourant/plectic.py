@@ -13,9 +13,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 
-from .courant import CheckResult, Section, deformed_dorfman, dorfman_bracket, pairing
+from .courant import CheckResult, Section, _require_samples, deformed_dorfman, dorfman_bracket, pairing
 from .exterior import (
     Context,
     Form,
@@ -193,9 +194,10 @@ def nondegeneracy_check(c: PlecticCandidate, points) -> CheckResult:
     return check
 
 
-def _graph_pairs(c: PlecticCandidate, seed: int, samples: int):
-    """Graph sections X + i_X omega, Y + i_Y omega with the form part i_{[X,Y]} omega
-    that closure requires, over all coordinate-vector pairs, then seeded random pairs."""
+def _graph_pairs(c: PlecticCandidate, seed: int, samples: int, bracket):
+    """Graph sections e1 = X + i_X omega, e2 = Y + i_Y omega over all coordinate-vector
+    pairs, then seeded random pairs, each with its closure residual: the form part of
+    bracket(e1, e2) minus i_V omega, V its vector part."""
     ctx = c.ctx
     rng = random.Random(seed)
     fields = [MultiVec.basis(ctx.m, (j,)) for j in range(1, ctx.m + 1)]
@@ -205,11 +207,13 @@ def _graph_pairs(c: PlecticCandidate, seed: int, samples: int):
     for xv, yv in pairs:
         e1 = Section(ctx, xv, omega_flat(c, xv))
         e2 = Section(ctx, yv, omega_flat(c, yv))
-        yield e1, e2, omega_flat(c, vec_bracket(xv, yv))
+        result = bracket(e1, e2)
+        yield e1, e2, result.form - omega_flat(c, result.vec)
 
 
 def graph_closure_omega(c: PlecticCandidate, seed: int = 0, samples: int = 25) -> list[CheckResult]:
     """Closedness, graph closure, isotropy, and their forced agreement."""
+    _require_samples(samples)
     closed = CheckResult("omega_closed", "d omega = 0")
     closed.record((c.omega,), ext_d(c.omega))
 
@@ -217,8 +221,8 @@ def graph_closure_omega(c: PlecticCandidate, seed: int = 0, samples: int = 25) -
         "graph_closure", "[X + i_X omega, Y + i_Y omega] has form part i_{[X,Y]} omega"
     )
     isotropy = CheckResult("graph_isotropy", "<X + i_X omega, Y + i_Y omega> = 0")
-    for e1, e2, expected in _graph_pairs(c, seed, samples):
-        closure.record((e1, e2), dorfman_bracket(e1, e2).form - expected)
+    for e1, e2, residual in _graph_pairs(c, seed, samples, dorfman_bracket):
+        closure.record((e1, e2), residual)
         isotropy.record((e1, e2), pairing(e1, e2))
 
     agreement = CheckResult("closure_iff_closed", "the graph is closed iff d omega = 0")
@@ -232,6 +236,7 @@ def deformed_graph_check(
     """Graph closure under the theta-twisted bracket iff d omega + theta = 0."""
     if theta.degree != c.ctx.n + 2:
         raise ValueError(f"deformation form must have degree n+2={c.ctx.n + 2}")
+    _require_samples(samples)
     matched = CheckResult("omega_theta_matched", "d omega + theta = 0")
     matched.record((c.omega, theta), ext_d(c.omega) + theta)
 
@@ -239,8 +244,8 @@ def deformed_graph_check(
         "deformed_graph_closure",
         "[X + i_X omega, Y + i_Y omega]_theta has form part i_{[X,Y]} omega",
     )
-    for e1, e2, expected in _graph_pairs(c, seed, samples):
-        closure.record((e1, e2), deformed_dorfman(e1, e2, theta).form - expected)
+    for e1, e2, residual in _graph_pairs(c, seed, samples, partial(deformed_dorfman, theta=theta)):
+        closure.record((e1, e2), residual)
 
     agreement = CheckResult(
         "deformed_closure_iff_matched", "the graph is closed under [.,.]_theta iff d omega + theta = 0"
@@ -315,6 +320,7 @@ def check_admissible_lie_algebroid(
     sidesteps the fact that the flat map need not be surjective.
     Requires d omega = 0 exactly; the identities fail otherwise.
     """
+    _require_samples(samples)
     if not ext_d(c.omega).is_zero:
         raise NotClosedError("omega is not closed; the admissible bracket needs d omega = 0")
     ctx = c.ctx

@@ -22,6 +22,18 @@ from hicourant.courant import (
     t_map,
 )
 from hicourant.exterior import Context, Form, MultiVec, ext_d, i_vec
+from hicourant.nambu import (
+    NambuCandidate,
+    check_nambu,
+    check_nambu_leibniz_algebroid,
+    graph_closure_check,
+)
+from hicourant.plectic import (
+    PlecticCandidate,
+    check_admissible_lie_algebroid,
+    deformed_graph_check,
+    graph_closure_omega,
+)
 from hicourant.scalar import ChartMismatchError, Poly
 
 from oracles import oracle_courant, oracle_dorfman
@@ -220,6 +232,31 @@ def test_check_samples_validation():
         check_courant_axioms(CTX21, seed=0, samples=0)
     with pytest.raises(ValueError):
         check_dorfman_axioms(CTX21, seed=0, samples=0)
+
+
+NAMBU32 = NambuCandidate(Context(3, 2), MultiVec.basis(3, (1, 2, 3)))
+PLECTIC31 = PlecticCandidate(Context(3, 1), Form.basis(3, (1, 2)))
+
+# every library suite that draws seeded samples, called with a given sample count
+SAMPLED_SUITES = {
+    "courant_axioms": lambda s: check_courant_axioms(CTX21, samples=s),
+    "dorfman_axioms": lambda s: check_dorfman_axioms(CTX21, samples=s),
+    "deformation": lambda s: check_deformation(Context(3, 1), Form.zero(3, 3), samples=s),
+    "gauge": lambda s: check_gauge_isomorphism(Context(3, 1), Form.zero(3, 2), samples=s),
+    "nambu": lambda s: check_nambu(NAMBU32, samples=s),
+    "nambu_graph_closure": lambda s: graph_closure_check(NAMBU32, samples=s),
+    "nambu_leibniz_algebroid": lambda s: check_nambu_leibniz_algebroid(NAMBU32, samples=s),
+    "plectic_graph_closure": lambda s: graph_closure_omega(PLECTIC31, samples=s),
+    "plectic_deformed_graph": lambda s: deformed_graph_check(PLECTIC31, Form.zero(3, 3), samples=s),
+    "admissible_lie_algebroid": lambda s: check_admissible_lie_algebroid(PLECTIC31, samples=s),
+}
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+@pytest.mark.parametrize("suite", sorted(SAMPLED_SUITES))
+def test_every_sampled_suite_refuses_samples_below_one(suite, samples):
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        SAMPLED_SUITES[suite](samples)
 
 
 def test_deformation_biconditional_panel():

@@ -21,12 +21,13 @@ from hicourant.exterior import (
     vec_bracket,
     wedge,
 )
-from hicourant.scalar import Poly
+from hicourant.scalar import ChartMismatchError, Poly
 
 from oracles import (
     oracle_contract_form_into_vec,
     oracle_contract_vec_into_form,
     oracle_ext_d,
+    oracle_full_pair,
     oracle_i_vec,
     oracle_lie_form,
     oracle_lie_multivec,
@@ -118,6 +119,27 @@ def test_vec_bracket_examples():
     assert vec_bracket(X, X).is_zero
 
 
+# every operator with two tensor operands (or a field and a function), on charts 3 and 4
+MISMATCHED_CHARTS = {
+    "wedge": lambda: wedge(Form.zero(3, 1), Form.zero(4, 1)),
+    "add": lambda: MultiVec.zero(3, 1) + MultiVec.zero(4, 1),
+    "i_vec": lambda: i_vec(MultiVec.zero(3, 1), Form.zero(4, 2)),
+    "contract_form_into_vec": lambda: contract_form_into_vec(Form.zero(3, 1), MultiVec.zero(4, 2)),
+    "contract_vec_into_form": lambda: contract_vec_into_form(MultiVec.zero(3, 1), Form.zero(4, 2)),
+    "full_pair": lambda: full_pair(MultiVec.zero(3, 2), Form.zero(4, 2)),
+    "lie_form": lambda: lie_form(MultiVec.zero(3, 1), Form.zero(4, 2)),
+    "lie_multivec": lambda: lie_multivec(MultiVec.zero(3, 1), MultiVec.zero(4, 2)),
+    "vec_bracket": lambda: vec_bracket(MultiVec.zero(3, 1), MultiVec.zero(4, 1)),
+    "vec_apply": lambda: vec_apply(MultiVec.zero(3, 1), Poly.zero(4)),
+}
+
+
+@pytest.mark.parametrize("operator", sorted(MISMATCHED_CHARTS))
+def test_operators_refuse_mismatched_charts_even_on_zero_operands(operator):
+    with pytest.raises(ChartMismatchError):
+        MISMATCHED_CHARTS[operator]()
+
+
 def test_degree_above_dimension_is_zero():
     assert wedge(dx(2, 1, 2), dx(2, 1)).is_zero
     assert Form(2, 3).is_zero
@@ -125,9 +147,10 @@ def test_degree_above_dimension_is_zero():
         Form(2, 3, {(1, 2, 3): 1})
 
 
-@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_oracle_cross_checks(m):
     rng = random.Random(1000 + m)
+    pair_rng = random.Random(1100 + m)  # separate stream: the pairing operand shifts no other draw
     for _ in range(25):
         p = rng.randint(0, m)
         q = rng.randint(0, m)
@@ -144,6 +167,8 @@ def test_oracle_cross_checks(m):
         if P.degree <= p:
             assert contract_vec_into_form(P, a) == oracle_contract_vec_into_form(P, a)
         assert lie_multivec(X, P) == oracle_lie_multivec(X, P)
+        c = random_form(pair_rng, m, P.degree)
+        assert full_pair(P, c) == oracle_full_pair(P, c)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])

@@ -4,15 +4,22 @@ The package promises to run on a bare Python, so every import must come
 from the standard library or from hicourant itself.  `__init__.py` is
 exempt from the unused-name rule because its imports are the public
 re-exports.
+
+The benchmark under `bench/` drives the package by name, so every
+hicourant name it imports or reads off a hicourant module must exist;
+a rename would otherwise show only as failed benchmark operations.
 """
 
 import ast
+import importlib
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hicourant"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "hicourant"
 
 
 def import_problems(source: str, check_unused: bool = True) -> list[str]:
@@ -61,4 +68,76 @@ def test_import_checker_flags_unused_and_foreign_imports():
         "line 2: imports non-stdlib numpy",
         "line 3: Fraction imported but unused",
         "line 4: i_vec imported but unused",
+    ]
+
+
+def _hicourant_attr(owner: ModuleType, name: str):
+    """owner.name as `from owner import name` resolves it, or None if it does not exist."""
+    if hasattr(owner, name):
+        return getattr(owner, name)
+    try:
+        return importlib.import_module(f"{owner.__name__}.{name}")
+    except ModuleNotFoundError:
+        return None
+
+
+def missing_hicourant_names(source: str) -> list[str]:
+    """hicourant names that the source imports, or reads off an imported hicourant module,
+    and that do not exist."""
+    tree = ast.parse(source)
+    modules: dict[str, ModuleType] = {}
+    missing: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "hicourant":
+                    # `import hicourant.cli` binds hicourant; `import hicourant.cli as c` binds c
+                    module = importlib.import_module(alias.name)
+                    modules[alias.asname or "hicourant"] = (
+                        module if alias.asname else sys.modules["hicourant"]
+                    )
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "hicourant":
+            owner = importlib.import_module(node.module)
+            for alias in node.names:
+                value = _hicourant_attr(owner, alias.name)
+                if value is None:
+                    missing.add(f"{node.module}.{alias.name}")
+                elif isinstance(value, ModuleType):
+                    modules[alias.asname or alias.name] = value
+
+    def resolve(expr):
+        if isinstance(expr, ast.Name):
+            return modules.get(expr.id)
+        if isinstance(expr, ast.Attribute):
+            owner = resolve(expr.value)
+            if isinstance(owner, ModuleType):
+                value = _hicourant_attr(owner, expr.attr)
+                if value is None:
+                    missing.add(f"{owner.__name__}.{expr.attr}")
+                return value
+        return None
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            resolve(node)
+    return sorted(missing)
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "bench").glob("*.py")), ids=lambda p: p.name)
+def test_benchmark_hicourant_names_exist(path):
+    assert missing_hicourant_names(path.read_text(encoding="utf-8")) == []
+
+
+def test_benchmark_name_checker_flags_missing_names():
+    source = (
+        "import hicourant.cli\n"
+        "from hicourant import courant, dsl\n"
+        "from hicourant.exterior import wedge, gone_operator\n"
+        "courant.dorfman_bracket(dsl.parse, courant.gone_bracket)\n"
+        "hicourant.cli.main, hicourant.cli.gone_main\n"
+    )
+    assert missing_hicourant_names(source) == [
+        "hicourant.cli.gone_main",
+        "hicourant.courant.gone_bracket",
+        "hicourant.exterior.gone_operator",
     ]
