@@ -43,6 +43,8 @@ CASES = {
     "matrix-admissible": [
         "admissible", "-m", "3", "-n", "2", "--omega", "dx1^dx2^dx3", "--samples", "4", "--seed", "13",
     ],
+    # closed phi, so the report carries gauge_automorphism
+    "gauge-m3n1-closed": ["gauge", "-m3", "-n1", "--phi", "dx1^dx2", "--samples", "4", "--seed", "13"],
     # failing and twisted structures
     "nambu-m4n2-fails": [
         "nambu", "-m4", "-n2", "--pi", "@1^@2^@3 + x2*@2^@3^@4", "--samples", "4", "--seed", "11",
