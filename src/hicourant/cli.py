@@ -1,7 +1,8 @@
 """Command-line surface: compute brackets, run identity suites, emit reports.
 
 Exit codes: 0 when every check passed, 1 when a check failed (the
-report is still emitted), 2 for usage, parse, or grading errors.  Output
+report is still emitted), 2 for usage, parse, or grading errors and for
+a non-closed omega given to the admissible suite.  Output
 is a deterministic function of the flags and the seed, so identical
 invocations produce byte-identical reports.
 """
@@ -25,11 +26,26 @@ class UsageError(Exception):
     """Input error that should exit with code 2 and a message."""
 
 
+def _context(args) -> Context:
+    try:
+        return Context(args.dim, args.order)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _random_scope(_ctx, _structure, args) -> str:
     return f"{args.samples} seeded random samples with polynomial coefficients of degree <= 2"
 
 
+def _nambu_suite(ctx: Context, pi, args) -> list[CheckResult]:
+    if args.degree < 1:
+        raise UsageError("max_degree must be at least 1")
+    return nambu.check_nambu(nambu.NambuCandidate(ctx, pi), args.seed, args.samples, args.degree)
+
+
 def _plectic_suite(ctx: Context, omega: Form, args) -> list[CheckResult]:
+    if args.points < 1:
+        raise UsageError("at least one evaluation point is required")
     candidate = plectic.PlecticCandidate(ctx, omega)
     rng = random.Random(args.seed)
     points = [random_point(rng, ctx.m) for _ in range(args.points)]
@@ -86,9 +102,7 @@ CHECK_TARGETS = {
         ("form", 1),
     ),
     "nambu": CheckTarget(
-        lambda ctx, pi, a: nambu.check_nambu(
-            nambu.NambuCandidate(ctx, pi), a.seed, a.samples, a.degree
-        ),
+        _nambu_suite,
         "pi",
         ("multivec", 1),
         lambda _ctx, _pi, a: "fundamental identity over all n-tuples of distinct monomials of total "
@@ -211,7 +225,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_check(args) -> SuiteReport:
-    ctx = Context(args.dim, args.order)
+    ctx = _context(args)
     target = CHECK_TARGETS[args.target]
     if args.samples < 1:
         raise UsageError("samples must be at least 1")
@@ -237,7 +251,7 @@ def _run_check(args) -> SuiteReport:
 
 
 def _cmd_bracket(args) -> int:
-    ctx = Context(args.dim, args.order)
+    ctx = _context(args)
     e1 = parse_section(args.e1, ctx)
     e2 = parse_section(args.e2, ctx)
     if args.kind == "courant":
@@ -263,7 +277,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    ctx = Context(args.dim, args.order)
+    ctx = _context(args)
     candidate = plectic.PlecticCandidate(ctx, parse_form(args.omega, ctx, ctx.n + 1))
     xi = parse_form(args.xi, ctx, ctx.n - 1)
     if args.with_x is not None:
@@ -294,7 +308,7 @@ def main(argv=None) -> int:
         if args.command == "check":
             return _cmd_check(args)
         return _cmd_solve(args)
-    except (UsageError, DslError, ValueError) as exc:
+    except (UsageError, DslError, plectic.NotClosedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from functools import partial
+from itertools import chain, product
 
 from .exterior import (
     Context,
@@ -152,11 +153,11 @@ def gauge(phi: Form, e: Section) -> Section:
     return e.add_form(i_vec(e.vec, phi))
 
 
-def random_section(rng: random.Random, ctx: Context, max_degree: int = 2) -> Section:
+def random_section(rng: random.Random, ctx: Context) -> Section:
     return Section(
         ctx,
-        random_multivec(rng, ctx.m, 1, max_degree),
-        random_form(rng, ctx.m, ctx.n, max_degree),
+        random_multivec(rng, ctx.m, 1),
+        random_form(rng, ctx.m, ctx.n),
     )
 
 
@@ -201,15 +202,32 @@ class CheckResult:
         self.record_verdict(inputs, left_check.passed == right_check.passed, note)
 
 
-def _require_samples(samples: int) -> None:
+def cases(seed: int, samples: int, draw, exhaustive=()):
+    """Cases of one sweep: the exhaustive cases in order, then `samples` draws draw(rng)
+    from one Random seeded with seed.  Refuses samples < 1 at the call, before any draw."""
     if samples < 1:
         raise ValueError("samples must be at least 1")
+    rng = random.Random(seed)
+    return chain(exhaustive, (draw(rng) for _ in range(samples)))
+
+
+def leibniz_residual(bracket, a, b, c, ab, ac):
+    """[a,[b,c]] - ([[a,b],c] + [b,[a,c]]) for any bracket, given ab = [a,b] and ac = [a,c]."""
+    return bracket(a, bracket(b, c)) - (bracket(ab, c) + bracket(b, ac))
+
+
+def _random_sections(ctx: Context, k: int, rng: random.Random) -> tuple[Section, ...]:
+    return tuple(random_section(rng, ctx) for _ in range(k))
+
+
+def _axiom_case(ctx: Context, rng: random.Random):
+    """Three random sections e1, e2, e3 and a random scalar f."""
+    return (*_random_sections(ctx, 3, rng), random_poly(rng, ctx.m))
 
 
 def check_courant_axioms(ctx: Context, seed: int = 0, samples: int = 25) -> list[CheckResult]:
     """Exact residual checks for the Courant-bracket identities on seeded sections."""
-    _require_samples(samples)
-    rng = random.Random(seed)
+    sweep = cases(seed, samples, partial(_axiom_case, ctx))
     jacobiator = CheckResult(
         "jacobiator_exact_term", "[e1,[e2,e3]] + cyclic = d T(e1,e2,e3)"
     )
@@ -223,11 +241,7 @@ def check_courant_axioms(ctx: Context, seed: int = 0, samples: int = 25) -> list
         "pairing_compat",
         "L_rho(e1)<e2,e3> = <[e1,e2] + d<e1,e2>, e3> + <e2, [e1,e3] + d<e1,e3>>",
     )
-    for _ in range(samples):
-        e1 = random_section(rng, ctx)
-        e2 = random_section(rng, ctx)
-        e3 = random_section(rng, ctx)
-        f = random_poly(rng, ctx.m)
+    for e1, e2, e3, f in sweep:
         e12 = courant_bracket(e1, e2)
 
         lhs = (
@@ -254,8 +268,7 @@ def check_courant_axioms(ctx: Context, seed: int = 0, samples: int = 25) -> list
 
 def check_dorfman_axioms(ctx: Context, seed: int = 0, samples: int = 25) -> list[CheckResult]:
     """Exact residual checks for the Dorfman-bracket identities on seeded sections."""
-    _require_samples(samples)
-    rng = random.Random(seed)
+    sweep = cases(seed, samples, partial(_axiom_case, ctx))
     leibniz = CheckResult(
         "leibniz_identity", "[e1,[e2,e3]] = [[e1,e2],e3] + [e2,[e1,e3]]"
     )
@@ -271,17 +284,11 @@ def check_dorfman_axioms(ctx: Context, seed: int = 0, samples: int = 25) -> list
     anchor_morphism = CheckResult(
         "anchor_morphism", "rho([e1,e2]) = [rho(e1), rho(e2)]"
     )
-    for _ in range(samples):
-        e1 = random_section(rng, ctx)
-        e2 = random_section(rng, ctx)
-        e3 = random_section(rng, ctx)
-        f = random_poly(rng, ctx.m)
+    for e1, e2, e3, f in sweep:
         e12 = dorfman_bracket(e1, e2)
         e13 = dorfman_bracket(e1, e3)
 
-        lhs = dorfman_bracket(e1, dorfman_bracket(e2, e3))
-        rhs = dorfman_bracket(e12, e3) + dorfman_bracket(e2, e13)
-        leibniz.record((e1, e2, e3), lhs - rhs)
+        leibniz.record((e1, e2, e3), leibniz_residual(dorfman_bracket, e1, e2, e3, e12, e13))
 
         lhs = dorfman_bracket(e1, f * e2)
         rhs = f * e12 + vec_apply(e1.vec, f) * e2
@@ -300,13 +307,6 @@ def check_dorfman_axioms(ctx: Context, seed: int = 0, samples: int = 25) -> list
     return [leibniz, scalar_left, scalar_right, pairing_compat, anchor_morphism]
 
 
-def _leibniz_residual_deformed(e1: Section, e2: Section, e3: Section, theta: Form) -> Section:
-    lhs = deformed_dorfman(e1, deformed_dorfman(e2, e3, theta), theta)
-    rhs = deformed_dorfman(deformed_dorfman(e1, e2, theta), e3, theta)
-    rhs = rhs + deformed_dorfman(e2, deformed_dorfman(e1, e3, theta), theta)
-    return lhs - rhs
-
-
 def check_deformation(
     ctx: Context, theta: Form, seed: int = 0, samples: int = 25
 ) -> list[CheckResult]:
@@ -318,20 +318,18 @@ def check_deformation(
     """
     if theta.degree != ctx.n + 2:
         raise ValueError(f"deformation form must have degree n+2={ctx.n + 2}")
-    _require_samples(samples)
-    rng = random.Random(seed)
+    coordinate = [Section.of_vec(ctx, MultiVec.basis(ctx.m, (i,))) for i in range(1, ctx.m + 1)]
+    sweep = cases(seed, samples, partial(_random_sections, ctx, 3), product(coordinate, repeat=3))
     closed = CheckResult("theta_closed", "d theta = 0")
     closed.record((theta,), ext_d(theta))
 
     leibniz = CheckResult(
         "deformed_leibniz", "[e1,[e2,e3]]_theta = [[e1,e2],e3]_theta + [e2,[e1,e3]]_theta"
     )
-    coordinate = [Section.of_vec(ctx, MultiVec.basis(ctx.m, (i,))) for i in range(1, ctx.m + 1)]
-    triples = list(product(coordinate, repeat=3))
-    for _ in range(samples):
-        triples.append(tuple(random_section(rng, ctx) for _ in range(3)))
-    for e1, e2, e3 in triples:
-        leibniz.record((e1, e2, e3), _leibniz_residual_deformed(e1, e2, e3, theta))
+    bracket = partial(deformed_dorfman, theta=theta)
+    for e1, e2, e3 in sweep:
+        residual = leibniz_residual(bracket, e1, e2, e3, bracket(e1, e2), bracket(e1, e3))
+        leibniz.record((e1, e2, e3), residual)
 
     agreement = CheckResult(
         "closed_iff_leibniz", "the twisted bracket obeys Leibniz iff d theta = 0"
@@ -346,8 +344,7 @@ def check_gauge_isomorphism(
     """Verify the gauge shear intertwines the d(phi)-twisted and plain brackets."""
     if phi.degree != ctx.n + 1:
         raise ValueError(f"gauge form must have degree n+1={ctx.n + 1}")
-    _require_samples(samples)
-    rng = random.Random(seed)
+    sweep = cases(seed, samples, partial(_random_sections, ctx, 2))
     dphi = ext_d(phi)
     intertwiner = CheckResult(
         "gauge_intertwiner", "gauge(phi)[e1,e2]_{d phi} = [gauge(phi)e1, gauge(phi)e2]"
@@ -355,15 +352,13 @@ def check_gauge_isomorphism(
     automorphism = CheckResult(
         "gauge_automorphism", "d phi = 0: gauge(phi)[e1,e2] = [gauge(phi)e1, gauge(phi)e2]"
     )
-    for _ in range(samples):
-        e1 = random_section(rng, ctx)
-        e2 = random_section(rng, ctx)
+    for e1, e2 in sweep:
         lhs = gauge(phi, deformed_dorfman(e1, e2, dphi))
-        rhs = dorfman_bracket(gauge(phi, e1), gauge(phi, e2))
-        intertwiner.record((e1, e2), lhs - rhs)
+        residual = lhs - dorfman_bracket(gauge(phi, e1), gauge(phi, e2))
+        intertwiner.record((e1, e2), residual)
         if dphi.is_zero:
-            lhs = gauge(phi, dorfman_bracket(e1, e2))
-            automorphism.record((e1, e2), lhs - rhs)
+            # the twist by d phi = 0 adds nothing, so this is the same residual
+            automorphism.record((e1, e2), residual)
     results = [intertwiner]
     if dphi.is_zero:
         results.append(automorphism)

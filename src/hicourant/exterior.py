@@ -380,30 +380,30 @@ def vec_apply(X: MultiVec, f: Poly) -> Poly:
 _COEFF_CHOICES = (-3, -2, -1, 1, 2, 3)
 
 
-def random_poly(rng: random.Random, m: int, max_degree: int = 2, density: float = 0.25) -> Poly:
+def random_poly(rng: random.Random, m: int, max_degree: int = 2) -> Poly:
     terms = {}
     for exps in monomials_up_to(m, max_degree):
-        if rng.random() < density:
+        if rng.random() < 0.25:
             terms[exps] = Fraction(rng.choice(_COEFF_CHOICES))
     return Poly(m, terms)
 
 
-def _random_tensor(cls, rng, m, degree, max_degree, density):
+def _random_tensor(cls, rng, m, degree, max_degree):
     coeffs = {}
     for idx in combinations(range(1, m + 1), degree):
         if rng.random() < 0.75:
-            p = random_poly(rng, m, max_degree, density)
+            p = random_poly(rng, m, max_degree)
             if not p.is_zero:
                 coeffs[idx] = p
     return cls(m, degree, coeffs)
 
 
 def random_form(rng: random.Random, m: int, degree: int, max_degree: int = 2) -> Form:
-    return _random_tensor(Form, rng, m, degree, max_degree, 0.25)
+    return _random_tensor(Form, rng, m, degree, max_degree)
 
 
 def random_multivec(rng: random.Random, m: int, degree: int, max_degree: int = 2) -> MultiVec:
-    return _random_tensor(MultiVec, rng, m, degree, max_degree, 0.25)
+    return _random_tensor(MultiVec, rng, m, degree, max_degree)
 
 
 def random_point(rng: random.Random, m: int) -> tuple[Fraction, ...]:

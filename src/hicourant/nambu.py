@@ -12,9 +12,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import partial
+from itertools import combinations, product
 
-from .courant import CheckResult, Section, _require_samples, dorfman_bracket, dorfman_form
+from .courant import CheckResult, Section, cases, dorfman_bracket, dorfman_form, leibniz_residual
 from .exterior import (
     Context,
     Form,
@@ -108,20 +109,17 @@ def graph_closure_check(
     passes iff the bracket of two graph sections lands back on the
     graph: vector part equal to pi# of the form part, exactly.
     """
-    _require_samples(samples)
     ctx = c.ctx
+    basis = [Form.basis(ctx.m, idx) for idx in combinations(range(1, ctx.m + 1), ctx.n)]
+
+    def pair(rng):
+        return tuple(random_form(rng, ctx.m, ctx.n, max_degree) for _ in range(2))
+
     check = CheckResult(
         "graph_closure_dorfman",
         "[pi#a + a, pi#b + b] stays in the graph of pi# (dorfman bracket)",
     )
-    rng = random.Random(seed)
-    basis = [Form.basis(ctx.m, idx) for idx in combinations(range(1, ctx.m + 1), ctx.n)]
-    pairs = [(a, b) for a in basis for b in basis]
-    for _ in range(samples):
-        pairs.append(
-            (random_form(rng, ctx.m, ctx.n, max_degree), random_form(rng, ctx.m, ctx.n, max_degree))
-        )
-    for a, b in pairs:
+    for a, b in cases(seed, samples, pair, product(basis, repeat=2)):
         result = dorfman_bracket(_graph_section(c, a), _graph_section(c, b))
         check.record((a, b), result.vec - pi_sharp(c, result.form))
     return check
@@ -158,7 +156,7 @@ def check_nambu(
 ) -> list[CheckResult]:
     """Fundamental identity, graph closure and their agreement, then the induced
     Leibniz structures if the fundamental-identity sweep passed."""
-    _require_samples(samples)
+    sweep = cases(seed, samples, partial(_algebroid_case, c.ctx))
     fundamental = np_fundamental_check(c, max_degree)
     closure = graph_closure_check(c, seed, samples, max_degree)
     agreement = CheckResult(
@@ -167,7 +165,7 @@ def check_nambu(
     agreement.record_iff((c.pi,), ("fundamental", fundamental), ("closure", closure))
     checks = [fundamental, closure, agreement]
     if fundamental.passed:
-        checks.extend(_leibniz_algebroid_checks(c, seed, samples))
+        checks.extend(_leibniz_algebroid_checks(c, sweep))
     return checks
 
 
@@ -179,18 +177,25 @@ def check_nambu_leibniz_algebroid(
     Refuses candidates that fail the fundamental-identity sweep up to
     max_degree, since none of these identities is promised otherwise.
     """
-    _require_samples(samples)
+    sweep = cases(seed, samples, partial(_algebroid_case, c.ctx))
     if not np_fundamental_check(c, max_degree).passed:
         raise NotNambuPoissonError(
             "candidate fails the fundamental identity; the induced brackets "
             "are only Leibniz structures for Nambu-Poisson tensors"
         )
-    return _leibniz_algebroid_checks(c, seed, samples)
+    return _leibniz_algebroid_checks(c, sweep)
 
 
-def _leibniz_algebroid_checks(c: NambuCandidate, seed: int, samples: int) -> list[CheckResult]:
-    ctx = c.ctx
-    rng = random.Random(seed)
+def _algebroid_case(ctx: Context, rng: random.Random):
+    """n-forms a, b, g, a scalar f and (n-1)-forms xi, eta, zeta."""
+    a, b, g = (random_form(rng, ctx.m, ctx.n) for _ in range(3))
+    f = random_poly(rng, ctx.m)
+    return (a, b, g, f, *(random_form(rng, ctx.m, ctx.n - 1) for _ in range(3)))
+
+
+def _leibniz_algebroid_checks(c: NambuCandidate, sweep) -> list[CheckResult]:
+    form_bracket = partial(nambu_form_bracket, c)
+    nm1_bracket = partial(leibniz_nm1_bracket, c)
     leibniz = CheckResult(
         "form_bracket_leibniz", "[a,[b,g]]_pi = [[a,b]_pi,g]_pi + [b,[a,g]_pi]_pi"
     )
@@ -200,33 +205,20 @@ def _leibniz_algebroid_checks(c: NambuCandidate, seed: int, samples: int) -> lis
         "nm1_bracket_leibniz", "{x,{y,z}}_pi = {{x,y}_pi,z}_pi + {y,{x,z}_pi}_pi"
     )
     comparison = CheckResult("bracket_comparison", "pi#([a,b]_pi - [a,b]^pi) = 0")
-    for _ in range(samples):
-        a = random_form(rng, ctx.m, ctx.n)
-        b = random_form(rng, ctx.m, ctx.n)
-        g = random_form(rng, ctx.m, ctx.n)
-        f = random_poly(rng, ctx.m)
-        xi = random_form(rng, ctx.m, ctx.n - 1)
-        eta = random_form(rng, ctx.m, ctx.n - 1)
-        zeta = random_form(rng, ctx.m, ctx.n - 1)
-        ab = nambu_form_bracket(c, a, b)
-
-        lhs = nambu_form_bracket(c, a, nambu_form_bracket(c, b, g))
-        rhs = nambu_form_bracket(c, ab, g)
-        rhs = rhs + nambu_form_bracket(c, b, nambu_form_bracket(c, a, g))
-        leibniz.record((a, b, g), lhs - rhs)
+    for a, b, g, f, xi, eta, zeta in sweep:
+        ab = form_bracket(a, b)
+        leibniz.record((a, b, g), leibniz_residual(form_bracket, a, b, g, ab, form_bracket(a, g)))
 
         anchor_morphism.record(
             (a, b), pi_sharp(c, ab) - vec_bracket(pi_sharp(c, a), pi_sharp(c, b))
         )
 
-        lhs = nambu_form_bracket(c, a, f * b)
+        lhs = form_bracket(a, f * b)
         rhs = f * ab + vec_apply(pi_sharp(c, a), f) * b
         scalar_rule.record((a, b, f), lhs - rhs)
 
-        lhs = leibniz_nm1_bracket(c, xi, leibniz_nm1_bracket(c, eta, zeta))
-        rhs = leibniz_nm1_bracket(c, leibniz_nm1_bracket(c, xi, eta), zeta)
-        rhs = rhs + leibniz_nm1_bracket(c, eta, leibniz_nm1_bracket(c, xi, zeta))
-        nm1_leibniz.record((xi, eta, zeta), lhs - rhs)
+        xy, xz = nm1_bracket(xi, eta), nm1_bracket(xi, zeta)
+        nm1_leibniz.record((xi, eta, zeta), leibniz_residual(nm1_bracket, xi, eta, zeta, xy, xz))
 
         comparison.record((a, b), pi_sharp(c, ab - marrero_bracket(c, a, b)))
     return [leibniz, anchor_morphism, scalar_rule, nm1_leibniz, comparison]

@@ -14,9 +14,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import combinations
+from itertools import combinations, product
 
-from .courant import CheckResult, Section, _require_samples, deformed_dorfman, dorfman_bracket, pairing
+from .courant import CheckResult, Section, cases, deformed_dorfman, dorfman_bracket, pairing
 from .exterior import (
     Context,
     Form,
@@ -28,7 +28,6 @@ from .exterior import (
     random_multivec,
     random_poly,
     vec_apply,
-    vec_bracket,
 )
 from .scalar import ChartMismatchError, Poly
 
@@ -116,7 +115,7 @@ def _flat_matrix(c: PlecticCandidate, value) -> list[list[Fraction]]:
 
 
 def _rank_and_kernel(matrix: list[list[Fraction]], ncols: int, rhs: list[Poly] | None = None):
-    """Gauss-Jordan over the rationals: (rank, kernel, solution).
+    """Gauss-Jordan over the rationals: (kernel, solution).
 
     kernel is one nonzero kernel vector, or None if the kernel is trivial.
     solution solves matrix * x = rhs with free variables set to zero (the
@@ -155,7 +154,7 @@ def _rank_and_kernel(matrix: list[list[Fraction]], ncols: int, rhs: list[Poly] |
         solution = [0] * ncols
         for row_idx, col in enumerate(pivots):
             solution[col] = b[row_idx]
-    return r, kernel, solution
+    return kernel, solution
 
 
 def nondegeneracy_check(c: PlecticCandidate, points) -> CheckResult:
@@ -185,7 +184,7 @@ def nondegeneracy_check(c: PlecticCandidate, points) -> CheckResult:
             for point in points
         ]
     for inputs, label, value in probes:
-        _, kernel, _ = _rank_and_kernel(_flat_matrix(c, value), ctx.m)
+        kernel, _ = _rank_and_kernel(_flat_matrix(c, value), ctx.m)
         if kernel is None:
             check.record_verdict(inputs, True, "")
         else:
@@ -194,26 +193,29 @@ def nondegeneracy_check(c: PlecticCandidate, points) -> CheckResult:
     return check
 
 
-def _graph_pairs(c: PlecticCandidate, seed: int, samples: int, bracket):
-    """Graph sections e1 = X + i_X omega, e2 = Y + i_Y omega over all coordinate-vector
-    pairs, then seeded random pairs, each with its closure residual: the form part of
-    bracket(e1, e2) minus i_V omega, V its vector part."""
-    ctx = c.ctx
-    rng = random.Random(seed)
-    fields = [MultiVec.basis(ctx.m, (j,)) for j in range(1, ctx.m + 1)]
-    pairs = [(xv, yv) for xv in fields for yv in fields]
-    for _ in range(samples):
-        pairs.append((random_multivec(rng, ctx.m, 1), random_multivec(rng, ctx.m, 1)))
-    for xv, yv in pairs:
-        e1 = Section(ctx, xv, omega_flat(c, xv))
-        e2 = Section(ctx, yv, omega_flat(c, yv))
-        result = bracket(e1, e2)
-        yield e1, e2, result.form - omega_flat(c, result.vec)
+def _graph_section(c: PlecticCandidate, X: MultiVec) -> Section:
+    """The section X + i_X omega of the graph of omega-flat."""
+    return Section(c.ctx, X, omega_flat(c, X))
+
+
+def _random_graph_sections(c: PlecticCandidate, k: int, rng: random.Random) -> tuple[Section, ...]:
+    return tuple(_graph_section(c, random_multivec(rng, c.ctx.m, 1)) for _ in range(k))
+
+
+def _graph_defect(c: PlecticCandidate, e: Section) -> Form:
+    """e.form - i_{e.vec} omega, zero iff e lies on the graph of omega-flat."""
+    return e.form - omega_flat(c, e.vec)
+
+
+def _graph_pairs(c: PlecticCandidate, seed: int, samples: int):
+    """Pairs of graph sections over all coordinate vector fields, then seeded random pairs."""
+    fields = [_graph_section(c, MultiVec.basis(c.ctx.m, (j,))) for j in range(1, c.ctx.m + 1)]
+    return cases(seed, samples, partial(_random_graph_sections, c, 2), product(fields, repeat=2))
 
 
 def graph_closure_omega(c: PlecticCandidate, seed: int = 0, samples: int = 25) -> list[CheckResult]:
     """Closedness, graph closure, isotropy, and their forced agreement."""
-    _require_samples(samples)
+    pairs = _graph_pairs(c, seed, samples)
     closed = CheckResult("omega_closed", "d omega = 0")
     closed.record((c.omega,), ext_d(c.omega))
 
@@ -221,8 +223,8 @@ def graph_closure_omega(c: PlecticCandidate, seed: int = 0, samples: int = 25) -
         "graph_closure", "[X + i_X omega, Y + i_Y omega] has form part i_{[X,Y]} omega"
     )
     isotropy = CheckResult("graph_isotropy", "<X + i_X omega, Y + i_Y omega> = 0")
-    for e1, e2, residual in _graph_pairs(c, seed, samples, dorfman_bracket):
-        closure.record((e1, e2), residual)
+    for e1, e2 in pairs:
+        closure.record((e1, e2), _graph_defect(c, dorfman_bracket(e1, e2)))
         isotropy.record((e1, e2), pairing(e1, e2))
 
     agreement = CheckResult("closure_iff_closed", "the graph is closed iff d omega = 0")
@@ -236,7 +238,7 @@ def deformed_graph_check(
     """Graph closure under the theta-twisted bracket iff d omega + theta = 0."""
     if theta.degree != c.ctx.n + 2:
         raise ValueError(f"deformation form must have degree n+2={c.ctx.n + 2}")
-    _require_samples(samples)
+    pairs = _graph_pairs(c, seed, samples)
     matched = CheckResult("omega_theta_matched", "d omega + theta = 0")
     matched.record((c.omega, theta), ext_d(c.omega) + theta)
 
@@ -244,8 +246,8 @@ def deformed_graph_check(
         "deformed_graph_closure",
         "[X + i_X omega, Y + i_Y omega]_theta has form part i_{[X,Y]} omega",
     )
-    for e1, e2, residual in _graph_pairs(c, seed, samples, partial(deformed_dorfman, theta=theta)):
-        closure.record((e1, e2), residual)
+    for e1, e2 in pairs:
+        closure.record((e1, e2), _graph_defect(c, deformed_dorfman(e1, e2, theta)))
 
     agreement = CheckResult(
         "deformed_closure_iff_matched", "the graph is closed under [.,.]_theta iff d omega + theta = 0"
@@ -270,7 +272,7 @@ def solve_admissible(c: PlecticCandidate, alpha: Form) -> AdmissiblePair | None:
             "supply a candidate vector field and verify it instead"
         )
     rhs = [alpha.coeff(idx) for idx in combinations(range(1, ctx.m + 1), ctx.n)]
-    _, _, solution = _rank_and_kernel(_flat_matrix(c, Poly.constant_term), ctx.m, rhs)
+    _, solution = _rank_and_kernel(_flat_matrix(c, Poly.constant_term), ctx.m, rhs)
     if solution is None:
         return None
     field = MultiVec(ctx.m, 1, {(j,): x for j, x in enumerate(solution, 1)})
@@ -316,54 +318,43 @@ def check_admissible_lie_algebroid(
 ) -> list[CheckResult]:
     """Lie-algebroid identities for the bracket of admissible forms.
 
-    Pairs are generated backwards (pick X, set alpha = i_X omega), which
-    sidesteps the fact that the flat map need not be surjective.
+    Pairs are generated backwards as graph sections X + i_X omega, which
+    sidesteps the fact that the flat map need not be surjective, and are
+    bracketed with the Dorfman bracket, which is admissible_bracket on them.
     Requires d omega = 0 exactly; the identities fail otherwise.
     """
-    _require_samples(samples)
+    sweep = cases(
+        seed, samples, lambda rng: (*_random_graph_sections(c, 3, rng), random_poly(rng, c.ctx.m))
+    )
     if not ext_d(c.omega).is_zero:
         raise NotClosedError("omega is not closed; the admissible bracket needs d omega = 0")
-    ctx = c.ctx
-    rng = random.Random(seed)
     skew = CheckResult("skew_symmetry", "[a,b]_w + [b,a]_w = 0")
     jacobi = CheckResult("jacobi_identity", "[[a,b]_w,c]_w + [[b,c]_w,a]_w + [[c,a]_w,b]_w = 0")
     anchor_rule = CheckResult("anchor_property", "form part of [a,b]_w equals i_{[X_a,X_b]} omega")
     scalar_rule = CheckResult("scalar_rule", "[a, f*b]_w = f*[a,b]_w + X_a(f)*b")
 
-    def fresh_pair() -> AdmissiblePair:
-        field = random_multivec(rng, ctx.m, 1)
-        return AdmissiblePair(c, omega_flat(c, field), field)
+    for a, b, e, f in sweep:
+        ab = dorfman_bracket(a, b)
+        ba = dorfman_bracket(b, a)
+        skew.record((a.form, b.form), ab + ba)
 
-    for _ in range(samples):
-        pa = fresh_pair()
-        pb = fresh_pair()
-        pc = fresh_pair()
-        f = random_poly(rng, ctx.m)
+        bc = dorfman_bracket(b, e)
+        ca = dorfman_bracket(e, a)
+        total = dorfman_bracket(ab, e)
+        total = total + dorfman_bracket(bc, a)
+        total = total + dorfman_bracket(ca, b)
+        jacobi.record((a.form, b.form, e.form), total)
 
-        ab = admissible_bracket(c, pa, pb)
-        ba = admissible_bracket(c, pb, pa)
-        skew.record((pa.alpha, pb.alpha), ab.section + ba.section)
+        anchor_rule.record((a.form, b.form), _graph_defect(c, ab))
 
-        bc = admissible_bracket(c, pb, pc)
-        ca = admissible_bracket(c, pc, pa)
-        total = admissible_bracket(c, ab, pc).section
-        total = total + admissible_bracket(c, bc, pa).section
-        total = total + admissible_bracket(c, ca, pb).section
-        jacobi.record((pa.alpha, pb.alpha, pc.alpha), total)
-
-        anchor_rule.record(
-            (pa.alpha, pb.alpha), ab.alpha - omega_flat(c, vec_bracket(pa.x_alpha, pb.x_alpha))
-        )
-
-        fb = AdmissiblePair(c, f * pb.alpha, f * pb.x_alpha)
-        lhs = admissible_bracket(c, pa, fb).section
-        rhs = f * ab.section + vec_apply(pa.x_alpha, f) * pb.section
-        scalar_rule.record((pa.alpha, pb.alpha, f), lhs - rhs)
+        lhs = dorfman_bracket(a, f * b)
+        rhs = f * ab + vec_apply(a.vec, f) * b
+        scalar_rule.record((a.form, b.form, f), lhs - rhs)
     return [skew, jacobi, anchor_rule, scalar_rule]
 
 
 def random_hamiltonian_pair(
-    rng: random.Random, c: PlecticCandidate, max_degree: int = 2
+    rng: random.Random, c: PlecticCandidate
 ) -> HamiltonianPair:
     """Backward-generated Hamiltonian pair: random potential, solved field.
 
@@ -371,7 +362,7 @@ def random_hamiltonian_pair(
     surjective (true for the fixtures used in the test suites).
     """
     while True:
-        xi = random_form(rng, c.ctx.m, c.ctx.n - 1, max_degree)
+        xi = random_form(rng, c.ctx.m, c.ctx.n - 1)
         pair = solve_hamiltonian(c, xi)
         if pair is not None:
             return pair

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from hicourant import cli
 from hicourant.dsl import parse_multivec, parse_scalar
 from hicourant.exterior import Context, Form, ext_d, lie_multivec, wedge
@@ -225,3 +227,59 @@ def test_non_ascii_digits_are_positioned_lex_errors(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: at position 6: ")
+
+
+USER_INPUT_ERRORS = {
+    "m-zero-check": (
+        ["check", "dorfman-axioms", "-m0", "-n1"], "chart dimension m must be positive"
+    ),
+    "m-negative-bracket": (
+        ["bracket", "dorfman", "-m-1", "-n1", "(@1 ; 0)", "(@1 ; 0)"],
+        "chart dimension m must be positive",
+    ),
+    "n-above-m-bracket": (
+        ["bracket", "dorfman", "-m3", "-n4", "(@1 ; 0)", "(@1 ; 0)"],
+        "bracket order n=4 must satisfy 1 <= n <= m=3",
+    ),
+    "n-zero-check": (
+        ["check", "nambu", "-m3", "-n0", "--pi", "0"], "bracket order n=0 must satisfy 1 <= n <= m=3"
+    ),
+    "n-zero-solve": (
+        ["solve-hamiltonian", "-m2", "-n0", "--omega", "0", "--xi", "0"],
+        "bracket order n=0 must satisfy 1 <= n <= m=2",
+    ),
+    "points-zero": (
+        ["check", "plectic", "-m3", "-n1", "--omega", "x1*dx2^dx3", "--points", "0"],
+        "at least one evaluation point is required",
+    ),
+    "points-negative-constant-omega": (
+        ["check", "plectic", "-m3", "-n1", "--omega", "dx1^dx2", "--points", "-3"],
+        "at least one evaluation point is required",
+    ),
+    "degree-zero": (
+        ["check", "nambu", "-m3", "-n2", "--pi", "@1^@2^@3", "--degree", "0"],
+        "max_degree must be at least 1",
+    ),
+    "degree-negative": (
+        ["check", "nambu", "-m3", "-n2", "--pi", "@1^@2^@3", "--degree", "-1", "--samples", "1"],
+        "max_degree must be at least 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv,message", USER_INPUT_ERRORS.values(), ids=USER_INPUT_ERRORS)
+def test_user_input_errors_exit_2_with_their_message(argv, message, capsys):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_value_error_inside_a_suite_is_not_reported_as_bad_input(monkeypatch, capsys):
+    def broken_suite(ctx, structure, args):
+        raise ValueError("internal fault")
+
+    monkeypatch.setitem(cli.CHECK_TARGETS, "dorfman-axioms", cli.CheckTarget(broken_suite))
+    with pytest.raises(ValueError, match="internal fault"):
+        cli.main(["check", "dorfman-axioms", "-m2", "-n1"])
+    assert capsys.readouterr().err == ""

@@ -2,13 +2,14 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from hicourant.courant import (
     Section,
     anchor,
+    cases,
     check_courant_axioms,
     check_deformation,
     check_dorfman_axioms,
@@ -257,6 +258,31 @@ SAMPLED_SUITES = {
 def test_every_sampled_suite_refuses_samples_below_one(suite, samples):
     with pytest.raises(ValueError, match="samples must be at least 1"):
         SAMPLED_SUITES[suite](samples)
+
+
+def test_cases_yield_exhaustive_cases_first_and_in_order():
+    sweep = list(cases(3, 2, lambda rng: ("draw", rng.random()), product("ab", repeat=2)))
+    assert sweep[:4] == [("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")]
+    assert [case[0] for case in sweep[4:]] == ["draw", "draw"]
+
+
+def test_cases_draw_in_order_from_one_random_per_seed():
+    def draw(rng):
+        return random_section(rng, CTX21), random_section(rng, CTX21)
+
+    rng = random.Random(7)
+    expected = [draw(rng) for _ in range(3)]
+    assert list(cases(7, 3, draw)) == expected
+    assert list(cases(7, 3, draw)) == expected
+    assert list(cases(8, 3, draw)) != expected
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_cases_refuse_samples_below_one_before_drawing(samples):
+    drawn = []
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        cases(0, samples, drawn.append, [("exhaustive",)])
+    assert drawn == []
 
 
 def test_deformation_biconditional_panel():

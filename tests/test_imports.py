@@ -3,7 +3,9 @@
 The package promises to run on a bare Python, so every import must come
 from the standard library or from hicourant itself.  `__init__.py` is
 exempt from the unused-name rule because its imports are the public
-re-exports.
+re-exports.  No module imports or reads another module's `_private`
+name, so shared helpers such as the one case sweep `courant.cases`
+stay public and cannot be bypassed by a private copy.
 
 The benchmark under `bench/` drives the package by name, so every
 hicourant name it imports or reads off a hicourant module must exist;
@@ -68,6 +70,59 @@ def test_import_checker_flags_unused_and_foreign_imports():
         "line 2: imports non-stdlib numpy",
         "line 3: Fraction imported but unused",
         "line 4: i_vec imported but unused",
+    ]
+
+
+def private_imports(source: str) -> list[str]:
+    """_private names that the source imports from, or reads off, a hicourant module."""
+    tree = ast.parse(source)
+    modules: set[str] = set()
+    problems = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "hicourant" and alias.asname:
+                    modules.add(alias.asname)
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            if not node.level and module.split(".")[0] != "hicourant":
+                continue
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    problems.append(f"line {node.lineno}: imports {alias.name} from {module}")
+                elif module.strip(".") in ("", "hicourant"):
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and node.attr.startswith("_")
+        ):
+            problems.append(f"line {node.lineno}: reads {node.value.id}.{node.attr}")
+    return problems
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_package_modules_use_no_private_names_of_other_modules(path):
+    assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_private_import_checker_flags_private_names():
+    source = (
+        "from . import courant, nambu as nb\n"
+        "from .courant import cases, _require_samples\n"
+        "from hicourant.plectic import _graph_pairs as pairs\n"
+        "from fractions import _gcd\n"
+        "import hicourant.exterior as ext\n"
+        "courant.cases(courant._axiom_case, nb._graph_section, ext._bilinear, self._x)\n"
+    )
+    assert private_imports(source) == [
+        "line 2: imports _require_samples from .courant",
+        "line 3: imports _graph_pairs from hicourant.plectic",
+        "line 6: reads courant._axiom_case",
+        "line 6: reads nb._graph_section",
+        "line 6: reads ext._bilinear",
     ]
 
 

@@ -5,8 +5,18 @@ from fractions import Fraction
 
 import pytest
 
-from hicourant.courant import deformed_dorfman, dorfman_bracket, gauge, random_section
-from hicourant.exterior import Context, Form, MultiVec, ext_d, i_vec, lie_form, random_multivec
+from hicourant import plectic
+from hicourant.courant import Section, deformed_dorfman, dorfman_bracket, gauge, random_section
+from hicourant.exterior import (
+    Context,
+    Form,
+    MultiVec,
+    ext_d,
+    i_vec,
+    lie_form,
+    random_multivec,
+    vec_bracket,
+)
 from hicourant.plectic import (
     AdmissiblePair,
     HamiltonianPair,
@@ -200,6 +210,21 @@ def test_admissible_lie_algebroid_suite(candidate):
 def test_admissible_suite_refuses_nonclosed():
     with pytest.raises(NotClosedError):
         check_admissible_lie_algebroid(NONCLOSED31, seed=0, samples=2)
+
+
+def test_wrong_admissible_bracket_fails_anchor_property_with_a_witness(monkeypatch):
+    # [X,Y] + L_X b + i_Y da: the sign of i_Y da flipped
+    def flipped_dorfman(e1, e2):
+        form = lie_form(e1.vec, e2.form) + i_vec(e2.vec, ext_d(e1.form))
+        return Section(e1.ctx, vec_bracket(e1.vec, e2.vec), form)
+
+    monkeypatch.setattr(plectic, "dorfman_bracket", flipped_dorfman)
+    checks = {check.name: check for check in check_admissible_lie_algebroid(SYMPLECTIC41, 9, 4)}
+    anchor = checks["anchor_property"]
+    assert anchor.cases == 4
+    assert not anchor.passed
+    assert len(anchor.failures[0].inputs) == 2
+    assert anchor.failures[0].residual != "0"
 
 
 def test_bracket_breach_reports_inconsistent_candidate():

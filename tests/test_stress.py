@@ -17,7 +17,7 @@ from hicourant.courant import (
     random_section,
     t_map,
 )
-from hicourant.exterior import Context, Form, MultiVec, ext_d
+from hicourant.exterior import Context, Form, MultiVec, ext_d, random_form, random_multivec
 from hicourant.nambu import NambuCandidate, graph_closure_check, np_fundamental_check
 from hicourant.scalar import Poly
 
@@ -53,13 +53,17 @@ def test_desk_scale_limit_leibniz():
         assert (lhs - rhs).is_zero
 
 
+def cubic_section(rng, ctx):
+    return Section(ctx, random_multivec(rng, ctx.m, 1, 3), random_form(rng, ctx.m, ctx.n, 3))
+
+
 def test_cubic_coefficients():
     ctx = Context(3, 2)
     rng = random.Random(77)
     for _ in range(10):
-        e1 = random_section(rng, ctx, max_degree=3)
-        e2 = random_section(rng, ctx, max_degree=3)
-        e3 = random_section(rng, ctx, max_degree=3)
+        e1 = cubic_section(rng, ctx)
+        e2 = cubic_section(rng, ctx)
+        e3 = cubic_section(rng, ctx)
         lhs = dorfman_bracket(e1, dorfman_bracket(e2, e3))
         rhs = dorfman_bracket(dorfman_bracket(e1, e2), e3) + dorfman_bracket(
             e2, dorfman_bracket(e1, e3)
