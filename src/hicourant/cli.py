@@ -1,8 +1,9 @@
 """Command-line surface: compute brackets, run identity suites, emit reports.
 
 Exit codes: 0 when every check passed, 1 when a check failed (the
-report is still emitted), 2 for usage, parse, or grading errors and for
-a non-closed omega given to the admissible suite.  Output
+report is still emitted), 2 for usage, parse, or grading errors, for an
+exponent above scalar.MAX_EXPONENT, and for a non-closed omega given to
+the admissible suite.  Output
 is a deterministic function of the flags and the seed, so identical
 invocations produce byte-identical reports.
 """
@@ -20,6 +21,7 @@ from . import courant, nambu, plectic
 from .courant import CheckResult
 from .dsl import DslError, parse, parse_form, parse_multivec, parse_section
 from .exterior import Context, Form, ext_d, i_vec, random_point
+from .scalar import ExponentBoundError
 
 
 class UsageError(Exception):
@@ -308,7 +310,7 @@ def main(argv=None) -> int:
         if args.command == "check":
             return _cmd_check(args)
         return _cmd_solve(args)
-    except (UsageError, DslError, plectic.NotClosedError) as exc:
+    except (UsageError, DslError, ExponentBoundError, plectic.NotClosedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

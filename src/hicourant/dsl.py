@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .courant import Section
 from .exterior import Context, Form, MultiVec
-from .scalar import Poly
+from .scalar import ExponentBoundError, Poly
 
 
 class DslError(ValueError):
@@ -203,7 +203,11 @@ class _Parser:
         value = self.parse_expr(level + 1)
         while self.peek().kind == "OP" and self.peek().text in _LEVELS[level]:
             op = self.advance()
-            value = _combine(op, value, self.parse_expr(level + 1), self.m)
+            right = self.parse_expr(level + 1)
+            try:
+                value = _combine(op, value, right, self.m)
+            except ExponentBoundError as exc:
+                raise DslError(op.position, str(exc)) from None
         return value
 
     def parse_atom(self):

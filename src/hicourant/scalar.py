@@ -4,18 +4,41 @@ Polynomials stand in for smooth scalar functions on a fixed coordinate
 chart R^m.  Every geometric object in this package keeps Poly
 coefficients, so each identity check downstream reduces to an exact
 zero test instead of a floating-point tolerance.
+
+The kernel works on ints: a monomial is one packed key with a field of
+FIELD_BITS bits per exponent, so a product of monomials is an integer
+addition, and coefficients are int numerators over one denominator per
+polynomial.  `Fraction` and exponent tuples appear only at the boundary:
+the constructor, `const`, `coefficients`, `constant_term`,
+`single_term`, `eval_at` and printing.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations_with_replacement
+from math import gcd, lcm
+from operator import or_
 
 Exponents = tuple[int, ...]
+
+FIELD_BITS = 16
+# The top bit of each field stays clear, so adding two keys never carries
+# into the next field and an exponent past the bound shows as that bit.
+MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
+_FIELD_MASK = (1 << FIELD_BITS) - 1
 
 
 class ChartMismatchError(ValueError):
     """Raised when operands live over charts of different dimension."""
+
+
+class ExponentBoundError(ValueError):
+    """Raised when an exponent of a monomial would exceed MAX_EXPONENT."""
+
+    def __init__(self):
+        super().__init__(f"exponent of a variable exceeds the bound {MAX_EXPONENT}")
 
 
 def _coerce(value) -> Fraction:
@@ -24,6 +47,16 @@ def _coerce(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
+
+
+def _pack(exps: Exponents) -> int:
+    if max(exps) > MAX_EXPONENT:
+        raise ExponentBoundError()
+    return sum(e << (FIELD_BITS * i) for i, e in enumerate(exps))
+
+
+def _unpack(key: int, m: int) -> Exponents:
+    return tuple((key >> (FIELD_BITS * i)) & _FIELD_MASK for i in range(m))
 
 
 def monomials_up_to(m: int, max_degree: int) -> list[Exponents]:
@@ -67,35 +100,44 @@ def join_signed_terms(terms: list[tuple[bool, str]]) -> str:
 
 
 class Poly:
-    """Sparse polynomial: dense exponent tuples of length m -> Fraction.
+    """Sparse polynomial: packed monomial keys -> int numerators over `den`.
 
-    Zero coefficients are never stored, so two polynomials are equal iff
-    their term maps are equal.  Values are immutable after construction.
+    The form is canonical: no zero numerator is stored, `den` is positive,
+    gcd(den, *numerators) is 1, and so `den` is 1 for zero.  Two
+    polynomials are therefore equal iff m, `den` and `terms` are equal.
+    Values are immutable after construction.
     """
 
-    __slots__ = ("m", "terms")
+    __slots__ = ("m", "terms", "den")
 
     def __init__(self, m: int, terms: dict[Exponents, Fraction | int] | None = None):
         if m < 1:
             raise ValueError("chart dimension must be positive")
-        clean: dict[Exponents, Fraction] = {}
-        if terms:
-            for exps, coeff in terms.items():
-                exps = tuple(exps)
-                if len(exps) != m or any(e < 0 for e in exps):
-                    raise ValueError(f"bad exponent vector {exps} for dimension {m}")
-                c = _coerce(coeff)
-                if c:
-                    clean[exps] = c
+        coeffs: dict[int, Fraction] = {}
+        for exps, coeff in (terms or {}).items():
+            exps = tuple(exps)
+            if len(exps) != m or any(e < 0 for e in exps):
+                raise ValueError(f"bad exponent vector {exps} for dimension {m}")
+            c = _coerce(coeff)
+            if c:
+                coeffs[_pack(exps)] = c
+        # already reduced: a prime's full power in the lcm divides some reduced denominator
+        self.den = lcm(*(c.denominator for c in coeffs.values()))
+        self.terms = {key: c.numerator * (self.den // c.denominator) for key, c in coeffs.items()}
         self.m = m
-        self.terms = clean
 
     @classmethod
-    def _raw(cls, m: int, terms: dict[Exponents, Fraction]) -> "Poly":
-        # internal fast path: caller guarantees canonical, nonzero terms
+    def _raw(cls, m: int, terms: dict[int, int], den: int = 1) -> "Poly":
+        # internal fast path: the caller gives nonzero numerators over a positive den
+        if den != 1:
+            g = gcd(den, *terms.values())
+            if g != 1:
+                terms = {key: c // g for key, c in terms.items()}
+                den //= g
         p = object.__new__(cls)
         p.m = m
         p.terms = terms
+        p.den = den
         return p
 
     @classmethod
@@ -104,15 +146,14 @@ class Poly:
 
     @classmethod
     def const(cls, m: int, value) -> "Poly":
-        return cls(m, {(0,) * m: _coerce(value)})
+        return cls(m, {(0,) * m: value})
 
     @classmethod
     def var(cls, m: int, i: int) -> "Poly":
         """The coordinate function x_i, 1-based."""
         if not 1 <= i <= m:
             raise ValueError(f"coordinate index {i} out of range 1..{m}")
-        exps = tuple(1 if j == i - 1 else 0 for j in range(m))
-        return cls(m, {exps: Fraction(1)})
+        return cls._raw(m, {1 << (FIELD_BITS * (i - 1)): 1})
 
     @property
     def is_zero(self) -> bool:
@@ -120,10 +161,14 @@ class Poly:
 
     @property
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        return not any(self.terms)
+
+    def coefficients(self) -> dict[Exponents, Fraction]:
+        """The nonzero terms as exponent tuple -> Fraction."""
+        return {_unpack(key, self.m): Fraction(c, self.den) for key, c in self.terms.items()}
 
     def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.m, Fraction(0))
+        return Fraction(self.terms.get(0, 0), self.den)
 
     def _lift(self, other):
         if isinstance(other, Poly):
@@ -138,20 +183,23 @@ class Poly:
         other = self._lift(other)
         if other is None:
             return NotImplemented
-        merged = dict(self.terms)
-        for exps, c in other.terms.items():
-            s = merged.get(exps)
-            s = c if s is None else s + c
-            if s:
-                merged[exps] = s
-            else:
-                merged.pop(exps, None)
-        return Poly._raw(self.m, merged)
+        a, b, den = self.terms, other.terms, self.den
+        if den != other.den:
+            den = lcm(den, other.den)
+            a = {key: c * (den // self.den) for key, c in a.items()}
+            b = {key: c * (den // other.den) for key, c in b.items()}
+        merged = dict(a)
+        get = merged.get
+        for key, c in b.items():
+            merged[key] = get(key, 0) + c
+        if 0 in merged.values():
+            merged = {key: c for key, c in merged.items() if c}
+        return Poly._raw(self.m, merged, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly._raw(self.m, {e: -c for e, c in self.terms.items()})
+        return Poly._raw(self.m, {key: -c for key, c in self.terms.items()}, self.den)
 
     def __sub__(self, other):
         other = self._lift(other)
@@ -166,26 +214,22 @@ class Poly:
         return other + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = _coerce(other)
-            if not c:
-                return Poly.zero(self.m)
-            return Poly._raw(self.m, {e: c * v for e, v in self.terms.items()})
         other = self._lift(other)
         if other is None:
             return NotImplemented
-        product: dict[Exponents, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                s = product.get(e)
-                s = c if s is None else s + c
-                if s:
-                    product[e] = s
-                else:
-                    product.pop(e, None)
-        return Poly._raw(self.m, product)
+        product: dict[int, int] = {}
+        get = product.get
+        right = other.terms.items()
+        for k1, c1 in self.terms.items():
+            for k2, c2 in right:
+                key = k1 + k2
+                product[key] = get(key, 0) + c1 * c2
+        if 0 in product.values():
+            product = {key: c for key, c in product.items() if c}
+        guard = ((1 << FIELD_BITS * self.m) - 1) // _FIELD_MASK << (FIELD_BITS - 1)
+        if reduce(or_, product, 0) & guard:
+            raise ExponentBoundError()
+        return Poly._raw(self.m, product, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -201,15 +245,15 @@ class Poly:
         """Formal partial derivative with respect to x_i (1-based)."""
         if not 1 <= i <= self.m:
             raise ValueError(f"coordinate index {i} out of range 1..{self.m}")
-        # lowering one exponent slot is injective, so terms never collide
-        out: dict[Exponents, Fraction] = {}
-        pos = i - 1
-        for exps, c in self.terms.items():
-            e = exps[pos]
-            if e == 0:
-                continue
-            out[exps[:pos] + (e - 1,) + exps[pos + 1 :]] = c * e
-        return Poly._raw(self.m, out)
+        # lowering one exponent field is injective, so terms never collide
+        shift = FIELD_BITS * (i - 1)
+        unit = 1 << shift
+        out: dict[int, int] = {}
+        for key, c in self.terms.items():
+            e = (key >> shift) & _FIELD_MASK
+            if e:
+                out[key - unit] = c * e
+        return Poly._raw(self.m, out, self.den)
 
     def eval_at(self, point) -> Fraction:
         """Exact evaluation at a rational point of length m."""
@@ -217,7 +261,7 @@ class Poly:
         if len(values) != self.m:
             raise ValueError(f"point has length {len(values)}, expected {self.m}")
         total = Fraction(0)
-        for exps, c in self.terms.items():
+        for exps, c in self.coefficients().items():
             term = c
             for v, e in zip(values, exps):
                 term *= v**e
@@ -227,10 +271,10 @@ class Poly:
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.m == other.m and self.terms == other.terms
+        return self.m == other.m and self.den == other.den and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.m, frozenset(self.terms.items())))
+        return hash((self.m, self.den, frozenset(self.terms.items())))
 
     def __bool__(self):
         return not self.is_zero
@@ -238,11 +282,11 @@ class Poly:
     def single_term(self) -> tuple[Fraction, Exponents] | None:
         if len(self.terms) != 1:
             return None
-        ((exps, coeff),) = self.terms.items()
+        ((exps, coeff),) = self.coefficients().items()
         return coeff, exps
 
     def __str__(self):
-        ordered = sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+        ordered = sorted(self.coefficients().items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
         return join_signed_terms([monomial_text(c, e) for e, c in ordered])
 
     def __repr__(self):

@@ -10,6 +10,7 @@ from hicourant import cli
 from hicourant.dsl import parse_multivec, parse_scalar
 from hicourant.exterior import Context, Form, ext_d, lie_multivec, wedge
 from hicourant.nambu import NambuCandidate, pi_sharp
+from hicourant.scalar import MAX_EXPONENT
 
 
 def run_cli(*args):
@@ -259,6 +260,19 @@ USER_INPUT_ERRORS = {
     "degree-zero": (
         ["check", "nambu", "-m3", "-n2", "--pi", "@1^@2^@3", "--degree", "0"],
         "max_degree must be at least 1",
+    ),
+    # 33,000 factors of x1: the 32,767th "*" crosses the bound
+    "exponent-bound-parse": (
+        ["bracket", "dorfman", "-m2", "-n1", "(@1 ; 0)", "(0 ; " + "*".join(["x1"] * 33000) + "*dx2)"],
+        f"at position {5 + 3 * MAX_EXPONENT - 1}: exponent of a variable exceeds the bound {MAX_EXPONENT}",
+    ),
+    # operands at the bound parse; the Lie derivative x1^3 * d/dx1 (x1^32766) crosses it
+    "exponent-bound-bracket": (
+        [
+            "bracket", "dorfman", "-m2", "-n1", "(x1*x1*x1*@1 ; 0)",
+            "(0 ; " + "*".join(["x1"] * (MAX_EXPONENT - 1)) + "*dx2)",
+        ],
+        f"exponent of a variable exceeds the bound {MAX_EXPONENT}",
     ),
     "degree-negative": (
         ["check", "nambu", "-m3", "-n2", "--pi", "@1^@2^@3", "--degree", "-1", "--samples", "1"],

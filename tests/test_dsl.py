@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hicourant.courant import Section, random_section
 from hicourant.dsl import (
     MAX_PAREN_DEPTH,
+    DslError,
     GradingError,
     LexError,
     ParseError,
@@ -22,7 +23,7 @@ from hicourant.dsl import (
     render,
 )
 from hicourant.exterior import Context, Form, MultiVec, random_form, random_multivec, random_poly
-from hicourant.scalar import Poly
+from hicourant.scalar import MAX_EXPONENT, Poly
 
 CTX32 = Context(3, 2)
 CTX21 = Context(2, 1)
@@ -128,6 +129,19 @@ def test_long_sums_and_negation_chains_parse_iteratively():
     assert parse_scalar("-" * 3000 + "x1", CTX32) == Poly.var(3, 1)
 
 
+def test_exponent_bound_is_a_positioned_error():
+    at_bound = "*".join(["x1"] * MAX_EXPONENT)
+    assert parse_scalar(at_bound, CTX32) == Poly(3, {(MAX_EXPONENT, 0, 0): 1})
+    # "x1*" repeats, so the k-th "*" sits at 3k - 1 and raises x1 to k + 1
+    with pytest.raises(DslError) as err:
+        parse_scalar(at_bound + "*x2*x1", CTX32)
+    assert err.value.position == 3 * MAX_EXPONENT + 2
+    assert str(MAX_EXPONENT) in str(err.value)
+    with pytest.raises(DslError) as err:
+        parse_form(f"({at_bound})*dx1 ^ x1*dx2", CTX32, 2)
+    assert err.value.position == len(at_bound) + 7
+
+
 def test_round_trip_seeded_values():
     rng = random.Random(99)
     for _ in range(500):
@@ -145,26 +159,28 @@ def test_round_trip_seeded_values():
         assert parse(render(value), ctx, kind_of(value)) == value
 
 
-coefficients = st.integers(min_value=-9, max_value=9).map(Fraction)
-exponents = st.tuples(*([st.integers(min_value=0, max_value=2)] * 3))
+denominators = st.sampled_from((1, 2, 3, 4, 6))
+coefficients = st.builds(Fraction, st.integers(min_value=-9, max_value=9), denominators)
 
 
 @st.composite
 def form_values(draw):
-    degree = draw(st.integers(min_value=0, max_value=3))
+    m = draw(st.integers(min_value=1, max_value=5))
+    degree = draw(st.integers(min_value=0, max_value=m))
+    exponents = st.tuples(*([st.integers(min_value=0, max_value=2)] * m))
     indices = st.lists(
-        st.integers(min_value=1, max_value=3), min_size=degree, max_size=degree, unique=True
+        st.integers(min_value=1, max_value=m), min_size=degree, max_size=degree, unique=True
     ).map(lambda ids: tuple(sorted(ids)))
     coeffs = draw(
         st.dictionaries(indices, st.dictionaries(exponents, coefficients, max_size=3), max_size=3)
     )
-    return Form(3, degree, {idx: Poly(3, terms) for idx, terms in coeffs.items()})
+    return Form(m, degree, {idx: Poly(m, terms) for idx, terms in coeffs.items()})
 
 
 @given(form_values())
 @settings(max_examples=80, deadline=None)
 def test_round_trip_property(value):
-    assert parse(render(value), CTX32, kind_of(value)) == value
+    assert parse(render(value), Context(value.m, 1), kind_of(value)) == value
 
 
 def test_printer_output_always_parses():
