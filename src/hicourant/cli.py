@@ -48,13 +48,13 @@ def _nambu_suite(ctx: Context, pi, args) -> list[CheckResult]:
 def _plectic_suite(ctx: Context, omega: Form, args) -> list[CheckResult]:
     if args.points < 1:
         raise UsageError("at least one evaluation point is required")
+    theta = parse_form(args.theta, ctx, ctx.n + 2) if args.theta else None
     candidate = plectic.PlecticCandidate(ctx, omega)
     rng = random.Random(args.seed)
     points = [random_point(rng, ctx.m) for _ in range(args.points)]
     checks = [plectic.nondegeneracy_check(candidate, points)]
     checks.extend(plectic.graph_closure_omega(candidate, args.seed, args.samples))
-    if args.theta:
-        theta = parse_form(args.theta, ctx, ctx.n + 2)
+    if theta is not None:
         checks.extend(plectic.deformed_graph_check(candidate, theta, args.seed, args.samples))
     return checks
 
@@ -74,7 +74,8 @@ class CheckTarget:
     A target with a flag requires its structure tensor in --<flag>; with
     kind = (name, extra) it is parsed as a `name` of degree n + extra.
     suite(ctx, structure, args) gives the checks and scope(ctx, structure,
-    args) the quantifier_scope text.
+    args) the quantifier_scope text.  optional_flag names a structure flag
+    the suite also reads, if given; any other structure flag is refused.
     """
 
     suite: Callable
@@ -82,7 +83,10 @@ class CheckTarget:
     kind: tuple[str, int] | None = None
     scope: Callable = _random_scope
     reports_points: bool = False
+    optional_flag: str | None = None
 
+
+STRUCTURE_FLAGS = ("theta", "phi", "pi", "omega")
 
 CHECK_TARGETS = {
     "courant-axioms": CheckTarget(
@@ -112,7 +116,7 @@ CHECK_TARGETS = {
         "that range); graph closure over all constant basis n-form pairs plus "
         f"{a.samples} seeded random pairs",
     ),
-    "plectic": CheckTarget(_plectic_suite, "omega", ("form", 1), _plectic_scope, True),
+    "plectic": CheckTarget(_plectic_suite, "omega", ("form", 1), _plectic_scope, True, "theta"),
     "admissible": CheckTarget(
         lambda ctx, omega, a: plectic.check_admissible_lie_algebroid(
             plectic.PlecticCandidate(ctx, omega), a.seed, a.samples
@@ -229,6 +233,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _run_check(args) -> SuiteReport:
     ctx = _context(args)
     target = CHECK_TARGETS[args.target]
+    for flag in STRUCTURE_FLAGS:
+        if getattr(args, flag) is not None and flag not in (target.flag, target.optional_flag):
+            raise UsageError(f"--{flag} is not read by target={args.target}")
     if args.samples < 1:
         raise UsageError("samples must be at least 1")
     structure = None

@@ -211,9 +211,32 @@ def cases(seed: int, samples: int, draw, exhaustive=()):
     return chain(exhaustive, (draw(rng) for _ in range(samples)))
 
 
+def sweep_checks(table, sweep, residuals) -> list[CheckResult]:
+    """One CheckResult per (name, identity) row of table.  For each case of sweep,
+    residuals(*case) yields one (inputs, residual) pair per row, in table order;
+    a generator that yields more or fewer pairs than table has rows raises ValueError.
+    Tables hold only strings and generators look their brackets up when they run,
+    so rebinding a module's names (as bench/tracer.py does) reaches every bracket."""
+    checks = [CheckResult(name, identity) for name, identity in table]
+    for case in sweep:
+        for check, (inputs, residual) in zip(checks, residuals(*case), strict=True):
+            check.record(inputs, residual)
+    return checks
+
+
 def leibniz_residual(bracket, a, b, c, ab, ac):
     """[a,[b,c]] - ([[a,b],c] + [b,[a,c]]) for any bracket, given ab = [a,b] and ac = [a,c]."""
     return bracket(a, bracket(b, c)) - (bracket(ab, c) + bracket(b, ac))
+
+
+def scalar_residual(bracket, anchor, a, b, f, ab):
+    """[a, f*b] - (f*[a,b] + anchor(a)(f)*b) for any bracket, given ab = [a,b]."""
+    return bracket(a, f * b) - (f * ab + vec_apply(anchor(a), f) * b)
+
+
+def anchor_residual(anchor, a, b, ab):
+    """anchor([a,b]) - [anchor(a), anchor(b)], given ab = [a,b]."""
+    return anchor(ab) - vec_bracket(anchor(a), anchor(b))
 
 
 def _random_sections(ctx: Context, k: int, rng: random.Random) -> tuple[Section, ...]:
@@ -225,86 +248,75 @@ def _axiom_case(ctx: Context, rng: random.Random):
     return (*_random_sections(ctx, 3, rng), random_poly(rng, ctx.m))
 
 
+COURANT_AXIOMS = (
+    ("jacobiator_exact_term", "[e1,[e2,e3]] + cyclic = d T(e1,e2,e3)"),
+    ("scalar_rule", "[e1, f*e2] = f*[e1,e2] + rho(e1)(f)*e2 - df ^ <e1,e2>"),
+    ("anchor_morphism", "rho([e1,e2]) = [rho(e1), rho(e2)]"),
+    (
+        "pairing_compat",
+        "L_rho(e1)<e2,e3> = <[e1,e2] + d<e1,e2>, e3> + <e2, [e1,e3] + d<e1,e3>>",
+    ),
+)
+
+
+def _courant_residuals(e1, e2, e3, f):
+    e12 = courant_bracket(e1, e2)
+    lhs = (
+        courant_bracket(e1, courant_bracket(e2, e3))
+        + courant_bracket(e2, courant_bracket(e3, e1))
+        + courant_bracket(e3, e12)
+    )
+    yield (e1, e2, e3), lhs - Section.of_form(e1.ctx, ext_d(t_map(e1, e2, e3)))
+    correction = Section.of_form(e1.ctx, wedge(d_scalar(f), pairing(e1, e2)))
+    yield (e1, e2, f), scalar_residual(courant_bracket, anchor, e1, e2, f, e12) + correction
+    yield (e1, e2), anchor_residual(anchor, e1, e2, e12)
+    lhs = lie_form(anchor(e1), pairing(e2, e3))
+    rhs = pairing(e12.add_form(ext_d(pairing(e1, e2))), e3)
+    rhs = rhs + pairing(e2, courant_bracket(e1, e3).add_form(ext_d(pairing(e1, e3))))
+    yield (e1, e2, e3), lhs - rhs
+
+
 def check_courant_axioms(ctx: Context, seed: int = 0, samples: int = 25) -> list[CheckResult]:
     """Exact residual checks for the Courant-bracket identities on seeded sections."""
     sweep = cases(seed, samples, partial(_axiom_case, ctx))
-    jacobiator = CheckResult(
-        "jacobiator_exact_term", "[e1,[e2,e3]] + cyclic = d T(e1,e2,e3)"
-    )
-    scalar_rule = CheckResult(
-        "scalar_rule", "[e1, f*e2] = f*[e1,e2] + rho(e1)(f)*e2 - df ^ <e1,e2>"
-    )
-    anchor_morphism = CheckResult(
-        "anchor_morphism", "rho([e1,e2]) = [rho(e1), rho(e2)]"
-    )
-    pairing_compat = CheckResult(
-        "pairing_compat",
-        "L_rho(e1)<e2,e3> = <[e1,e2] + d<e1,e2>, e3> + <e2, [e1,e3] + d<e1,e3>>",
-    )
-    for e1, e2, e3, f in sweep:
-        e12 = courant_bracket(e1, e2)
+    return sweep_checks(COURANT_AXIOMS, sweep, _courant_residuals)
 
-        lhs = (
-            courant_bracket(e1, courant_bracket(e2, e3))
-            + courant_bracket(e2, courant_bracket(e3, e1))
-            + courant_bracket(e3, e12)
-        )
-        rhs = Section.of_form(ctx, ext_d(t_map(e1, e2, e3)))
-        jacobiator.record((e1, e2, e3), lhs - rhs)
 
-        lhs = courant_bracket(e1, f * e2)
-        rhs = f * e12 + vec_apply(e1.vec, f) * e2
-        rhs = rhs - Section.of_form(ctx, wedge(d_scalar(f), pairing(e1, e2)))
-        scalar_rule.record((e1, e2, f), lhs - rhs)
+DORFMAN_AXIOMS = (
+    ("leibniz_identity", "[e1,[e2,e3]] = [[e1,e2],e3] + [e2,[e1,e3]]"),
+    ("scalar_rule_left", "[e1, f*e2] = f*[e1,e2] + rho(e1)(f)*e2"),
+    ("scalar_rule_right", "[f*e1, e2] = f*[e1,e2] - rho(e2)(f)*e1 + df ^ 2<e1,e2>"),
+    ("pairing_compat", "L_rho(e1)<e2,e3> = <[e1,e2], e3> + <e2, [e1,e3]>"),
+    ("anchor_morphism", "rho([e1,e2]) = [rho(e1), rho(e2)]"),
+)
 
-        anchor_morphism.record((e1, e2), anchor(e12) - vec_bracket(anchor(e1), anchor(e2)))
 
-        lhs = lie_form(anchor(e1), pairing(e2, e3))
-        rhs = pairing(e12.add_form(ext_d(pairing(e1, e2))), e3)
-        rhs = rhs + pairing(e2, courant_bracket(e1, e3).add_form(ext_d(pairing(e1, e3))))
-        pairing_compat.record((e1, e2, e3), lhs - rhs)
-    return [jacobiator, scalar_rule, anchor_morphism, pairing_compat]
+def _dorfman_residuals(e1, e2, e3, f):
+    e12 = dorfman_bracket(e1, e2)
+    e13 = dorfman_bracket(e1, e3)
+    yield (e1, e2, e3), leibniz_residual(dorfman_bracket, e1, e2, e3, e12, e13)
+    yield (e1, e2, f), scalar_residual(dorfman_bracket, anchor, e1, e2, f, e12)
+    rhs = f * e12 - vec_apply(e2.vec, f) * e1
+    rhs = rhs + Section.of_form(e1.ctx, wedge(d_scalar(f), 2 * pairing(e1, e2)))
+    yield (e1, e2, f), dorfman_bracket(f * e1, e2) - rhs
+    lhs = lie_form(anchor(e1), pairing(e2, e3))
+    yield (e1, e2, e3), lhs - (pairing(e12, e3) + pairing(e2, e13))
+    yield (e1, e2), anchor_residual(anchor, e1, e2, e12)
 
 
 def check_dorfman_axioms(ctx: Context, seed: int = 0, samples: int = 25) -> list[CheckResult]:
     """Exact residual checks for the Dorfman-bracket identities on seeded sections."""
     sweep = cases(seed, samples, partial(_axiom_case, ctx))
-    leibniz = CheckResult(
-        "leibniz_identity", "[e1,[e2,e3]] = [[e1,e2],e3] + [e2,[e1,e3]]"
-    )
-    scalar_left = CheckResult(
-        "scalar_rule_left", "[e1, f*e2] = f*[e1,e2] + rho(e1)(f)*e2"
-    )
-    scalar_right = CheckResult(
-        "scalar_rule_right", "[f*e1, e2] = f*[e1,e2] - rho(e2)(f)*e1 + df ^ 2<e1,e2>"
-    )
-    pairing_compat = CheckResult(
-        "pairing_compat", "L_rho(e1)<e2,e3> = <[e1,e2], e3> + <e2, [e1,e3]>"
-    )
-    anchor_morphism = CheckResult(
-        "anchor_morphism", "rho([e1,e2]) = [rho(e1), rho(e2)]"
-    )
-    for e1, e2, e3, f in sweep:
-        e12 = dorfman_bracket(e1, e2)
-        e13 = dorfman_bracket(e1, e3)
+    return sweep_checks(DORFMAN_AXIOMS, sweep, _dorfman_residuals)
 
-        leibniz.record((e1, e2, e3), leibniz_residual(dorfman_bracket, e1, e2, e3, e12, e13))
 
-        lhs = dorfman_bracket(e1, f * e2)
-        rhs = f * e12 + vec_apply(e1.vec, f) * e2
-        scalar_left.record((e1, e2, f), lhs - rhs)
+DEFORMED_LEIBNIZ = (
+    ("deformed_leibniz", "[e1,[e2,e3]]_theta = [[e1,e2],e3]_theta + [e2,[e1,e3]]_theta"),
+)
 
-        lhs = dorfman_bracket(f * e1, e2)
-        rhs = f * e12 - vec_apply(e2.vec, f) * e1
-        rhs = rhs + Section.of_form(ctx, wedge(d_scalar(f), 2 * pairing(e1, e2)))
-        scalar_right.record((e1, e2, f), lhs - rhs)
 
-        lhs = lie_form(anchor(e1), pairing(e2, e3))
-        rhs = pairing(e12, e3) + pairing(e2, e13)
-        pairing_compat.record((e1, e2, e3), lhs - rhs)
-
-        anchor_morphism.record((e1, e2), anchor(e12) - vec_bracket(anchor(e1), anchor(e2)))
-    return [leibniz, scalar_left, scalar_right, pairing_compat, anchor_morphism]
+def _leibniz_residuals(bracket, e1, e2, e3):
+    yield (e1, e2, e3), leibniz_residual(bracket, e1, e2, e3, bracket(e1, e2), bracket(e1, e3))
 
 
 def check_deformation(
@@ -322,15 +334,8 @@ def check_deformation(
     sweep = cases(seed, samples, partial(_random_sections, ctx, 3), product(coordinate, repeat=3))
     closed = CheckResult("theta_closed", "d theta = 0")
     closed.record((theta,), ext_d(theta))
-
-    leibniz = CheckResult(
-        "deformed_leibniz", "[e1,[e2,e3]]_theta = [[e1,e2],e3]_theta + [e2,[e1,e3]]_theta"
-    )
     bracket = partial(deformed_dorfman, theta=theta)
-    for e1, e2, e3 in sweep:
-        residual = leibniz_residual(bracket, e1, e2, e3, bracket(e1, e2), bracket(e1, e3))
-        leibniz.record((e1, e2, e3), residual)
-
+    [leibniz] = sweep_checks(DEFORMED_LEIBNIZ, sweep, partial(_leibniz_residuals, bracket))
     agreement = CheckResult(
         "closed_iff_leibniz", "the twisted bracket obeys Leibniz iff d theta = 0"
     )

@@ -16,6 +16,7 @@ from functools import partial
 from itertools import combinations, product
 
 from .courant import CheckResult, Section, cases, dorfman_bracket, dorfman_form, leibniz_residual
+from .courant import anchor_residual, scalar_residual, sweep_checks
 from .exterior import (
     Context,
     Form,
@@ -28,8 +29,6 @@ from .exterior import (
     lie_multivec,
     random_form,
     random_poly,
-    vec_apply,
-    vec_bracket,
     wedge,
 )
 from .scalar import ChartMismatchError, Poly, monomials_up_to
@@ -165,7 +164,7 @@ def check_nambu(
     agreement.record_iff((c.pi,), ("fundamental", fundamental), ("closure", closure))
     checks = [fundamental, closure, agreement]
     if fundamental.passed:
-        checks.extend(_leibniz_algebroid_checks(c, sweep))
+        checks.extend(sweep_checks(LEIBNIZ_ALGEBROID, sweep, partial(_algebroid_residuals, c)))
     return checks
 
 
@@ -183,7 +182,7 @@ def check_nambu_leibniz_algebroid(
             "candidate fails the fundamental identity; the induced brackets "
             "are only Leibniz structures for Nambu-Poisson tensors"
         )
-    return _leibniz_algebroid_checks(c, sweep)
+    return sweep_checks(LEIBNIZ_ALGEBROID, sweep, partial(_algebroid_residuals, c))
 
 
 def _algebroid_case(ctx: Context, rng: random.Random):
@@ -193,32 +192,23 @@ def _algebroid_case(ctx: Context, rng: random.Random):
     return (a, b, g, f, *(random_form(rng, ctx.m, ctx.n - 1) for _ in range(3)))
 
 
-def _leibniz_algebroid_checks(c: NambuCandidate, sweep) -> list[CheckResult]:
+LEIBNIZ_ALGEBROID = (
+    ("form_bracket_leibniz", "[a,[b,g]]_pi = [[a,b]_pi,g]_pi + [b,[a,g]_pi]_pi"),
+    ("anchor_morphism", "pi#[a,b]_pi = [pi#a, pi#b]"),
+    ("scalar_rule", "[a, f*b]_pi = f*[a,b]_pi + pi#(a)(f)*b"),
+    ("nm1_bracket_leibniz", "{x,{y,z}}_pi = {{x,y}_pi,z}_pi + {y,{x,z}_pi}_pi"),
+    ("bracket_comparison", "pi#([a,b]_pi - [a,b]^pi) = 0"),
+)
+
+
+def _algebroid_residuals(c: NambuCandidate, a, b, g, f, xi, eta, zeta):
     form_bracket = partial(nambu_form_bracket, c)
     nm1_bracket = partial(leibniz_nm1_bracket, c)
-    leibniz = CheckResult(
-        "form_bracket_leibniz", "[a,[b,g]]_pi = [[a,b]_pi,g]_pi + [b,[a,g]_pi]_pi"
-    )
-    anchor_morphism = CheckResult("anchor_morphism", "pi#[a,b]_pi = [pi#a, pi#b]")
-    scalar_rule = CheckResult("scalar_rule", "[a, f*b]_pi = f*[a,b]_pi + pi#(a)(f)*b")
-    nm1_leibniz = CheckResult(
-        "nm1_bracket_leibniz", "{x,{y,z}}_pi = {{x,y}_pi,z}_pi + {y,{x,z}_pi}_pi"
-    )
-    comparison = CheckResult("bracket_comparison", "pi#([a,b]_pi - [a,b]^pi) = 0")
-    for a, b, g, f, xi, eta, zeta in sweep:
-        ab = form_bracket(a, b)
-        leibniz.record((a, b, g), leibniz_residual(form_bracket, a, b, g, ab, form_bracket(a, g)))
-
-        anchor_morphism.record(
-            (a, b), pi_sharp(c, ab) - vec_bracket(pi_sharp(c, a), pi_sharp(c, b))
-        )
-
-        lhs = form_bracket(a, f * b)
-        rhs = f * ab + vec_apply(pi_sharp(c, a), f) * b
-        scalar_rule.record((a, b, f), lhs - rhs)
-
-        xy, xz = nm1_bracket(xi, eta), nm1_bracket(xi, zeta)
-        nm1_leibniz.record((xi, eta, zeta), leibniz_residual(nm1_bracket, xi, eta, zeta, xy, xz))
-
-        comparison.record((a, b), pi_sharp(c, ab - marrero_bracket(c, a, b)))
-    return [leibniz, anchor_morphism, scalar_rule, nm1_leibniz, comparison]
+    anchor = partial(pi_sharp, c)
+    ab = form_bracket(a, b)
+    yield (a, b, g), leibniz_residual(form_bracket, a, b, g, ab, form_bracket(a, g))
+    yield (a, b), anchor_residual(anchor, a, b, ab)
+    yield (a, b, f), scalar_residual(form_bracket, anchor, a, b, f, ab)
+    xy, xz = nm1_bracket(xi, eta), nm1_bracket(xi, zeta)
+    yield (xi, eta, zeta), leibniz_residual(nm1_bracket, xi, eta, zeta, xy, xz)
+    yield (a, b), pi_sharp(c, ab - marrero_bracket(c, a, b))

@@ -17,6 +17,7 @@ from functools import partial
 from itertools import combinations, product
 
 from .courant import CheckResult, Section, cases, deformed_dorfman, dorfman_bracket, pairing
+from .courant import anchor, scalar_residual, sweep_checks
 from .exterior import (
     Context,
     Form,
@@ -27,7 +28,6 @@ from .exterior import (
     random_form,
     random_multivec,
     random_poly,
-    vec_apply,
 )
 from .scalar import ChartMismatchError, Poly
 
@@ -313,6 +313,24 @@ def semi_bracket(c: PlecticCandidate, p: HamiltonianPair, q: HamiltonianPair) ->
     return i_vec(p.x_xi, i_vec(q.x_xi, c.omega))
 
 
+ADMISSIBLE_LIE_ALGEBROID = (
+    ("skew_symmetry", "[a,b]_w + [b,a]_w = 0"),
+    ("jacobi_identity", "[[a,b]_w,c]_w + [[b,c]_w,a]_w + [[c,a]_w,b]_w = 0"),
+    ("anchor_property", "form part of [a,b]_w equals i_{[X_a,X_b]} omega"),
+    ("scalar_rule", "[a, f*b]_w = f*[a,b]_w + X_a(f)*b"),
+)
+
+
+def _admissible_residuals(c: PlecticCandidate, a, b, e, f):
+    ab = dorfman_bracket(a, b)
+    yield (a.form, b.form), ab + dorfman_bracket(b, a)
+    bc, ca = dorfman_bracket(b, e), dorfman_bracket(e, a)
+    total = dorfman_bracket(ab, e) + dorfman_bracket(bc, a) + dorfman_bracket(ca, b)
+    yield (a.form, b.form, e.form), total
+    yield (a.form, b.form), _graph_defect(c, ab)
+    yield (a.form, b.form, f), scalar_residual(dorfman_bracket, anchor, a, b, f, ab)
+
+
 def check_admissible_lie_algebroid(
     c: PlecticCandidate, seed: int = 0, samples: int = 25
 ) -> list[CheckResult]:
@@ -328,29 +346,7 @@ def check_admissible_lie_algebroid(
     )
     if not ext_d(c.omega).is_zero:
         raise NotClosedError("omega is not closed; the admissible bracket needs d omega = 0")
-    skew = CheckResult("skew_symmetry", "[a,b]_w + [b,a]_w = 0")
-    jacobi = CheckResult("jacobi_identity", "[[a,b]_w,c]_w + [[b,c]_w,a]_w + [[c,a]_w,b]_w = 0")
-    anchor_rule = CheckResult("anchor_property", "form part of [a,b]_w equals i_{[X_a,X_b]} omega")
-    scalar_rule = CheckResult("scalar_rule", "[a, f*b]_w = f*[a,b]_w + X_a(f)*b")
-
-    for a, b, e, f in sweep:
-        ab = dorfman_bracket(a, b)
-        ba = dorfman_bracket(b, a)
-        skew.record((a.form, b.form), ab + ba)
-
-        bc = dorfman_bracket(b, e)
-        ca = dorfman_bracket(e, a)
-        total = dorfman_bracket(ab, e)
-        total = total + dorfman_bracket(bc, a)
-        total = total + dorfman_bracket(ca, b)
-        jacobi.record((a.form, b.form, e.form), total)
-
-        anchor_rule.record((a.form, b.form), _graph_defect(c, ab))
-
-        lhs = dorfman_bracket(a, f * b)
-        rhs = f * ab + vec_apply(a.vec, f) * b
-        scalar_rule.record((a.form, b.form, f), lhs - rhs)
-    return [skew, jacobi, anchor_rule, scalar_rule]
+    return sweep_checks(ADMISSIBLE_LIE_ALGEBROID, sweep, partial(_admissible_residuals, c))
 
 
 def random_hamiltonian_pair(

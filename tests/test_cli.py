@@ -1,12 +1,13 @@
 """End-to-end command line: exit codes, outputs, JSON determinism, replay."""
 
+import dataclasses
 import json
 import subprocess
 import sys
 
 import pytest
 
-from hicourant import cli
+from hicourant import cli, plectic
 from hicourant.dsl import parse_multivec, parse_scalar
 from hicourant.exterior import Context, Form, ext_d, lie_multivec, wedge
 from hicourant.nambu import NambuCandidate, pi_sharp
@@ -297,3 +298,46 @@ def test_value_error_inside_a_suite_is_not_reported_as_bad_input(monkeypatch, ca
     with pytest.raises(ValueError, match="internal fault"):
         cli.main(["check", "dorfman-axioms", "-m2", "-n1"])
     assert capsys.readouterr().err == ""
+
+
+UNREAD_STRUCTURE_FLAGS = {
+    "dorfman-axioms-omega": (["dorfman-axioms", "-m2", "-n1", "--omega", "garbage(("], "omega"),
+    "courant-axioms-theta": (["courant-axioms", "-m2", "-n1", "--theta", "dx1^dx2^dx3"], "theta"),
+    "deformation-phi": (
+        ["deformation", "-m3", "-n1", "--theta", "dx1^dx2^dx3", "--phi", "dx1^dx2"], "phi"
+    ),
+    "gauge-pi": (["gauge", "-m3", "-n1", "--phi", "dx1^dx2", "--pi", "@1^@2"], "pi"),
+    "nambu-omega": (["nambu", "-m3", "-n2", "--pi", "@1^@2^@3", "--omega", "dx1^dx2^dx3"], "omega"),
+    "admissible-theta": (
+        ["admissible", "-m3", "-n1", "--omega", "dx1^dx2", "--theta", "dx1^dx2^dx3"], "theta"
+    ),
+    "plectic-phi-empty": (["plectic", "-m3", "-n1", "--omega", "dx1^dx2", "--phi="], "phi"),
+}
+
+
+@pytest.mark.parametrize("argv,flag", UNREAD_STRUCTURE_FLAGS.values(), ids=UNREAD_STRUCTURE_FLAGS)
+def test_structure_flag_the_target_does_not_read_exits_2(argv, flag, monkeypatch, capsys):
+    def no_suite(ctx, structure, args):
+        raise AssertionError("a suite ran")
+
+    target = argv[0]
+    monkeypatch.setitem(
+        cli.CHECK_TARGETS, target, dataclasses.replace(cli.CHECK_TARGETS[target], suite=no_suite)
+    )
+    assert cli.main(["check", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --{flag} is not read by target={target}\n"
+
+
+def test_bad_plectic_theta_exits_2_before_any_suite_function_runs(monkeypatch, capsys):
+    def no_call(*args, **kwargs):
+        raise AssertionError("a suite function ran")
+
+    for name in ("nondegeneracy_check", "graph_closure_omega", "deformed_graph_check"):
+        monkeypatch.setattr(plectic, name, no_call)
+    argv = ["check", "plectic", "-m4", "-n1", "--omega", "dx1^dx2+dx3^dx4", "--theta", "dx1^(("]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: at position ")

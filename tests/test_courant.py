@@ -20,6 +20,7 @@ from hicourant.courant import (
     gauge,
     pairing,
     random_section,
+    sweep_checks,
     t_map,
 )
 from hicourant.exterior import Context, Form, MultiVec, ext_d, i_vec
@@ -283,6 +284,35 @@ def test_cases_refuse_samples_below_one_before_drawing(samples):
     with pytest.raises(ValueError, match="samples must be at least 1"):
         cases(0, samples, drawn.append, [("exhaustive",)])
     assert drawn == []
+
+
+SWEEP_TABLE = (("first", "a = a"), ("second", "b = b"), ("third", "c = c"))
+
+
+def _row_residuals(rows):
+    """A residual generator yielding `rows` pairs; row 1 of case ("bad", _) is nonzero."""
+
+    def residuals(label, k):
+        for row in range(rows):
+            nonzero = label == "bad" and row == 1
+            yield (label, k), Poly.var(1, 1) if nonzero else Poly(1, {})
+
+    return residuals
+
+
+def test_sweep_checks_records_one_check_per_row_in_table_order():
+    sweep = [("ok", 1), ("bad", 2), ("ok", 3)]
+    checks = sweep_checks(SWEEP_TABLE, sweep, _row_residuals(3))
+    assert [(c.name, c.identity, c.cases) for c in checks] == [(n, i, 3) for n, i in SWEEP_TABLE]
+    assert [[(f.inputs, f.residual) for f in c.failures] for c in checks] == [
+        [], [(("bad", "2"), "x1")], []
+    ]
+
+
+@pytest.mark.parametrize("rows", [2, 4])
+def test_sweep_checks_refuses_a_generator_that_does_not_match_its_table(rows):
+    with pytest.raises(ValueError, match="zip"):
+        sweep_checks(SWEEP_TABLE, [("ok", 1)], _row_residuals(rows))
 
 
 def test_deformation_biconditional_panel():
