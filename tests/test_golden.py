@@ -1,8 +1,9 @@
 """Golden CLI reports: exit code, stdout and stderr must stay byte-identical.
 
-Each case runs `hicourant check ...` in-process through `cli.main`, once
-with `--json` and once without, and compares against the files under
-`tests/golden/`.  Those files record the reports of the code at the time
+Each case of CASES runs `hicourant check ...` in-process through
+`cli.main`, once with `--json` and once without; each case of COMMANDS
+runs its `bracket` or `solve-hamiltonian` argv once.  Both compare
+against the files under `tests/golden/`.  Those files record the reports of the code at the time
 they were written; a refactor must leave every byte unchanged.  Regenerate
 them only for a change that sets out to alter a report:
 
@@ -66,6 +67,34 @@ CASES = {
     "error-grading": ["gauge", "-m3", "-n1", "--phi", "dx1 + dx1^dx2"],
 }
 
+# other commands, with their whole argv
+COMMANDS = {
+    # README examples
+    "bracket-dorfman": ["bracket", "dorfman", "-m", "2", "-n", "1", "(@1 ; x2*dx1)", "(@2 ; 0)"],
+    "bracket-courant": ["bracket", "courant", "-m", "2", "-n", "1", "(x2*@1 ; x1*dx2)", "(@2 ; x2*dx1)"],
+    "bracket-deformed": [
+        "bracket", "deformed", "-m", "3", "-n", "1", "--theta", "dx1^dx2^dx3", "(@1 ; 0)", "(@2 ; 0)",
+    ],
+    "solve-constant-omega": [
+        "solve-hamiltonian", "-m", "3", "-n", "2", "--omega", "dx1^dx2^dx3", "--xi", "x3*dx2",
+    ],
+    "solve-not-hamiltonian": ["solve-hamiltonian", "-m3", "-n1", "--omega", "dx1^dx2", "--xi", "x1*x3"],
+    "solve-with-x-accepted": [
+        "solve-hamiltonian", "-m3", "-n2", "--omega", "x1*dx1^dx2^dx3", "--xi=-1/2*x1*x1*dx3",
+        "--with-x", "@2",
+    ],
+    "solve-with-x-rejected": [
+        "solve-hamiltonian", "-m3", "-n2", "--omega", "x1*dx1^dx2^dx3", "--xi=-1/2*x1*x1*dx3",
+        "--with-x", "@1",
+    ],
+    # input errors
+    "error-bracket-deformed-no-theta": ["bracket", "deformed", "-m3", "-n1", "(@1 ; 0)", "(@2 ; 0)"],
+    "error-bracket-section-parse": ["bracket", "dorfman", "-m2", "-n1", "(@1 ; x2*dx1", "(@2 ; 0)"],
+    "error-solve-nonconstant-no-with-x": [
+        "solve-hamiltonian", "-m3", "-n2", "--omega", "x1*dx1^dx2^dx3", "--xi", "x3*dx2",
+    ],
+}
+
 
 def run_main(argv):
     out, err = io.StringIO(), io.StringIO()
@@ -78,6 +107,7 @@ def _runs():
     for name, args in CASES.items():
         yield f"{name}.text", ["check", *args]
         yield f"{name}.json", ["check", *args, "--json"]
+    yield from COMMANDS.items()
 
 
 @pytest.mark.parametrize("name,argv", list(_runs()), ids=[name for name, _ in _runs()])

@@ -65,12 +65,43 @@ def _deformation():
     return courant.check_deformation(ctx, parse_form("dx1^dx2^dx3", ctx, 3), SEED, SAMPLES)
 
 
+def _gauge(phi):
+    ctx = Context(3, 1)
+    return courant.check_gauge_isomorphism(ctx, parse_form(phi, ctx, 2), SEED, SAMPLES)
+
+
+def _nambu(m, pi):
+    ctx = Context(m, 2)
+    return nambu.check_nambu(nambu.NambuCandidate(ctx, parse_multivec(pi, ctx, 3)), SEED, SAMPLES)
+
+
+def _plectic(m, n, omega):
+    ctx = Context(m, n)
+    return plectic.PlecticCandidate(ctx, parse_form(omega, ctx, n + 1))
+
+
+def _graph_closure_omega():
+    return plectic.graph_closure_omega(_plectic(3, 2, "dx1^dx2^dx3"), SEED, SAMPLES)
+
+
+def _deformed_graph():
+    candidate = _plectic(3, 1, "x1*dx2^dx3")
+    theta = parse_form("-dx1^dx2^dx3", candidate.ctx, 3)
+    return plectic.deformed_graph_check(candidate, theta, SEED, SAMPLES)
+
+
 SUITES = {
     "dorfman-axioms-m3n2": _dorfman_axioms,
     "courant-axioms-m2n1": _courant_axioms,
     "nambu-algebroid-m3n2": _nambu_algebroid,
     "admissible-m4n1": _admissible,
     "deformation-m3n1": _deformation,
+    "gauge-closed-m3n1": lambda: _gauge("dx1^dx2"),
+    "gauge-open-m3n1": lambda: _gauge("x3*dx1^dx2"),
+    "nambu-m3n2": lambda: _nambu(3, "@1^@2^@3"),
+    "nambu-not-poisson-m4n2": lambda: _nambu(4, "@1^@2^@3 + x2*@2^@3^@4"),
+    "graph-closure-omega-m3n2": _graph_closure_omega,
+    "deformed-graph-m3n1": _deformed_graph,
 }
 
 
