@@ -2,9 +2,9 @@
 
 Exit codes: 0 when every check passed, 1 when a check failed (the
 report is still emitted), 2 for usage, parse, or grading errors, for an
-exponent above scalar.MAX_EXPONENT, and for a non-closed omega given to
-the admissible suite.  Output
-is a deterministic function of the flags and the seed, so identical
+exponent above scalar.MAX_EXPONENT, for a non-closed omega given to
+the admissible suite, and for a structure flag the command does not read.
+Output is a deterministic function of the flags and the seed, so identical
 invocations produce byte-identical reports.
 """
 
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from . import courant, nambu, plectic
 from .courant import CheckResult
 from .dsl import DslError, parse, parse_form, parse_multivec, parse_section
-from .exterior import Context, Form, ext_d, i_vec, random_point
+from .exterior import Context, Form, random_point
 from .scalar import ExponentBoundError
 
 
@@ -35,20 +35,40 @@ def _context(args) -> Context:
         raise UsageError(str(exc)) from None
 
 
-def _random_scope(_ctx, _structure, args) -> str:
+# The tensor each structure flag holds: its kind and its degree minus n.
+STRUCTURES = {"theta": ("form", 2), "phi": ("form", 1), "pi": ("multivec", 1), "omega": ("form", 1)}
+
+
+def _structures(args, ctx: Context, owner: str, reads, required=()) -> dict:
+    """Parse the given flags of `reads` into tensors keyed by flag.  Any other given
+    structure flag, or a `required` one missing or empty, is a usage error for `owner`."""
+    for flag in STRUCTURES:
+        if getattr(args, flag, None) is not None and flag not in reads:
+            raise UsageError(f"--{flag} is not read by {owner}")
+    for flag in required:
+        if not getattr(args, flag):
+            raise UsageError(f"--{flag} is required for {owner}")
+    tensors = {}
+    for flag in reads:
+        if getattr(args, flag) is not None:
+            kind, extra = STRUCTURES[flag]
+            tensors[flag] = parse(getattr(args, flag), ctx, (kind, ctx.n + extra))
+    return tensors
+
+
+def _random_scope(_ctx, args, **_) -> str:
     return f"{args.samples} seeded random samples with polynomial coefficients of degree <= 2"
 
 
-def _nambu_suite(ctx: Context, pi, args) -> list[CheckResult]:
+def _nambu_suite(ctx: Context, args, pi) -> list[CheckResult]:
     if args.degree < 1:
         raise UsageError("max_degree must be at least 1")
     return nambu.check_nambu(nambu.NambuCandidate(ctx, pi), args.seed, args.samples, args.degree)
 
 
-def _plectic_suite(ctx: Context, omega: Form, args) -> list[CheckResult]:
+def _plectic_suite(ctx: Context, args, omega: Form, theta: Form | None = None) -> list[CheckResult]:
     if args.points < 1:
         raise UsageError("at least one evaluation point is required")
-    theta = parse_form(args.theta, ctx, ctx.n + 2) if args.theta else None
     candidate = plectic.PlecticCandidate(ctx, omega)
     rng = random.Random(args.seed)
     points = [random_point(rng, ctx.m) for _ in range(args.points)]
@@ -59,7 +79,7 @@ def _plectic_suite(ctx: Context, omega: Form, args) -> list[CheckResult]:
     return checks
 
 
-def _plectic_scope(ctx: Context, omega: Form, args) -> str:
+def _plectic_scope(ctx: Context, args, omega: Form, **_) -> str:
     if plectic.PlecticCandidate(ctx, omega).is_constant:
         rank = "exact global rank test"
     else:
@@ -71,58 +91,45 @@ def _plectic_scope(ctx: Context, omega: Form, args) -> str:
 class CheckTarget:
     """What `check <target>` runs and reports.
 
-    A target with a flag requires its structure tensor in --<flag>; with
-    kind = (name, extra) it is parsed as a `name` of degree n + extra.
-    suite(ctx, structure, args) gives the checks and scope(ctx, structure,
-    args) the quantifier_scope text.  optional_flag names a structure flag
-    the suite also reads, if given; any other structure flag is refused.
+    flags names the structure flags the target reads (see STRUCTURES);
+    the first is required and any other is refused.  suite(ctx, args,
+    **tensors) gives the checks and scope(ctx, args, **tensors) the
+    quantifier_scope text, with each given flag's tensor passed by name.
     """
 
     suite: Callable
-    flag: str | None = None
-    kind: tuple[str, int] | None = None
+    flags: tuple[str, ...] = ()
     scope: Callable = _random_scope
     reports_points: bool = False
-    optional_flag: str | None = None
 
-
-STRUCTURE_FLAGS = ("theta", "phi", "pi", "omega")
 
 CHECK_TARGETS = {
-    "courant-axioms": CheckTarget(
-        lambda ctx, _, a: courant.check_courant_axioms(ctx, a.seed, a.samples)
-    ),
-    "dorfman-axioms": CheckTarget(
-        lambda ctx, _, a: courant.check_dorfman_axioms(ctx, a.seed, a.samples)
-    ),
+    "courant-axioms": CheckTarget(lambda ctx, a: courant.check_courant_axioms(ctx, a.seed, a.samples)),
+    "dorfman-axioms": CheckTarget(lambda ctx, a: courant.check_dorfman_axioms(ctx, a.seed, a.samples)),
     "deformation": CheckTarget(
-        lambda ctx, theta, a: courant.check_deformation(ctx, theta, a.seed, a.samples),
-        "theta",
-        ("form", 2),
-        lambda _ctx, _theta, a: f"exhaustive constant coordinate-vector triples plus {a.samples} "
+        lambda ctx, a, theta: courant.check_deformation(ctx, theta, a.seed, a.samples),
+        ("theta",),
+        lambda _ctx, a, **_: f"exhaustive constant coordinate-vector triples plus {a.samples} "
         "seeded random triples",
     ),
     "gauge": CheckTarget(
-        lambda ctx, phi, a: courant.check_gauge_isomorphism(ctx, phi, a.seed, a.samples),
-        "phi",
-        ("form", 1),
+        lambda ctx, a, phi: courant.check_gauge_isomorphism(ctx, phi, a.seed, a.samples),
+        ("phi",),
     ),
     "nambu": CheckTarget(
         _nambu_suite,
-        "pi",
-        ("multivec", 1),
-        lambda _ctx, _pi, a: "fundamental identity over all n-tuples of distinct monomials of total "
+        ("pi",),
+        lambda _ctx, a, **_: "fundamental identity over all n-tuples of distinct monomials of total "
         f"degree <= {a.degree} (linearity in each argument covers every polynomial tuple in "
         "that range); graph closure over all constant basis n-form pairs plus "
         f"{a.samples} seeded random pairs",
     ),
-    "plectic": CheckTarget(_plectic_suite, "omega", ("form", 1), _plectic_scope, True, "theta"),
+    "plectic": CheckTarget(_plectic_suite, ("omega", "theta"), _plectic_scope, True),
     "admissible": CheckTarget(
-        lambda ctx, omega, a: plectic.check_admissible_lie_algebroid(
+        lambda ctx, a, omega: plectic.check_admissible_lie_algebroid(
             plectic.PlecticCandidate(ctx, omega), a.seed, a.samples
         ),
-        "omega",
-        ("form", 1),
+        ("omega",),
     ),
 }
 
@@ -233,19 +240,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _run_check(args) -> SuiteReport:
     ctx = _context(args)
     target = CHECK_TARGETS[args.target]
-    for flag in STRUCTURE_FLAGS:
-        if getattr(args, flag) is not None and flag not in (target.flag, target.optional_flag):
-            raise UsageError(f"--{flag} is not read by target={args.target}")
     if args.samples < 1:
         raise UsageError("samples must be at least 1")
-    structure = None
-    if target.flag:
-        text = getattr(args, target.flag)
-        if not text:
-            raise UsageError(f"--{target.flag} is required for target={args.target}")
-        kind, extra = target.kind
-        structure = parse(text, ctx, (kind, ctx.n + extra))
-    checks = target.suite(ctx, structure, args)
+    tensors = _structures(args, ctx, f"target={args.target}", target.flags, target.flags[:1])
+    checks = target.suite(ctx, args, **tensors)
     return SuiteReport(
         suite=args.target,
         m=ctx.m,
@@ -254,13 +252,15 @@ def _run_check(args) -> SuiteReport:
         samples=args.samples,
         degree=args.degree,
         points=args.points if target.reports_points else 0,
-        quantifier_scope=target.scope(ctx, structure, args),
+        quantifier_scope=target.scope(ctx, args, **tensors),
         checks=checks,
     )
 
 
 def _cmd_bracket(args) -> int:
     ctx = _context(args)
+    flags = ("theta",) if args.kind == "deformed" else ()
+    tensors = _structures(args, ctx, f"kind={args.kind}", flags, flags)
     e1 = parse_section(args.e1, ctx)
     e2 = parse_section(args.e2, ctx)
     if args.kind == "courant":
@@ -268,10 +268,7 @@ def _cmd_bracket(args) -> int:
     elif args.kind == "dorfman":
         result = courant.dorfman_bracket(e1, e2)
     else:
-        if not args.theta:
-            raise UsageError("--theta is required for kind=deformed")
-        theta = parse_form(args.theta, ctx, ctx.n + 2)
-        result = courant.deformed_dorfman(e1, e2, theta)
+        result = courant.deformed_dorfman(e1, e2, tensors["theta"])
     print(result)
     return 0
 
@@ -287,15 +284,21 @@ def _cmd_check(args) -> int:
 
 def _cmd_solve(args) -> int:
     ctx = _context(args)
-    candidate = plectic.PlecticCandidate(ctx, parse_form(args.omega, ctx, ctx.n + 1))
+    # argparse requires --omega, so an empty one is a parse error
+    omega = _structures(args, ctx, "solve-hamiltonian", ("omega",))["omega"]
+    candidate = plectic.PlecticCandidate(ctx, omega)
     xi = parse_form(args.xi, ctx, ctx.n - 1)
     if args.with_x is not None:
         field = parse_multivec(args.with_x, ctx, 1)
-        if ext_d(xi) == i_vec(field, candidate.omega):
-            print(field)
-            return 0
-        print("candidate-rejected")
-        return 1
+        try:
+            plectic.HamiltonianPair(candidate, xi, field)
+        except ExponentBoundError:
+            raise
+        except ValueError:
+            print("candidate-rejected")
+            return 1
+        print(field)
+        return 0
     if not candidate.is_constant:
         raise UsageError(
             "omega has non-constant coefficients; pass --with-x to verify a candidate field"

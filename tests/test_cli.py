@@ -1,5 +1,6 @@
 """End-to-end command line: exit codes, outputs, JSON determinism, replay."""
 
+import argparse
 import dataclasses
 import json
 import subprocess
@@ -279,6 +280,33 @@ USER_INPUT_ERRORS = {
         ["check", "nambu", "-m3", "-n2", "--pi", "@1^@2^@3", "--degree", "-1", "--samples", "1"],
         "max_degree must be at least 1",
     ),
+    # i_X omega of x1^2 * d/dx2 and an omega at x1^32766 crosses the bound: bad input, not a
+    # rejected candidate
+    "exponent-bound-with-x": (
+        [
+            "solve-hamiltonian", "-m2", "-n1", "--xi", "0", "--with-x", "x1*x1*@2",
+            "--omega", "*".join(["x1"] * (MAX_EXPONENT - 1)) + "*dx1^dx2",
+        ],
+        f"exponent of a variable exceeds the bound {MAX_EXPONENT}",
+    ),
+    # a structure flag the bracket does not read, whatever it holds
+    "bracket-courant-theta": (
+        ["bracket", "courant", "-m3", "-n1", "--theta", "garbage((", "(@1 ; 0)", "(@2 ; 0)"],
+        "--theta is not read by kind=courant",
+    ),
+    "bracket-dorfman-theta": (
+        ["bracket", "dorfman", "-m3", "-n1", "--theta", "dx1^dx2^dx3", "(@1 ; 0)", "(@2 ; 0)"],
+        "--theta is not read by kind=dorfman",
+    ),
+    "bracket-dorfman-theta-empty": (
+        ["bracket", "dorfman", "-m3", "-n1", "--theta=", "(@1 ; 0)", "(@2 ; 0)"],
+        "--theta is not read by kind=dorfman",
+    ),
+    # an empty optional structure flag is given, so it is parsed
+    "plectic-theta-empty": (
+        ["check", "plectic", "-m3", "-n1", "--omega", "dx1^dx2", "--theta="],
+        "at position 0: expected a value, found 'end of input'",
+    ),
 }
 
 
@@ -291,7 +319,7 @@ def test_user_input_errors_exit_2_with_their_message(argv, message, capsys):
 
 
 def test_value_error_inside_a_suite_is_not_reported_as_bad_input(monkeypatch, capsys):
-    def broken_suite(ctx, structure, args):
+    def broken_suite(ctx, args):
         raise ValueError("internal fault")
 
     monkeypatch.setitem(cli.CHECK_TARGETS, "dorfman-axioms", cli.CheckTarget(broken_suite))
@@ -317,7 +345,7 @@ UNREAD_STRUCTURE_FLAGS = {
 
 @pytest.mark.parametrize("argv,flag", UNREAD_STRUCTURE_FLAGS.values(), ids=UNREAD_STRUCTURE_FLAGS)
 def test_structure_flag_the_target_does_not_read_exits_2(argv, flag, monkeypatch, capsys):
-    def no_suite(ctx, structure, args):
+    def no_suite(ctx, args, **tensors):
         raise AssertionError("a suite ran")
 
     target = argv[0]
@@ -341,3 +369,22 @@ def test_bad_plectic_theta_exits_2_before_any_suite_function_runs(monkeypatch, c
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: at position ")
+
+
+# options of the subcommands that do not hold a structure tensor
+NON_STRUCTURE_OPTIONS = {
+    "help", "dim", "order", "kind", "e1", "e2", "target", "seed", "samples", "degree", "points",
+    "json", "xi", "with_x",
+}
+
+
+def test_every_structure_option_is_in_the_structure_table():
+    parser = cli._build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for command, subparser in commands.choices.items():
+        for action in subparser._actions:
+            assert action.dest in NON_STRUCTURE_OPTIONS or action.dest in cli.STRUCTURES, (
+                command, action.dest
+            )
+    for target, spec in cli.CHECK_TARGETS.items():
+        assert set(spec.flags) <= set(cli.STRUCTURES), target
