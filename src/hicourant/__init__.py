@@ -83,6 +83,6 @@ from .plectic import (
     solve_admissible,
     solve_hamiltonian,
 )
-from .scalar import ChartMismatchError, Poly
+from .scalar import ChartMismatchError, InputError, Poly
 
 __version__ = "0.1.0"

@@ -1,9 +1,12 @@
 """Command-line surface: compute brackets, run identity suites, emit reports.
 
 Exit codes: 0 when every check passed, 1 when a check failed (the
-report is still emitted), 2 for usage, parse, or grading errors, for an
-exponent above scalar.MAX_EXPONENT, for a non-closed omega given to
-the admissible suite, and for a structure flag the command does not read.
+report is still emitted), 2 when the input is refused.  A refusal is a
+scalar.InputError, raised by the library's own checks (a chart, sample,
+degree or point count out of range, a DSL error, an exponent above
+scalar.MAX_EXPONENT, a non-closed omega given to the admissible suite)
+or here (a structure flag the command does not read, or a required one
+missing).  Any other exception is a program fault and escapes.
 Output is a deterministic function of the flags and the seed, so identical
 invocations produce byte-identical reports.
 """
@@ -19,20 +22,9 @@ from dataclasses import dataclass
 
 from . import courant, nambu, plectic
 from .courant import CheckResult
-from .dsl import DslError, parse, parse_form, parse_multivec, parse_section
+from .dsl import parse, parse_form, parse_multivec, parse_section
 from .exterior import Context, Form, random_point
-from .scalar import ExponentBoundError
-
-
-class UsageError(Exception):
-    """Input error that should exit with code 2 and a message."""
-
-
-def _context(args) -> Context:
-    try:
-        return Context(args.dim, args.order)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+from .scalar import InputError
 
 
 # The tensor each structure flag holds: its kind and its degree minus n.
@@ -44,10 +36,10 @@ def _structures(args, ctx: Context, owner: str, reads, required=()) -> dict:
     structure flag, or a `required` one missing or empty, is a usage error for `owner`."""
     for flag in STRUCTURES:
         if getattr(args, flag, None) is not None and flag not in reads:
-            raise UsageError(f"--{flag} is not read by {owner}")
+            raise InputError(f"--{flag} is not read by {owner}")
     for flag in required:
         if not getattr(args, flag):
-            raise UsageError(f"--{flag} is required for {owner}")
+            raise InputError(f"--{flag} is required for {owner}")
     tensors = {}
     for flag in reads:
         if getattr(args, flag) is not None:
@@ -60,15 +52,7 @@ def _random_scope(_ctx, args, **_) -> str:
     return f"{args.samples} seeded random samples with polynomial coefficients of degree <= 2"
 
 
-def _nambu_suite(ctx: Context, args, pi) -> list[CheckResult]:
-    if args.degree < 1:
-        raise UsageError("max_degree must be at least 1")
-    return nambu.check_nambu(nambu.NambuCandidate(ctx, pi), args.seed, args.samples, args.degree)
-
-
 def _plectic_suite(ctx: Context, args, omega: Form, theta: Form | None = None) -> list[CheckResult]:
-    if args.points < 1:
-        raise UsageError("at least one evaluation point is required")
     candidate = plectic.PlecticCandidate(ctx, omega)
     rng = random.Random(args.seed)
     points = [random_point(rng, ctx.m) for _ in range(args.points)]
@@ -117,7 +101,7 @@ CHECK_TARGETS = {
         ("phi",),
     ),
     "nambu": CheckTarget(
-        _nambu_suite,
+        lambda ctx, a, pi: nambu.check_nambu(nambu.NambuCandidate(ctx, pi), a.seed, a.samples, a.degree),
         ("pi",),
         lambda _ctx, a, **_: "fundamental identity over all n-tuples of distinct monomials of total "
         f"degree <= {a.degree} (linearity in each argument covers every polynomial tuple in "
@@ -238,10 +222,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_check(args) -> SuiteReport:
-    ctx = _context(args)
+    ctx = Context(args.dim, args.order)
     target = CHECK_TARGETS[args.target]
+    # the sweep refuses it too, but only after the flags are parsed and plectic's rank test ran
     if args.samples < 1:
-        raise UsageError("samples must be at least 1")
+        raise InputError("samples must be at least 1")
     tensors = _structures(args, ctx, f"target={args.target}", target.flags, target.flags[:1])
     checks = target.suite(ctx, args, **tensors)
     return SuiteReport(
@@ -258,7 +243,7 @@ def _run_check(args) -> SuiteReport:
 
 
 def _cmd_bracket(args) -> int:
-    ctx = _context(args)
+    ctx = Context(args.dim, args.order)
     flags = ("theta",) if args.kind == "deformed" else ()
     tensors = _structures(args, ctx, f"kind={args.kind}", flags, flags)
     e1 = parse_section(args.e1, ctx)
@@ -283,7 +268,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    ctx = _context(args)
+    ctx = Context(args.dim, args.order)
     # argparse requires --omega, so an empty one is a parse error
     omega = _structures(args, ctx, "solve-hamiltonian", ("omega",))["omega"]
     candidate = plectic.PlecticCandidate(ctx, omega)
@@ -292,17 +277,13 @@ def _cmd_solve(args) -> int:
         field = parse_multivec(args.with_x, ctx, 1)
         try:
             plectic.HamiltonianPair(candidate, xi, field)
-        except ExponentBoundError:
-            raise
-        except ValueError:
+        except plectic.InconsistentCandidateError:
             print("candidate-rejected")
             return 1
         print(field)
         return 0
     if not candidate.is_constant:
-        raise UsageError(
-            "omega has non-constant coefficients; pass --with-x to verify a candidate field"
-        )
+        raise InputError("omega has non-constant coefficients; pass --with-x to verify a candidate field")
     pair = plectic.solve_hamiltonian(candidate, xi)
     if pair is None:
         print("not-hamiltonian")
@@ -320,7 +301,7 @@ def main(argv=None) -> int:
         if args.command == "check":
             return _cmd_check(args)
         return _cmd_solve(args)
-    except (UsageError, DslError, ExponentBoundError, plectic.NotClosedError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

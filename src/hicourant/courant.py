@@ -31,7 +31,7 @@ from .exterior import (
     vec_bracket,
     wedge,
 )
-from .scalar import ChartMismatchError
+from .scalar import ChartMismatchError, InputError
 
 HALF = Fraction(1, 2)
 
@@ -206,7 +206,7 @@ def cases(seed: int, samples: int, draw, exhaustive=()):
     """Cases of one sweep: the exhaustive cases in order, then `samples` draws draw(rng)
     from one Random seeded with seed.  Refuses samples < 1 at the call, before any draw."""
     if samples < 1:
-        raise ValueError("samples must be at least 1")
+        raise InputError("samples must be at least 1")
     rng = random.Random(seed)
     return chain(exhaustive, (draw(rng) for _ in range(samples)))
 

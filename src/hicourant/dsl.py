@@ -24,10 +24,10 @@ from fractions import Fraction
 
 from .courant import Section
 from .exterior import Context, Form, MultiVec
-from .scalar import ExponentBoundError, Poly
+from .scalar import ExponentBoundError, InputError, Poly
 
 
-class DslError(ValueError):
+class DslError(InputError):
     """Base for all surface-syntax errors; carries the source position."""
 
     def __init__(self, position: int, message: str):

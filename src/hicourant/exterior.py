@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
 
-from .scalar import ChartMismatchError, Poly, join_signed_terms, monomial_text, monomials_up_to
+from .scalar import ChartMismatchError, InputError, Poly, join_signed_terms, monomial_text, monomials_up_to
 
 MultiIndex = tuple[int, ...]
 
@@ -39,9 +39,9 @@ class Context:
 
     def __post_init__(self):
         if self.m < 1:
-            raise ValueError("chart dimension m must be positive")
+            raise InputError("chart dimension m must be positive")
         if not 1 <= self.n <= self.m:
-            raise ValueError(f"bracket order n={self.n} must satisfy 1 <= n <= m={self.m}")
+            raise InputError(f"bracket order n={self.n} must satisfy 1 <= n <= m={self.m}")
 
 
 def _merge_indices(left: MultiIndex, right: MultiIndex) -> tuple[int, MultiIndex] | None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 from itertools import combinations, product
 
 from .courant import CheckResult, Section, cases, dorfman_bracket, dorfman_form, leibniz_residual
@@ -31,7 +31,7 @@ from .exterior import (
     random_poly,
     wedge,
 )
-from .scalar import ChartMismatchError, Poly, monomials_up_to
+from .scalar import ChartMismatchError, InputError, Poly, monomials_up_to
 
 
 class NotNambuPoissonError(ValueError):
@@ -84,17 +84,13 @@ def np_fundamental_check(c: NambuCandidate, max_degree: int = 2) -> CheckResult:
     wedge of differentials is alternating.
     """
     if max_degree < 1:
-        raise ValueError("max_degree must be at least 1")
+        raise InputError("max_degree must be at least 1")
     ctx = c.ctx
     check = CheckResult("fundamental_identity", "L_{pi#(df1^...^dfn)} pi = 0")
     monomials = _monomial_basis(ctx.m, max_degree)
-    for fs in combinations(monomials, ctx.n):
-        omega = None
-        for f in fs:
-            df = d_scalar(f)
-            omega = df if omega is None else wedge(omega, df)
-        hamiltonian = pi_sharp(c, omega)
-        check.record(fs, lie_multivec(hamiltonian, c.pi))
+    differentials = [d_scalar(f) for f in monomials]
+    for fs, dfs in zip(combinations(monomials, ctx.n), combinations(differentials, ctx.n)):
+        check.record(fs, lie_multivec(pi_sharp(c, reduce(wedge, dfs)), c.pi))
     return check
 
 

@@ -29,10 +29,10 @@ from .exterior import (
     random_multivec,
     random_poly,
 )
-from .scalar import ChartMismatchError, Poly
+from .scalar import ChartMismatchError, InputError, Poly
 
 
-class NotClosedError(ValueError):
+class NotClosedError(InputError):
     """Raised when an operation requires d omega = 0 but omega is not closed."""
 
 
@@ -41,7 +41,7 @@ class UnsupportedSolveError(ValueError):
 
 
 class InconsistentCandidateError(ValueError):
-    """Raised when a bracket of admissible forms leaves the admissible bundle."""
+    """Raised when a field and a form break the equation that would make them a pair."""
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ class AdmissiblePair:
 
     def __post_init__(self):
         if self.alpha != i_vec(self.x_alpha, self.candidate.omega):
-            raise ValueError("alpha is not i_{x_alpha} omega: pair is not admissible")
+            raise InconsistentCandidateError("alpha is not i_{x_alpha} omega: pair is not admissible")
 
     @property
     def section(self) -> Section:
@@ -97,7 +97,7 @@ class HamiltonianPair:
 
     def __post_init__(self):
         if ext_d(self.xi) != i_vec(self.x_xi, self.candidate.omega):
-            raise ValueError("d xi is not i_{x_xi} omega: pair is not Hamiltonian")
+            raise InconsistentCandidateError("d xi is not i_{x_xi} omega: pair is not Hamiltonian")
 
 
 # -- exact linear algebra over the rationals ----------------------------------
@@ -166,7 +166,7 @@ def nondegeneracy_check(c: PlecticCandidate, points) -> CheckResult:
     """
     points = list(points)
     if not points:
-        raise ValueError("at least one evaluation point is required")
+        raise InputError("at least one evaluation point is required")
     ctx = c.ctx
     if c.is_constant:
         check = CheckResult("nondegeneracy_exact_rank", "i_X omega = 0 implies X = 0 (exact rank)")
@@ -289,27 +289,28 @@ def solve_hamiltonian(c: PlecticCandidate, xi: Form) -> HamiltonianPair | None:
     return HamiltonianPair(c, xi, admissible.x_alpha)
 
 
+def _same_structure(c: PlecticCandidate, p, q) -> None:
+    if p.candidate != c or q.candidate != c:
+        raise ValueError("both pairs must belong to this structure")
+
+
 def admissible_bracket(c: PlecticCandidate, a: AdmissiblePair, b: AdmissiblePair) -> AdmissiblePair:
     """Bracket L_{X_a} b - L_{X_b} a - d i_{X_a} i_{X_b} omega with field [X_a, X_b]:
     the Dorfman bracket of X_a + a and X_b + b, as i_{X_b} i_{X_a} = -i_{X_a} i_{X_b}."""
-    if a.candidate != c or b.candidate != c:
-        raise ValueError("both pairs must belong to this structure")
+    _same_structure(c, a, b)
     bracket = dorfman_bracket(a.section, b.section)
-    try:
-        return AdmissiblePair(c, bracket.form, bracket.vec)
-    except ValueError as exc:
-        raise InconsistentCandidateError(
-            "bracket left the admissible bundle; omega cannot be closed"
-        ) from exc
+    return AdmissiblePair(c, bracket.form, bracket.vec)
 
 
 def hemi_bracket(c: PlecticCandidate, p: HamiltonianPair, q: HamiltonianPair) -> Form:
     """Hemi-bracket of Hamiltonian forms: {xi, eta}_h = L_{X_xi} eta."""
+    _same_structure(c, p, q)
     return lie_form(p.x_xi, q.xi)
 
 
 def semi_bracket(c: PlecticCandidate, p: HamiltonianPair, q: HamiltonianPair) -> Form:
     """Semi-bracket of Hamiltonian forms: {xi, eta}_s = i_{X_xi} i_{X_eta} omega."""
+    _same_structure(c, p, q)
     return i_vec(p.x_xi, i_vec(q.x_xi, c.omega))
 
 

@@ -34,7 +34,11 @@ class ChartMismatchError(ValueError):
     """Raised when operands live over charts of different dimension."""
 
 
-class ExponentBoundError(ValueError):
+class InputError(ValueError):
+    """Raised when the caller's input breaks a documented condition or range."""
+
+
+class ExponentBoundError(InputError):
     """Raised when an exponent of a monomial would exceed MAX_EXPONENT."""
 
     def __init__(self):

@@ -8,11 +8,11 @@ import sys
 
 import pytest
 
-from hicourant import cli, plectic
-from hicourant.dsl import parse_multivec, parse_scalar
+from hicourant import cli, courant, nambu, plectic
+from hicourant.dsl import parse, parse_form, parse_multivec, parse_scalar, parse_section
 from hicourant.exterior import Context, Form, ext_d, lie_multivec, wedge
 from hicourant.nambu import NambuCandidate, pi_sharp
-from hicourant.scalar import MAX_EXPONENT
+from hicourant.scalar import MAX_EXPONENT, ChartMismatchError, InputError
 
 
 def run_cli(*args):
@@ -307,6 +307,14 @@ USER_INPUT_ERRORS = {
         ["check", "plectic", "-m3", "-n1", "--omega", "dx1^dx2", "--theta="],
         "at position 0: expected a value, found 'end of input'",
     ),
+    "samples-zero": (
+        ["check", "gauge", "-m3", "-n1", "--phi", "x3*dx1^dx2", "--samples=0"],
+        "samples must be at least 1",
+    ),
+    "admissible-not-closed": (
+        ["check", "admissible", "-m3", "-n1", "--omega", "x1*dx2^dx3", "--samples", "4"],
+        "omega is not closed; the admissible bracket needs d omega = 0",
+    ),
 }
 
 
@@ -319,13 +327,44 @@ def test_user_input_errors_exit_2_with_their_message(argv, message, capsys):
 
 
 def test_value_error_inside_a_suite_is_not_reported_as_bad_input(monkeypatch, capsys):
-    def broken_suite(ctx, args):
-        raise ValueError("internal fault")
+    for error in (ValueError, ChartMismatchError):
+        def broken_suite(ctx, args):
+            raise error("internal fault")
 
-    monkeypatch.setitem(cli.CHECK_TARGETS, "dorfman-axioms", cli.CheckTarget(broken_suite))
-    with pytest.raises(ValueError, match="internal fault"):
-        cli.main(["check", "dorfman-axioms", "-m2", "-n1"])
-    assert capsys.readouterr().err == ""
+        monkeypatch.setitem(cli.CHECK_TARGETS, "dorfman-axioms", cli.CheckTarget(broken_suite))
+        with pytest.raises(error, match="internal fault"):
+            cli.main(["check", "dorfman-axioms", "-m2", "-n1"])
+        assert capsys.readouterr().err == ""
+
+
+C21, C31, C32 = Context(2, 1), Context(3, 1), Context(3, 2)
+
+# each library refusal, made on the input of the USER_INPUT_ERRORS case it backs
+LIBRARY_REFUSALS = {
+    "m-zero-check": lambda: Context(0, 1),
+    "n-above-m-bracket": lambda: Context(3, 4),
+    "samples-zero": lambda: courant.cases(0, 0, lambda rng: ()),
+    "degree-zero": lambda: nambu.np_fundamental_check(
+        NambuCandidate(C32, parse_multivec("@1^@2^@3", C32, 3)), 0
+    ),
+    "points-zero": lambda: plectic.nondegeneracy_check(
+        plectic.PlecticCandidate(C31, parse_form("x1*dx2^dx3", C31, 2)), []
+    ),
+    "admissible-not-closed": lambda: plectic.check_admissible_lie_algebroid(
+        plectic.PlecticCandidate(C31, parse_form("x1*dx2^dx3", C31, 2)), 0, 4
+    ),
+    "exponent-bound-bracket": lambda: courant.dorfman_bracket(
+        *(parse_section(text, C21) for text in USER_INPUT_ERRORS["exponent-bound-bracket"][0][-2:])
+    ),
+    "plectic-theta-empty": lambda: parse("", C31, ("form", 3)),
+}
+
+
+@pytest.mark.parametrize("case", LIBRARY_REFUSALS)
+def test_library_refusal_is_an_input_error_with_the_cli_message(case):
+    with pytest.raises(InputError) as refusal:
+        LIBRARY_REFUSALS[case]()
+    assert str(refusal.value) == USER_INPUT_ERRORS[case][1]
 
 
 UNREAD_STRUCTURE_FLAGS = {

@@ -20,6 +20,7 @@ from hicourant.exterior import (
 from hicourant.plectic import (
     AdmissiblePair,
     HamiltonianPair,
+    InconsistentCandidateError,
     NotClosedError,
     PlecticCandidate,
     UnsupportedSolveError,
@@ -160,6 +161,13 @@ def test_admissible_pair_invariant_checked():
     AdmissiblePair(VOLUME32, dx(3, 2, 3), dd(3, 1))
 
 
+def test_pairs_that_break_their_equation_are_inconsistent_candidates():
+    with pytest.raises(InconsistentCandidateError, match="pair is not admissible"):
+        AdmissiblePair(VOLUME32, dx(3, 2, 3), dd(3, 2))
+    with pytest.raises(InconsistentCandidateError, match="pair is not Hamiltonian"):
+        HamiltonianPair(VOLUME32, var(3, 3) * dx(3, 2), dd(3, 1))
+
+
 def test_admissible_bracket_examples():
     a = solve_admissible(VOLUME32, dx(3, 2, 3))
     b = solve_admissible(VOLUME32, -dx(3, 1, 3))
@@ -250,6 +258,17 @@ def test_hamiltonian_solve_and_brackets_fixture():
     assert semi_bracket(VOLUME32, p, p).is_zero
     constant = HamiltonianPair(VOLUME32, dx(3, 2), MultiVec.zero(3, 1))
     assert hemi_bracket(VOLUME32, constant, p).is_zero
+
+
+def test_hamiltonian_brackets_refuse_pairs_of_another_structure():
+    doubled = PlecticCandidate(Context(3, 2), 2 * dx(3, 1, 2, 3))
+    p = solve_hamiltonian(doubled, var(3, 3) * dx(3, 2))
+    q = solve_hamiltonian(doubled, var(3, 1) * dx(3, 3))
+    assert semi_bracket(doubled, p, q) == Fraction(-1, 2) * dx(3, 3)
+    for bracket in (hemi_bracket, semi_bracket):
+        for pair in ((p, q), (p, solve_hamiltonian(VOLUME32, var(3, 1) * dx(3, 3)))):
+            with pytest.raises(ValueError, match="both pairs must belong to this structure"):
+                bracket(VOLUME32, *pair)
 
 
 def test_hamiltonian_iff_admissible_differential():
