@@ -46,9 +46,9 @@ class Section:
 
     def __post_init__(self):
         if self.vec.degree != 1:
-            raise ValueError("vector part must have degree 1")
+            raise InputError("vector part must have degree 1")
         if self.form.degree != self.ctx.n:
-            raise ValueError(f"form part must have degree n={self.ctx.n}, got {self.form.degree}")
+            raise InputError(f"form part must have degree n={self.ctx.n}, got {self.form.degree}")
         if self.vec.m != self.ctx.m or self.form.m != self.ctx.m:
             raise ChartMismatchError("section parts live on a different chart than the context")
 
@@ -139,7 +139,7 @@ def deformed_dorfman(e1: Section, e2: Section, theta: Form) -> Section:
     """Dorfman bracket twisted by an (n+2)-form: add i_{X ^ Y} theta."""
     n = e1.ctx.n
     if theta.degree != n + 2:
-        raise ValueError(f"deformation form must have degree n+2={n + 2}, got {theta.degree}")
+        raise InputError(f"deformation form must have degree n+2={n + 2}, got {theta.degree}")
     base = dorfman_bracket(e1, e2)
     twist = contract_vec_into_form(wedge(e1.vec, e2.vec), theta)
     return base.add_form(twist)
@@ -149,7 +149,7 @@ def gauge(phi: Form, e: Section) -> Section:
     """Shear X + a -> X + a + i_X phi for an (n+1)-form phi."""
     n = e.ctx.n
     if phi.degree != n + 1:
-        raise ValueError(f"gauge form must have degree n+1={n + 1}, got {phi.degree}")
+        raise InputError(f"gauge form must have degree n+1={n + 1}, got {phi.degree}")
     return e.add_form(i_vec(e.vec, phi))
 
 
@@ -329,7 +329,7 @@ def check_deformation(
     deterministically rather than by luck of the sampler.
     """
     if theta.degree != ctx.n + 2:
-        raise ValueError(f"deformation form must have degree n+2={ctx.n + 2}")
+        raise InputError(f"deformation form must have degree n+2={ctx.n + 2}")
     coordinate = [Section.of_vec(ctx, MultiVec.basis(ctx.m, (i,))) for i in range(1, ctx.m + 1)]
     sweep = cases(seed, samples, partial(_random_sections, ctx, 3), product(coordinate, repeat=3))
     closed = CheckResult("theta_closed", "d theta = 0")
@@ -348,7 +348,7 @@ def check_gauge_isomorphism(
 ) -> list[CheckResult]:
     """Verify the gauge shear intertwines the d(phi)-twisted and plain brackets."""
     if phi.degree != ctx.n + 1:
-        raise ValueError(f"gauge form must have degree n+1={ctx.n + 1}")
+        raise InputError(f"gauge form must have degree n+1={ctx.n + 1}")
     sweep = cases(seed, samples, partial(_random_sections, ctx, 2))
     dphi = ext_d(phi)
     intertwiner = CheckResult(

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .courant import Section
 from .exterior import Context, Form, MultiVec
-from .scalar import ExponentBoundError, InputError, Poly
+from .scalar import FIELD_BITS, ExponentBoundError, InputError, Poly, exponent_guard
 
 
 class DslError(InputError):
@@ -127,8 +127,8 @@ def tokenize(text: str) -> list[Token]:
 # nesting well inside Python's recursion limit.
 MAX_PAREN_DEPTH = 100
 
-# binary operators from the loosest to the tightest binding level
-_LEVELS = ("+-", "^", "*")
+# binary operators from the loosest binding level to "^"; "*" binds tightest
+_LEVELS = ("+-", "^")
 
 
 def _is_zero_scalar(value) -> bool:
@@ -196,19 +196,43 @@ class _Parser:
         if tail.kind != "EOF":
             raise ParseError(tail.position, f"unexpected trailing input {tail.text!r}")
 
+    def combine(self, op: Token, left, right):
+        try:
+            return _combine(op, left, right, self.m)
+        except ExponentBoundError as exc:
+            raise DslError(op.position, str(exc)) from None
+
     def parse_expr(self, level: int = 0):
         """Left-associative chain of the operators at `level` and tighter."""
         if level == len(_LEVELS):
-            return self.parse_atom()
+            return self.parse_product()
         value = self.parse_expr(level + 1)
         while self.peek().kind == "OP" and self.peek().text in _LEVELS[level]:
             op = self.advance()
-            right = self.parse_expr(level + 1)
-            try:
-                value = _combine(op, value, right, self.m)
-            except ExponentBoundError as exc:
-                raise DslError(op.position, str(exc)) from None
+            value = self.combine(op, value, self.parse_expr(level + 1))
         return value
+
+    def parse_product(self):
+        """Left-associative "*" chain.  Its leading RATIONAL and in-range VAR
+        factors fold into one pending monomial coeff * x^key, made a Poly when
+        another operand appears; values, errors and positions stay the same."""
+        coeff, key, op, value = Fraction(1), 0, None, None
+        while True:
+            token = self.peek()
+            if value is None and token.kind == "RATIONAL":
+                coeff *= self.advance().value
+            elif value is None and token.kind == "VAR" and 1 <= token.value <= self.m:
+                key += 1 << FIELD_BITS * (self.advance().value - 1)
+                if coeff and key & exponent_guard(self.m):
+                    raise DslError(op.position, str(ExponentBoundError()))
+            elif op is None:
+                value = self.parse_atom()
+            else:
+                left = Poly.monomial(self.m, coeff, key) if value is None else value
+                value = self.combine(op, left, self.parse_atom())
+            if self.peek().kind != "OP" or self.peek().text != "*":
+                return Poly.monomial(self.m, coeff, key) if value is None else value
+            op = self.advance()
 
     def parse_atom(self):
         negations = 0

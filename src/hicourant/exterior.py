@@ -10,12 +10,15 @@ one fixed set of sign conventions that every other module inherits:
 * a decomposable multivector contracts into a form left factor first,
   i_{X ^ Y} = i_Y o i_X, so (i_{X ^ Y} a)(...) = a(X, Y, ...).
 
-Index signs come only from _merge_indices (dx^I ^ dx^J: wedge, ext_d),
-_split_sign (dx^I ^ dx^rest = s dx^J: every contraction and the pairing)
-and component.  wedge, i_vec, both contractions and full_pair are one
-coefficient-pair loop, _bilinear; lie_form and lie_multivec (and so
-vec_bracket) are one component-formula body, _lie; _same_chart is the one
-chart check on operands.
+Index signs come only from _merge_indices (dx^I ^ dx^J: wedge, ext_d and
+the index moves of _lie) and _split_sign (dx^I ^ dx^rest = s dx^J: every
+contraction and the pairing).  wedge, i_vec, both contractions and
+full_pair are one coefficient-pair loop, _bilinear; lie_form and
+lie_multivec (and so vec_bracket) are one component-formula body, _lie;
+_same_chart is the one chart check on operands.  Every operator sums
+its signed coefficient products through the one multiply-accumulate
+kernel, scalar.sum_of_products, once per output index (_collect groups
+them), instead of building and adding a Poly per product.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
 
-from .scalar import ChartMismatchError, InputError, Poly, join_signed_terms, monomial_text, monomials_up_to
+from .scalar import ChartMismatchError, InputError, Poly, join_signed_terms, monomial_text
+from .scalar import monomials_up_to, sum_of_products
 
 MultiIndex = tuple[int, ...]
 
@@ -54,15 +58,18 @@ def _merge_indices(left: MultiIndex, right: MultiIndex) -> tuple[int, MultiIndex
 
 
 def _collect(cls, m: int, degree: int, terms):
-    """Tensor summing (index, Poly) terms per index, with zero sums dropped."""
+    """Tensor summing sign * p * q (p alone when q is None) over (index, sign, p, q)
+    terms, one sum_of_products per index, with zero sums dropped.  A lone p
+    must be nonzero."""
+    groups: dict[MultiIndex, list] = {}
+    for idx, sign, p, q in terms:
+        groups.setdefault(idx, []).append((sign, p, q))
     out: dict[MultiIndex, Poly] = {}
-    for idx, term in terms:
-        cur = out.get(idx)
-        s = term if cur is None else cur + term
-        if s.is_zero:
-            out.pop(idx, None)
-        else:
-            out[idx] = s
+    for idx, group in groups.items():
+        sign, p, q = group[0]
+        total = p if len(group) == 1 and sign > 0 and q is None else sum_of_products(m, group)
+        if total.terms:
+            out[idx] = total
     return cls._raw(m, degree, out)
 
 
@@ -137,18 +144,6 @@ class _Alternating:
     def coeff(self, idx: MultiIndex) -> Poly:
         return self.coeffs.get(tuple(idx), Poly.zero(self.m))
 
-    def component(self, seq: MultiIndex) -> Poly:
-        """Signed coefficient for an arbitrary index tuple; zero on repeats."""
-        if len(set(seq)) != len(seq):
-            return Poly.zero(self.m)
-        base = self.coeffs.get(tuple(sorted(seq)))
-        if base is None:
-            return Poly.zero(self.m)
-        inversions = sum(
-            1 for s in range(len(seq)) for t in range(s + 1, len(seq)) if seq[s] > seq[t]
-        )
-        return -base if inversions % 2 else base
-
     def _check_compatible(self, other):
         if type(self) is not type(other):
             raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
@@ -156,24 +151,27 @@ class _Alternating:
         if self.degree != other.degree:
             raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
 
-    def __add__(self, other):
+    def __add__(self, other, sign: int = 1):
         self._check_compatible(other)
-        return _collect(
-            type(self), self.m, self.degree, chain(self.coeffs.items(), other.coeffs.items())
+        terms = chain(
+            ((idx, 1, p, None) for idx, p in self.coeffs.items()),
+            ((idx, sign, p, None) for idx, p in other.coeffs.items()),
         )
+        return _collect(type(self), self.m, self.degree, terms)
 
     def __neg__(self):
         return type(self)._raw(self.m, self.degree, {i: -p for i, p in self.coeffs.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        return self.__add__(other, -1)
 
     def __mul__(self, scalar):
         if isinstance(scalar, (int, Fraction)):
             scalar = Poly.const(self.m, scalar)
         if not isinstance(scalar, Poly):
             return NotImplemented
-        terms = ((idx, p * scalar) for idx, p in self.coeffs.items())
+        _same_chart(self, scalar)
+        terms = ((idx, 1, p, scalar) for idx, p in self.coeffs.items())
         return _collect(type(self), self.m, self.degree, terms)
 
     __rmul__ = __mul__
@@ -246,8 +244,7 @@ def _bilinear(cls, degree: int, a, b, rule):
             for J, q in b.coeffs.items():
                 hit = rule(I, J)
                 if hit is not None:
-                    sign, idx = hit
-                    yield idx, p * q if sign > 0 else -(p * q)
+                    yield hit[1], hit[0], p, q
 
     return _collect(cls, a.m, degree, terms())
 
@@ -298,8 +295,7 @@ def ext_d(a: Form) -> Form:
                     continue
                 dp = p.partial(j)
                 if not dp.is_zero:
-                    sign, idx = merged
-                    yield idx, dp if sign > 0 else -dp
+                    yield merged[1], merged[0], dp, None
 
     return _collect(Form, a.m, a.degree + 1, terms())
 
@@ -313,30 +309,34 @@ def _lie(X: MultiVec, T):
     """Component formula (L_X T)_I = X(T_I) + sum_t sum_j T_{I[t -> j]} A_{i_t j}.
 
     A is read off the Jacobian d_l X^k, built once per call: A_{ij} = d_i X^j
-    on forms and A_{ij} = -d_j X^i on multivectors.
+    on forms and A_{ij} = -d_j X^i on multivectors.  The sum is scattered
+    from T's nonzero coefficients: T_J adds X^k d_k T_J at J, and for each
+    slot t and each entry A_{i, J_t} it adds T_J A_{i, J_t} at the sorted
+    index of J[t -> i], with sign (-1)^t times that of dx^i ^ dx^(J without J_t).
     """
     _same_chart(X, T)
     m = T.m
     covariant = isinstance(T, Form)
-    rows: dict[int, list[tuple[int, Poly]]] = {}
+    columns: dict[int, list[tuple[int, int, Poly]]] = {}  # j -> (i, s, d) with A_{ij} = s * d
     for (k,), xk in X.coeffs.items():
         for l in range(1, m + 1):
             d = xk.partial(l)
             if not d.is_zero:
-                i, j, entry = (l, k, d) if covariant else (k, l, -d)
-                rows.setdefault(i, []).append((j, entry))
-    out: dict[MultiIndex, Poly] = {}
-    for I in combinations(range(1, m + 1), T.degree):
-        base = T.coeffs.get(I)
-        total = Poly.zero(m) if base is None else vec_apply(X, base)
-        for t, it in enumerate(I):
-            for j, entry in rows.get(it, ()):
-                comp = T.component(I[:t] + (j,) + I[t + 1 :])
-                if not comp.is_zero:
-                    total = total + comp * entry
-        if not total.is_zero:
-            out[I] = total
-    return type(T)._raw(m, T.degree, out)
+                i, j, sign = (l, k, 1) if covariant else (k, l, -1)
+                columns.setdefault(j, []).append((i, sign, d))
+
+    def terms():
+        for J, p in T.coeffs.items():
+            for (k,), xk in X.coeffs.items():
+                yield J, 1, xk, p.partial(k)
+            for t, jt in enumerate(J):
+                rest = J[:t] + J[t + 1 :]
+                for i, sign, d in columns.get(jt, ()):
+                    hit = _merge_indices((i,), rest)
+                    if hit is not None:
+                        yield hit[1], -sign * hit[0] if t % 2 else sign * hit[0], p, d
+
+    return _collect(type(T), m, T.degree, terms())
 
 
 def lie_form(X: MultiVec, a: Form) -> Form:
@@ -364,10 +364,7 @@ def vec_apply(X: MultiVec, f: Poly) -> Poly:
     """Directional derivative X(f) = sum_j X^j d_j f."""
     _require(X, MultiVec, 1, "vector field")
     _same_chart(X, f)
-    total = Poly.zero(f.m)
-    for (j,), xj in X.coeffs.items():
-        total = total + xj * f.partial(j)
-    return total
+    return sum_of_products(f.m, ((1, xj, f.partial(j)) for (j,), xj in X.coeffs.items()))
 
 
 # -- seeded random generators -------------------------------------------------

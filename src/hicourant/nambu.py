@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial, reduce
+from functools import partial
 from itertools import combinations, product
 
 from .courant import CheckResult, Section, cases, dorfman_bracket, dorfman_form, leibniz_residual
@@ -47,7 +47,7 @@ class NambuCandidate:
 
     def __post_init__(self):
         if self.pi.degree != self.ctx.n + 1:
-            raise ValueError(
+            raise InputError(
                 f"tensor must have degree n+1={self.ctx.n + 1}, got {self.pi.degree}"
             )
         if self.pi.m != self.ctx.m:
@@ -57,7 +57,7 @@ class NambuCandidate:
 def pi_sharp(c: NambuCandidate, xi: Form) -> MultiVec:
     """The induced map on n-forms: pi#(xi) = i_xi pi."""
     if xi.degree != c.ctx.n:
-        raise ValueError(f"form must have degree n={c.ctx.n}, got {xi.degree}")
+        raise InputError(f"form must have degree n={c.ctx.n}, got {xi.degree}")
     return contract_form_into_vec(xi, c.pi)
 
 
@@ -81,7 +81,8 @@ def np_fundamental_check(c: NambuCandidate, max_degree: int = 2) -> CheckResult:
     The expression is linear in each f_i, so checking distinct monomial
     combinations covers every polynomial tuple of total degree up to
     max_degree; repeated or reordered tuples add nothing because the
-    wedge of differentials is alternating.
+    wedge of differentials is alternating.  Tuples come in combinations
+    order; each prefix wedge df1 ^ ... ^ dfk is built once.
     """
     if max_degree < 1:
         raise InputError("max_degree must be at least 1")
@@ -89,8 +90,16 @@ def np_fundamental_check(c: NambuCandidate, max_degree: int = 2) -> CheckResult:
     check = CheckResult("fundamental_identity", "L_{pi#(df1^...^dfn)} pi = 0")
     monomials = _monomial_basis(ctx.m, max_degree)
     differentials = [d_scalar(f) for f in monomials]
-    for fs, dfs in zip(combinations(monomials, ctx.n), combinations(differentials, ctx.n)):
-        check.record(fs, lie_multivec(pi_sharp(c, reduce(wedge, dfs)), c.pi))
+
+    def sweep(start: int, fs: tuple, prefix) -> None:
+        if len(fs) == ctx.n:
+            check.record(fs, lie_multivec(pi_sharp(c, prefix), c.pi))
+            return
+        for i in range(start, len(monomials) - (ctx.n - len(fs) - 1)):
+            df = differentials[i]
+            sweep(i + 1, fs + (monomials[i],), df if prefix is None else wedge(prefix, df))
+
+    sweep(0, (), None)
     return check
 
 
@@ -124,14 +133,14 @@ def nambu_form_bracket(c: NambuCandidate, a: Form, b: Form) -> Form:
     """Induced bracket on n-forms: L_{pi#a} b - L_{pi#b} a + d i_{pi#b} a,
     the form part of the Dorfman bracket of the graph sections pi#a + a, pi#b + b."""
     if a.degree != c.ctx.n or b.degree != c.ctx.n:
-        raise ValueError(f"both forms must have degree n={c.ctx.n}")
+        raise InputError(f"both forms must have degree n={c.ctx.n}")
     return dorfman_form(_graph_section(c, a), _graph_section(c, b))
 
 
 def marrero_bracket(c: NambuCandidate, a: Form, b: Form) -> Form:
     """Comparison bracket on n-forms: L_{pi#a} b + (-1)^{n+1} <pi, da> b."""
     if a.degree != c.ctx.n or b.degree != c.ctx.n:
-        raise ValueError(f"both forms must have degree n={c.ctx.n}")
+        raise InputError(f"both forms must have degree n={c.ctx.n}")
     xa = pi_sharp(c, a)
     scale = full_pair(c.pi, ext_d(a))
     if (c.ctx.n + 1) % 2:
@@ -142,7 +151,7 @@ def marrero_bracket(c: NambuCandidate, a: Form, b: Form) -> Form:
 def leibniz_nm1_bracket(c: NambuCandidate, xi: Form, eta: Form) -> Form:
     """Leibniz bracket on (n-1)-forms: {xi, eta} = L_{pi#(d xi)} eta."""
     if xi.degree != c.ctx.n - 1 or eta.degree != c.ctx.n - 1:
-        raise ValueError(f"both forms must have degree n-1={c.ctx.n - 1}")
+        raise InputError(f"both forms must have degree n-1={c.ctx.n - 1}")
     return lie_form(pi_sharp(c, ext_d(xi)), eta)
 
 

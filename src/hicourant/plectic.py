@@ -53,7 +53,7 @@ class PlecticCandidate:
 
     def __post_init__(self):
         if self.omega.degree != self.ctx.n + 1:
-            raise ValueError(
+            raise InputError(
                 f"structure form must have degree n+1={self.ctx.n + 1}, got {self.omega.degree}"
             )
         if self.omega.m != self.ctx.m:
@@ -237,7 +237,7 @@ def deformed_graph_check(
 ) -> list[CheckResult]:
     """Graph closure under the theta-twisted bracket iff d omega + theta = 0."""
     if theta.degree != c.ctx.n + 2:
-        raise ValueError(f"deformation form must have degree n+2={c.ctx.n + 2}")
+        raise InputError(f"deformation form must have degree n+2={c.ctx.n + 2}")
     pairs = _graph_pairs(c, seed, samples)
     matched = CheckResult("omega_theta_matched", "d omega + theta = 0")
     matched.record((c.omega, theta), ext_d(c.omega) + theta)
@@ -265,7 +265,7 @@ def solve_admissible(c: PlecticCandidate, alpha: Form) -> AdmissiblePair | None:
     """
     ctx = c.ctx
     if alpha.degree != ctx.n:
-        raise ValueError(f"form must have degree n={ctx.n}, got {alpha.degree}")
+        raise InputError(f"form must have degree n={ctx.n}, got {alpha.degree}")
     if not c.is_constant:
         raise UnsupportedSolveError(
             "exact solving needs constant-coefficient omega; "
@@ -282,7 +282,7 @@ def solve_admissible(c: PlecticCandidate, alpha: Form) -> AdmissiblePair | None:
 def solve_hamiltonian(c: PlecticCandidate, xi: Form) -> HamiltonianPair | None:
     """Solve d xi = i_X omega for constant-coefficient omega; None if not Hamiltonian."""
     if xi.degree != c.ctx.n - 1:
-        raise ValueError(f"form must have degree n-1={c.ctx.n - 1}, got {xi.degree}")
+        raise InputError(f"form must have degree n-1={c.ctx.n - 1}, got {xi.degree}")
     admissible = solve_admissible(c, ext_d(xi))
     if admissible is None:
         return None

@@ -9,14 +9,16 @@ The kernel works on ints: a monomial is one packed key with a field of
 FIELD_BITS bits per exponent, so a product of monomials is an integer
 addition, and coefficients are int numerators over one denominator per
 polynomial.  `Fraction` and exponent tuples appear only at the boundary:
-the constructor, `const`, `coefficients`, `constant_term`,
-`single_term`, `eval_at` and printing.
+the constructor, `const`, `monomial`, `coefficients`, `constant_term`,
+`single_term`, `eval_at` and printing.  Every product, in `Poly * Poly`
+and in the tensor operators, runs through one fused multiply-accumulate,
+`sum_of_products`, which makes one Poly per sum, not one per product.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from itertools import combinations_with_replacement
 from math import gcd, lcm
 from operator import or_
@@ -61,6 +63,12 @@ def _pack(exps: Exponents) -> int:
 
 def _unpack(key: int, m: int) -> Exponents:
     return tuple((key >> (FIELD_BITS * i)) & _FIELD_MASK for i in range(m))
+
+
+@cache
+def exponent_guard(m: int) -> int:
+    """The top bit of each of m fields: a packed key has an exponent past MAX_EXPONENT iff key & guard."""
+    return ((1 << FIELD_BITS * m) - 1) // _FIELD_MASK << (FIELD_BITS - 1)
 
 
 def monomials_up_to(m: int, max_degree: int) -> list[Exponents]:
@@ -153,6 +161,11 @@ class Poly:
         return cls(m, {(0,) * m: value})
 
     @classmethod
+    def monomial(cls, m: int, coeff: Fraction, key: int) -> "Poly":
+        """coeff * x^key for a packed key within the exponent bound."""
+        return cls._raw(m, {key: coeff.numerator}, coeff.denominator) if coeff else cls.zero(m)
+
+    @classmethod
     def var(cls, m: int, i: int) -> "Poly":
         """The coordinate function x_i, 1-based."""
         if not 1 <= i <= m:
@@ -221,19 +234,7 @@ class Poly:
         other = self._lift(other)
         if other is None:
             return NotImplemented
-        product: dict[int, int] = {}
-        get = product.get
-        right = other.terms.items()
-        for k1, c1 in self.terms.items():
-            for k2, c2 in right:
-                key = k1 + k2
-                product[key] = get(key, 0) + c1 * c2
-        if 0 in product.values():
-            product = {key: c for key, c in product.items() if c}
-        guard = ((1 << FIELD_BITS * self.m) - 1) // _FIELD_MASK << (FIELD_BITS - 1)
-        if reduce(or_, product, 0) & guard:
-            raise ExponentBoundError()
-        return Poly._raw(self.m, product, self.den * other.den)
+        return sum_of_products(self.m, ((1, self, other),))
 
     __rmul__ = __mul__
 
@@ -295,3 +296,38 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self.m}, {str(self)!r})"
+
+
+def sum_of_products(m: int, products) -> Poly:
+    """Sum of sign * p * q over (sign, p, q) triples of chart m, where q is None for a lone p.
+
+    Int numerators accumulate per denominator and merge once over their lcm.
+    Every key a product made is checked against MAX_EXPONENT before
+    cancellation, so the sum refuses whatever one of its products would.
+    """
+    sums: dict[int, dict[int, int]] = {}
+    for sign, p, q in products:
+        if q is None and sign > 0 and p.den not in sums:
+            sums[p.den] = dict(p.terms)  # one dict copy, so a long sum plus a short one stays cheap
+            continue
+        right, den = (((0, 1),), p.den) if q is None else (q.terms.items(), p.den * q.den)
+        acc = sums.setdefault(den, {})
+        get = acc.get
+        for k1, c1 in p.terms.items():
+            c1 *= sign
+            for k2, c2 in right:
+                key = k1 + k2
+                acc[key] = get(key, 0) + c1 * c2
+    for acc in sums.values():
+        if reduce(or_, acc, 0) & exponent_guard(m):
+            raise ExponentBoundError()
+    den = lcm(*sums)
+    total = sums.pop(den, {})
+    get = total.get
+    for d, acc in sums.items():
+        scale = den // d
+        for key, c in acc.items():
+            total[key] = get(key, 0) + c * scale
+    if 0 in total.values():
+        total = {key: c for key, c in total.items() if c}
+    return Poly._raw(m, total, den)

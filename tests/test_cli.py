@@ -10,7 +10,7 @@ import pytest
 
 from hicourant import cli, courant, nambu, plectic
 from hicourant.dsl import parse, parse_form, parse_multivec, parse_scalar, parse_section
-from hicourant.exterior import Context, Form, ext_d, lie_multivec, wedge
+from hicourant.exterior import Context, Form, MultiVec, ext_d, lie_multivec, wedge
 from hicourant.nambu import NambuCandidate, pi_sharp
 from hicourant.scalar import MAX_EXPONENT, ChartMismatchError, InputError
 
@@ -365,6 +365,66 @@ def test_library_refusal_is_an_input_error_with_the_cli_message(case):
     with pytest.raises(InputError) as refusal:
         LIBRARY_REFUSALS[case]()
     assert str(refusal.value) == USER_INPUT_ERRORS[case][1]
+
+
+def _degree_refusals():
+    """Each library degree check, fed a tensor of the wrong degree, with its message."""
+    omega = plectic.PlecticCandidate(C31, Form.basis(3, (1, 2)))
+    pi = NambuCandidate(C32, MultiVec.basis(3, (1, 2, 3)))
+    e = courant.Section.zero(C31)
+    forms = {k: Form.zero(3, k) for k in range(4)}
+    return {
+        "PlecticCandidate": (
+            lambda: plectic.PlecticCandidate(C31, forms[1]), "structure form must have degree n+1=2, got 1"
+        ),
+        "NambuCandidate": (
+            lambda: NambuCandidate(C32, MultiVec.basis(3, (1, 2))), "tensor must have degree n+1=3, got 2"
+        ),
+        "Section-vec": (
+            lambda: courant.Section(C31, MultiVec.zero(3, 2), forms[1]), "vector part must have degree 1"
+        ),
+        "Section-form": (
+            lambda: courant.Section(C31, MultiVec.zero(3, 1), forms[2]), "form part must have degree n=1, got 2"
+        ),
+        "solve_admissible": (
+            lambda: plectic.solve_admissible(omega, forms[2]), "form must have degree n=1, got 2"
+        ),
+        "solve_hamiltonian": (
+            lambda: plectic.solve_hamiltonian(omega, forms[1]), "form must have degree n-1=0, got 1"
+        ),
+        "deformed_graph_check": (
+            lambda: plectic.deformed_graph_check(omega, forms[2]), "deformation form must have degree n+2=3"
+        ),
+        "pi_sharp": (lambda: pi_sharp(pi, forms[1]), "form must have degree n=2, got 1"),
+        "nambu_form_bracket": (
+            lambda: nambu.nambu_form_bracket(pi, forms[1], forms[2]), "both forms must have degree n=2"
+        ),
+        "marrero_bracket": (
+            lambda: nambu.marrero_bracket(pi, forms[2], forms[1]), "both forms must have degree n=2"
+        ),
+        "leibniz_nm1_bracket": (
+            lambda: nambu.leibniz_nm1_bracket(pi, forms[2], forms[1]), "both forms must have degree n-1=1"
+        ),
+        "deformed_dorfman": (
+            lambda: courant.deformed_dorfman(e, e, forms[2]), "deformation form must have degree n+2=3, got 2"
+        ),
+        "gauge": (lambda: courant.gauge(forms[1], e), "gauge form must have degree n+1=2, got 1"),
+        "check_deformation": (
+            lambda: courant.check_deformation(C31, forms[2]), "deformation form must have degree n+2=3"
+        ),
+        "check_gauge_isomorphism": (
+            lambda: courant.check_gauge_isomorphism(C31, forms[1]), "gauge form must have degree n+1=2"
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_degree_refusals()))
+def test_library_degree_refusal_is_an_input_error(case):
+    refuse, message = _degree_refusals()[case]
+    with pytest.raises(ValueError) as refusal:
+        refuse()
+    assert isinstance(refusal.value, InputError)
+    assert str(refusal.value) == message
 
 
 UNREAD_STRUCTURE_FLAGS = {

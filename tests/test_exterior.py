@@ -1,6 +1,9 @@
 """Alternating tensor calculus: frozen examples, invariants, oracle cross-checks."""
 
 import random
+from fractions import Fraction
+from functools import reduce
+from itertools import combinations
 
 import pytest
 
@@ -17,11 +20,12 @@ from hicourant.exterior import (
     lie_multivec,
     random_form,
     random_multivec,
+    random_poly,
     vec_apply,
     vec_bracket,
     wedge,
 )
-from hicourant.scalar import ChartMismatchError, Poly
+from hicourant.scalar import MAX_EXPONENT, ChartMismatchError, ExponentBoundError, Poly
 
 from oracles import (
     oracle_contract_form_into_vec,
@@ -131,6 +135,7 @@ MISMATCHED_CHARTS = {
     "lie_multivec": lambda: lie_multivec(MultiVec.zero(3, 1), MultiVec.zero(4, 2)),
     "vec_bracket": lambda: vec_bracket(MultiVec.zero(3, 1), MultiVec.zero(4, 1)),
     "vec_apply": lambda: vec_apply(MultiVec.zero(3, 1), Poly.zero(4)),
+    "scale": lambda: Form.zero(3, 1) * Poly.zero(4),
 }
 
 
@@ -169,6 +174,60 @@ def test_oracle_cross_checks(m):
         assert lie_multivec(X, P) == oracle_lie_multivec(X, P)
         c = random_form(pair_rng, m, P.degree)
         assert full_pair(P, c) == oracle_full_pair(P, c)
+
+
+def sparse_tensors(rng, cls, m, k):
+    """A one-coefficient and a two-coefficient tensor of degree k, and a constant
+    decomposable one: a wedge of k constant 1-tensors of one or two terms."""
+    indices = list(combinations(range(1, m + 1), k))
+
+    def coeff():
+        return random_poly(rng, m) or Poly.var(m, rng.randint(1, m))
+
+    yield cls(m, k, {rng.choice(indices): coeff()})
+    if len(indices) > 1:
+        yield cls(m, k, {idx: coeff() for idx in rng.sample(indices, 2)})
+    factors = [
+        cls(m, 1, {(i,): rng.choice((-2, 1, 3)) for i in rng.sample(range(1, m + 1), min(m, rng.randint(1, 2)))})
+        for _ in range(k)
+    ]
+    yield reduce(wedge, factors, cls(m, 0, {(): Fraction(rng.choice((-1, 1, 2)))}))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_lie_derivatives_match_oracles_on_sparse_tensors(m):
+    # the Lie derivative scatters from T's nonzero coefficients, which the dense draws above rarely isolate
+    rng = random.Random(9500 + m)
+    for k in range(m + 1):
+        for _ in range(3):
+            X = random_multivec(rng, m, 1)
+            for a in sparse_tensors(rng, Form, m, k):
+                assert lie_form(X, a) == oracle_lie_form(X, a)
+            for P in sparse_tensors(rng, MultiVec, m, k):
+                assert lie_multivec(X, P) == oracle_lie_multivec(X, P)
+
+
+def test_tensor_operators_refuse_exponents_past_the_bound():
+    a = Poly(2, {(MAX_EXPONENT, 0): 1}) * dx(2, 1)
+    with pytest.raises(ExponentBoundError):
+        wedge(a, var(2, 1) * dx(2, 2))
+    with pytest.raises(ExponentBoundError):
+        lie_form(var(2, 1) * var(2, 1) * dd(2, 1), a)
+    with pytest.raises(ExponentBoundError):
+        a * var(2, 1)
+    assert wedge(a, dx(2, 2)) == Poly(2, {(MAX_EXPONENT, 0): 1}) * dx(2, 1, 2)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_subtraction_adds_the_negation(m):
+    rng = random.Random(9600 + m)
+    for _ in range(20):
+        draw = rng.choice((random_form, random_multivec))
+        k = rng.randint(0, m)
+        a, b = draw(rng, m, k), draw(rng, m, k)
+        assert a - b == a + (-b)
+        assert (a - a).coeffs == {}
+        assert (a - b) + b == a
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])

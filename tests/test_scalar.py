@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hicourant.scalar import MAX_EXPONENT, ChartMismatchError, ExponentBoundError, Poly
+from hicourant.scalar import MAX_EXPONENT, ChartMismatchError, ExponentBoundError, Poly, sum_of_products
 
 
 def poly3(terms):
@@ -176,6 +176,44 @@ def test_leibniz_rule(ab):
     a, b = ab
     for i in range(1, a.m + 1):
         assert (a * b).partial(i) == a.partial(i) * b + a * b.partial(i)
+
+
+def naive_sum_of_products(m, products):
+    """sum of sign * p * q over exponent tuples and Fractions, with no packed keys."""
+    total = {}
+    for sign, p, q in products:
+        right = {(0,) * m: 1} if q is None else q.coefficients()
+        for e1, c1 in p.coefficients().items():
+            for e2, c2 in right.items():
+                exps = tuple(a + b for a, b in zip(e1, e2))
+                total[exps] = total.get(exps, 0) + sign * c1 * c2
+    return Poly(m, total)
+
+
+def signed_products(m):
+    maybe = st.one_of(st.none(), polys(m))
+    return st.lists(st.tuples(st.sampled_from((1, -1)), polys(m), maybe), max_size=6)
+
+
+@given(charts.flatmap(lambda m: st.tuples(st.just(m), signed_products(m))))
+@settings(max_examples=120, deadline=None)
+def test_sum_of_products_matches_a_fraction_oracle(case):
+    m, products = case
+    total = sum_of_products(m, products)
+    assert total == naive_sum_of_products(m, products)
+    # canonical form: the reduced denominator, and no stored zero
+    assert Poly(m, total.coefficients()).den == total.den
+    assert 0 not in total.terms.values()
+
+
+def test_sum_of_products_refuses_a_bound_crossing_that_cancels():
+    top = Poly(2, {(MAX_EXPONENT, 0): Fraction(1, 2)})
+    x1 = Poly.var(2, 1)
+    assert sum_of_products(2, [(1, top, None), (-1, top, None)]).is_zero
+    with pytest.raises(ExponentBoundError):
+        sum_of_products(2, [(1, top, x1), (-1, top, x1)])
+    with pytest.raises(ExponentBoundError):
+        sum_of_products(2, [(1, top, 2 * x1), (1, x1, None), (-1, top, Fraction(2, 3) * x1)])
 
 
 def test_seeded_cross_check_against_sympy():
