@@ -55,8 +55,7 @@ from .exterior import (
 )
 from .nambu import (
     NambuCandidate,
-    NotNambuPoissonError,
-    check_nambu_leibniz_algebroid,
+    check_nambu,
     graph_closure_check,
     leibniz_nm1_bracket,
     marrero_bracket,

@@ -2,11 +2,11 @@
 
 Exit codes: 0 when every check passed, 1 when a check failed (the
 report is still emitted), 2 when the input is refused.  A refusal is a
-scalar.InputError, raised by the library's own checks (a chart, sample,
-degree or point count out of range, a DSL error, an exponent above
-scalar.MAX_EXPONENT, a non-closed omega given to the admissible suite)
-or here (a structure flag the command does not read, or a required one
-missing).  Any other exception is a program fault and escapes.
+scalar.InputError, raised by the library's own checks (a chart or sample
+count out of range, a tensor of the wrong degree, a DSL error, an exponent
+above scalar.MAX_EXPONENT, a non-closed omega given to the admissible
+suite) or here (a structure flag the command does not read, or a required
+one missing).  Any other exception is a program fault and escapes.
 Output is a deterministic function of the flags and the seed, so identical
 invocations produce byte-identical reports.
 """
@@ -29,6 +29,9 @@ from .scalar import InputError
 
 # The tensor each structure flag holds: its kind and its degree minus n.
 STRUCTURES = {"theta": ("form", 2), "phi": ("form", 1), "pi": ("multivec", 1), "omega": ("form", 1)}
+
+# The seeded rational points at which plectic certifies the rank of a non-constant omega.
+RANK_POINTS = 5
 
 
 def _structures(args, ctx: Context, owner: str, reads, required=()) -> dict:
@@ -55,7 +58,7 @@ def _random_scope(_ctx, args, **_) -> str:
 def _plectic_suite(ctx: Context, args, omega: Form, theta: Form | None = None) -> list[CheckResult]:
     candidate = plectic.PlecticCandidate(ctx, omega)
     rng = random.Random(args.seed)
-    points = [random_point(rng, ctx.m) for _ in range(args.points)]
+    points = [random_point(rng, ctx.m) for _ in range(RANK_POINTS)]
     checks = [plectic.nondegeneracy_check(candidate, points)]
     checks.extend(plectic.graph_closure_omega(candidate, args.seed, args.samples))
     if theta is not None:
@@ -67,7 +70,7 @@ def _plectic_scope(ctx: Context, args, omega: Form, **_) -> str:
     if plectic.PlecticCandidate(ctx, omega).is_constant:
         rank = "exact global rank test"
     else:
-        rank = f"rank certified only at {args.points} seeded rational points"
+        rank = f"rank certified only at {RANK_POINTS} seeded rational points"
     return f"{rank}; closure over all coordinate-vector pairs plus {args.samples} seeded random pairs"
 
 
@@ -84,7 +87,6 @@ class CheckTarget:
     suite: Callable
     flags: tuple[str, ...] = ()
     scope: Callable = _random_scope
-    reports_points: bool = False
 
 
 CHECK_TARGETS = {
@@ -101,14 +103,13 @@ CHECK_TARGETS = {
         ("phi",),
     ),
     "nambu": CheckTarget(
-        lambda ctx, a, pi: nambu.check_nambu(nambu.NambuCandidate(ctx, pi), a.seed, a.samples, a.degree),
+        lambda ctx, a, pi: nambu.check_nambu(nambu.NambuCandidate(ctx, pi), a.seed, a.samples),
         ("pi",),
-        lambda _ctx, a, **_: "fundamental identity over all n-tuples of distinct monomials of total "
-        f"degree <= {a.degree} (linearity in each argument covers every polynomial tuple in "
-        "that range); graph closure over all constant basis n-form pairs plus "
-        f"{a.samples} seeded random pairs",
+        lambda _ctx, a, **_: "fundamental identity for all smooth f1..fn (it depends only on their "
+        "2-jets: all n-tuples of distinct monomials of total degree 1..2 were swept); graph "
+        f"closure over all constant basis n-form pairs plus {a.samples} seeded random pairs",
     ),
-    "plectic": CheckTarget(_plectic_suite, ("omega", "theta"), _plectic_scope, True),
+    "plectic": CheckTarget(_plectic_suite, ("omega", "theta"), _plectic_scope),
     "admissible": CheckTarget(
         lambda ctx, a, omega: plectic.check_admissible_lie_algebroid(
             plectic.PlecticCandidate(ctx, omega), a.seed, a.samples
@@ -127,8 +128,6 @@ class SuiteReport:
     n: int
     seed: int
     samples: int
-    degree: int
-    points: int
     quantifier_scope: str
     checks: list[CheckResult]
 
@@ -142,7 +141,7 @@ class SuiteReport:
             "m": self.m,
             "n": self.n,
             "seed": self.seed,
-            "params": {"samples": self.samples, "degree": self.degree, "points": self.points},
+            "params": {"samples": self.samples},
             "quantifier_scope": self.quantifier_scope,
             "checks": [
                 {
@@ -165,8 +164,7 @@ class SuiteReport:
 
     def to_text(self) -> str:
         lines = [
-            f"suite: {self.suite} (m={self.m}, n={self.n}) "
-            f"seed={self.seed} samples={self.samples} degree={self.degree} points={self.points}",
+            f"suite: {self.suite} (m={self.m}, n={self.n}) seed={self.seed} samples={self.samples}",
             f"scope: {self.quantifier_scope}",
         ]
         for check in self.checks:
@@ -204,8 +202,6 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("target", choices=CHECK_TARGETS)
     check.add_argument("--seed", type=int, default=0)
     check.add_argument("--samples", type=int, default=25)
-    check.add_argument("--degree", type=int, default=2, help="monomial degree bound")
-    check.add_argument("--points", type=int, default=5, help="rank-test points for non-constant omega")
     check.add_argument("--json", action="store_true", help="emit the JSON report")
     check.add_argument("--theta", help="deformation (n+2)-form")
     check.add_argument("--phi", help="gauge (n+1)-form")
@@ -235,8 +231,6 @@ def _run_check(args) -> SuiteReport:
         n=ctx.n,
         seed=args.seed,
         samples=args.samples,
-        degree=args.degree,
-        points=args.points if target.reports_points else 0,
         quantifier_scope=target.scope(ctx, args, **tensors),
         checks=checks,
     )

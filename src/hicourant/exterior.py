@@ -377,30 +377,30 @@ def vec_apply(X: MultiVec, f: Poly) -> Poly:
 _COEFF_CHOICES = (-3, -2, -1, 1, 2, 3)
 
 
-def random_poly(rng: random.Random, m: int, max_degree: int = 2) -> Poly:
+def random_poly(rng: random.Random, m: int) -> Poly:
     terms = {}
-    for exps in monomials_up_to(m, max_degree):
+    for exps in monomials_up_to(m, 2):
         if rng.random() < 0.25:
             terms[exps] = Fraction(rng.choice(_COEFF_CHOICES))
     return Poly(m, terms)
 
 
-def _random_tensor(cls, rng, m, degree, max_degree):
+def _random_tensor(cls, rng, m, degree):
     coeffs = {}
     for idx in combinations(range(1, m + 1), degree):
         if rng.random() < 0.75:
-            p = random_poly(rng, m, max_degree)
+            p = random_poly(rng, m)
             if not p.is_zero:
                 coeffs[idx] = p
     return cls(m, degree, coeffs)
 
 
-def random_form(rng: random.Random, m: int, degree: int, max_degree: int = 2) -> Form:
-    return _random_tensor(Form, rng, m, degree, max_degree)
+def random_form(rng: random.Random, m: int, degree: int) -> Form:
+    return _random_tensor(Form, rng, m, degree)
 
 
-def random_multivec(rng: random.Random, m: int, degree: int, max_degree: int = 2) -> MultiVec:
-    return _random_tensor(MultiVec, rng, m, degree, max_degree)
+def random_multivec(rng: random.Random, m: int, degree: int) -> MultiVec:
+    return _random_tensor(MultiVec, rng, m, degree)
 
 
 def random_point(rng: random.Random, m: int) -> tuple[Fraction, ...]:

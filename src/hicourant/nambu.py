@@ -2,9 +2,10 @@
 
 An (n+1)-vector field pi is Nambu-Poisson exactly when
 L_{pi#(df1 ^ ... ^ dfn)} pi = 0 for all scalar functions f1..fn.  This
-module checks that criterion over a finite monomial family, checks
-closure of the graph of pi# under the higher-order brackets, and builds
-the induced bracket on n-forms and the Leibniz bracket on (n-1)-forms.
+module decides that criterion with a finite monomial sweep (the identity
+depends only on the 2-jets of the f_i), checks closure of the graph of
+pi# under the higher-order brackets, and builds the induced bracket on
+n-forms and the Leibniz bracket on (n-1)-forms.
 """
 
 from __future__ import annotations
@@ -32,10 +33,6 @@ from .exterior import (
     wedge,
 )
 from .scalar import ChartMismatchError, InputError, Poly, monomials_up_to
-
-
-class NotNambuPoissonError(ValueError):
-    """Raised when an operation requires a Nambu-Poisson tensor but got none."""
 
 
 @dataclass(frozen=True)
@@ -66,29 +63,19 @@ def _graph_section(c: NambuCandidate, a: Form) -> Section:
     return Section(c.ctx, pi_sharp(c, a), a)
 
 
-def _monomial_basis(m: int, max_degree: int) -> list[Poly]:
-    """Nonconstant monomials of total degree 1..max_degree, grlex order."""
-    return [
-        Poly(m, {exps: Fraction(1)})
-        for exps in monomials_up_to(m, max_degree)
-        if any(exps)
-    ]
+def np_fundamental_check(c: NambuCandidate) -> CheckResult:
+    """Evaluate L_{pi#(df1 ^ ... ^ dfn)} pi on all n-tuples of distinct monomials
+    of total degree 1..2, whose verdict holds for all smooth f1..fn.
 
-
-def np_fundamental_check(c: NambuCandidate, max_degree: int = 2) -> CheckResult:
-    """Evaluate L_{pi#(df1 ^ ... ^ dfn)} pi over all monomial n-tuples.
-
-    The expression is linear in each f_i, so checking distinct monomial
-    combinations covers every polynomial tuple of total degree up to
-    max_degree; repeated or reordered tuples add nothing because the
-    wedge of differentials is alternating.  Tuples come in combinations
-    order; each prefix wedge df1 ^ ... ^ dfk is built once.
+    The expression is linear and alternating in the df_i and differentiates
+    each once more, so at each point it depends only on the 2-jets of the f_i;
+    every 2-jet is the 2-jet of a polynomial of degree <= 2, a sum of these
+    monomials and a constant (df = 0).  Tuples come in combinations order;
+    each prefix wedge df1 ^ ... ^ dfk is built once.
     """
-    if max_degree < 1:
-        raise InputError("max_degree must be at least 1")
     ctx = c.ctx
     check = CheckResult("fundamental_identity", "L_{pi#(df1^...^dfn)} pi = 0")
-    monomials = _monomial_basis(ctx.m, max_degree)
+    monomials = [Poly(ctx.m, {exps: Fraction(1)}) for exps in monomials_up_to(ctx.m, 2) if any(exps)]
     differentials = [d_scalar(f) for f in monomials]
 
     def sweep(start: int, fs: tuple, prefix) -> None:
@@ -103,9 +90,7 @@ def np_fundamental_check(c: NambuCandidate, max_degree: int = 2) -> CheckResult:
     return check
 
 
-def graph_closure_check(
-    c: NambuCandidate, seed: int = 0, samples: int = 25, max_degree: int = 2
-) -> CheckResult:
+def graph_closure_check(c: NambuCandidate, seed: int = 0, samples: int = 25) -> CheckResult:
     """Check that the graph of pi# is preserved by the Dorfman bracket.
 
     Sweeps every ordered pair of constant basis n-forms (which is what
@@ -117,7 +102,7 @@ def graph_closure_check(
     basis = [Form.basis(ctx.m, idx) for idx in combinations(range(1, ctx.m + 1), ctx.n)]
 
     def pair(rng):
-        return tuple(random_form(rng, ctx.m, ctx.n, max_degree) for _ in range(2))
+        return tuple(random_form(rng, ctx.m, ctx.n) for _ in range(2))
 
     check = CheckResult(
         "graph_closure_dorfman",
@@ -155,14 +140,13 @@ def leibniz_nm1_bracket(c: NambuCandidate, xi: Form, eta: Form) -> Form:
     return lie_form(pi_sharp(c, ext_d(xi)), eta)
 
 
-def check_nambu(
-    c: NambuCandidate, seed: int = 0, samples: int = 25, max_degree: int = 2
-) -> list[CheckResult]:
-    """Fundamental identity, graph closure and their agreement, then the induced
-    Leibniz structures if the fundamental-identity sweep passed."""
+def check_nambu(c: NambuCandidate, seed: int = 0, samples: int = 25) -> list[CheckResult]:
+    """Fundamental identity, graph closure and their agreement; then, only if the
+    fundamental sweep passed (nothing else promises them), the Leibniz algebroid
+    on n-forms and the Leibniz algebra on (n-1)-forms."""
     sweep = cases(seed, samples, partial(_algebroid_case, c.ctx))
-    fundamental = np_fundamental_check(c, max_degree)
-    closure = graph_closure_check(c, seed, samples, max_degree)
+    fundamental = np_fundamental_check(c)
+    closure = graph_closure_check(c, seed, samples)
     agreement = CheckResult(
         "closure_iff_fundamental", "graph closure holds iff the fundamental identity holds"
     )
@@ -171,23 +155,6 @@ def check_nambu(
     if fundamental.passed:
         checks.extend(sweep_checks(LEIBNIZ_ALGEBROID, sweep, partial(_algebroid_residuals, c)))
     return checks
-
-
-def check_nambu_leibniz_algebroid(
-    c: NambuCandidate, seed: int = 0, samples: int = 25, max_degree: int = 2
-) -> list[CheckResult]:
-    """Verify the Leibniz algebroid on n-forms and the Leibniz algebra on (n-1)-forms.
-
-    Refuses candidates that fail the fundamental-identity sweep up to
-    max_degree, since none of these identities is promised otherwise.
-    """
-    sweep = cases(seed, samples, partial(_algebroid_case, c.ctx))
-    if not np_fundamental_check(c, max_degree).passed:
-        raise NotNambuPoissonError(
-            "candidate fails the fundamental identity; the induced brackets "
-            "are only Leibniz structures for Nambu-Poisson tensors"
-        )
-    return sweep_checks(LEIBNIZ_ALGEBROID, sweep, partial(_algebroid_residuals, c))
 
 
 def _algebroid_case(ctx: Context, rng: random.Random):

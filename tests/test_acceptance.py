@@ -36,7 +36,7 @@ from hicourant.exterior import (
 )
 from hicourant.nambu import (
     NambuCandidate,
-    check_nambu_leibniz_algebroid,
+    check_nambu,
     graph_closure_check,
     leibniz_nm1_bracket,
     nambu_form_bracket,
@@ -216,7 +216,7 @@ NP_PANEL = [
 def test_criterion_06_nambu_biconditional():
     budget = Budget("06 nambu-biconditional", 60)
     for label, candidate, expected in NP_PANEL:
-        fundamental = np_fundamental_check(candidate, 2)
+        fundamental = np_fundamental_check(candidate)
         # certification: negatives are only negatives if the sweep exhibits
         # a nonzero residual, never by assumption
         assert fundamental.passed is expected, label
@@ -235,7 +235,7 @@ def test_criterion_07_induced_leibniz_structures():
         NambuCandidate(Context(3, 1), dd(3, 1, 2))
     ]
     for candidate in members:
-        for result in check_nambu_leibniz_algebroid(candidate, seed=107, samples=13):
+        for result in check_nambu(candidate, seed=107, samples=13):
             assert result.passed, (result.name, result.failures[:1])
             budget.cases += result.cases
         # d{xi,eta}_pi = [d xi, d eta]_pi on the same sampling budget

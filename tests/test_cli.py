@@ -62,7 +62,7 @@ def test_check_dorfman_passes():
 
 def test_check_nambu_normal_form():
     result = run_cli(
-        "check", "nambu", "-m", "3", "-n", "2", "--pi", "@1^@2^@3", "--degree", "2", "--samples", "6"
+        "check", "nambu", "-m", "3", "-n", "2", "--pi", "@1^@2^@3", "--samples", "6"
     )
     assert result.returncode == 0
 
@@ -196,17 +196,14 @@ def test_samples_below_one_rejected_for_every_target():
             assert "samples must be at least 1" in result.stderr
 
 
-def test_nambu_degree_bound_reaches_the_algebroid_guard():
-    result = run_cli(
-        "check", "nambu", "-m", "5", "-n", "2", "--pi", "@1^@2^@3 + @3^@4^@5",
-        "--degree", "1", "--samples", "2", "--json",
-    )
-    assert result.returncode == 1, result.stderr
-    checks = {check["name"]: check for check in json.loads(result.stdout)["checks"]}
-    assert checks["fundamental_identity"]["passed"]
-    assert not checks["graph_closure_dorfman"]["passed"]
-    assert not checks["closure_iff_fundamental"]["passed"]
-    assert "form_bracket_leibniz" in checks
+@pytest.mark.parametrize("option", ["--degree=1", "--points=3"])
+def test_removed_size_options_are_usage_errors(option, capsys):
+    with pytest.raises(SystemExit) as usage_error:
+        cli.main(["check", "nambu", "-m3", "-n2", "--pi", "@1^@2^@3", option])
+    assert usage_error.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {option}" in captured.err
 
 
 def test_deep_or_long_dsl_input_never_raises_a_traceback():
@@ -251,18 +248,6 @@ USER_INPUT_ERRORS = {
         ["solve-hamiltonian", "-m2", "-n0", "--omega", "0", "--xi", "0"],
         "bracket order n=0 must satisfy 1 <= n <= m=2",
     ),
-    "points-zero": (
-        ["check", "plectic", "-m3", "-n1", "--omega", "x1*dx2^dx3", "--points", "0"],
-        "at least one evaluation point is required",
-    ),
-    "points-negative-constant-omega": (
-        ["check", "plectic", "-m3", "-n1", "--omega", "dx1^dx2", "--points", "-3"],
-        "at least one evaluation point is required",
-    ),
-    "degree-zero": (
-        ["check", "nambu", "-m3", "-n2", "--pi", "@1^@2^@3", "--degree", "0"],
-        "max_degree must be at least 1",
-    ),
     # 33,000 factors of x1: the 32,767th "*" crosses the bound
     "exponent-bound-parse": (
         ["bracket", "dorfman", "-m2", "-n1", "(@1 ; 0)", "(0 ; " + "*".join(["x1"] * 33000) + "*dx2)"],
@@ -275,10 +260,6 @@ USER_INPUT_ERRORS = {
             "(0 ; " + "*".join(["x1"] * (MAX_EXPONENT - 1)) + "*dx2)",
         ],
         f"exponent of a variable exceeds the bound {MAX_EXPONENT}",
-    ),
-    "degree-negative": (
-        ["check", "nambu", "-m3", "-n2", "--pi", "@1^@2^@3", "--degree", "-1", "--samples", "1"],
-        "max_degree must be at least 1",
     ),
     # i_X omega of x1^2 * d/dx2 and an omega at x1^32766 crosses the bound: bad input, not a
     # rejected candidate
@@ -344,12 +325,6 @@ LIBRARY_REFUSALS = {
     "m-zero-check": lambda: Context(0, 1),
     "n-above-m-bracket": lambda: Context(3, 4),
     "samples-zero": lambda: courant.cases(0, 0, lambda rng: ()),
-    "degree-zero": lambda: nambu.np_fundamental_check(
-        NambuCandidate(C32, parse_multivec("@1^@2^@3", C32, 3)), 0
-    ),
-    "points-zero": lambda: plectic.nondegeneracy_check(
-        plectic.PlecticCandidate(C31, parse_form("x1*dx2^dx3", C31, 2)), []
-    ),
     "admissible-not-closed": lambda: plectic.check_admissible_lie_algebroid(
         plectic.PlecticCandidate(C31, parse_form("x1*dx2^dx3", C31, 2)), 0, 4
     ),
@@ -472,8 +447,7 @@ def test_bad_plectic_theta_exits_2_before_any_suite_function_runs(monkeypatch, c
 
 # options of the subcommands that do not hold a structure tensor
 NON_STRUCTURE_OPTIONS = {
-    "help", "dim", "order", "kind", "e1", "e2", "target", "seed", "samples", "degree", "points",
-    "json", "xi", "with_x",
+    "help", "dim", "order", "kind", "e1", "e2", "target", "seed", "samples", "json", "xi", "with_x",
 }
 
 

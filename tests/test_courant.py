@@ -27,7 +27,6 @@ from hicourant.exterior import Context, Form, MultiVec, ext_d, i_vec
 from hicourant.nambu import (
     NambuCandidate,
     check_nambu,
-    check_nambu_leibniz_algebroid,
     graph_closure_check,
 )
 from hicourant.plectic import (
@@ -247,7 +246,6 @@ SAMPLED_SUITES = {
     "gauge": lambda s: check_gauge_isomorphism(Context(3, 1), Form.zero(3, 2), samples=s),
     "nambu": lambda s: check_nambu(NAMBU32, samples=s),
     "nambu_graph_closure": lambda s: graph_closure_check(NAMBU32, samples=s),
-    "nambu_leibniz_algebroid": lambda s: check_nambu_leibniz_algebroid(NAMBU32, samples=s),
     "plectic_graph_closure": lambda s: graph_closure_omega(PLECTIC31, samples=s),
     "plectic_deformed_graph": lambda s: deformed_graph_check(PLECTIC31, Form.zero(3, 3), samples=s),
     "admissible_lie_algebroid": lambda s: check_admissible_lie_algebroid(PLECTIC31, samples=s),

@@ -55,7 +55,7 @@ CASES = {
     ],
     "plectic-m3n1-theta-unmatched": [
         "plectic", "-m3", "-n1", "--omega", "x1*dx2^dx3", "--theta", "dx1^dx2^dx3", "--samples", "4",
-        "--points", "3", "--seed", "5",
+        "--seed", "5",
     ],
     # input errors (exit 2, message on stderr)
     "error-deformation-no-theta": ["deformation", "-m3", "-n1"],

@@ -1,6 +1,7 @@
 """Nambu-Poisson criterion, graph closure, and the induced form brackets."""
 
 import random
+from functools import reduce
 from itertools import combinations
 
 import pytest
@@ -11,17 +12,20 @@ from hicourant.exterior import (
     Form,
     MultiVec,
     contract_form_into_vec,
+    d_scalar,
     ext_d,
     full_pair,
     i_vec,
     lie_form,
+    lie_multivec,
     random_form,
     vec_bracket,
+    wedge,
 )
 from hicourant.nambu import (
+    LEIBNIZ_ALGEBROID,
     NambuCandidate,
-    NotNambuPoissonError,
-    check_nambu_leibniz_algebroid,
+    check_nambu,
     graph_closure_check,
     leibniz_nm1_bracket,
     marrero_bracket,
@@ -29,7 +33,7 @@ from hicourant.nambu import (
     np_fundamental_check,
     pi_sharp,
 )
-from hicourant.scalar import Poly
+from hicourant.scalar import Poly, monomials_up_to
 
 from oracles import oracle_lie_form
 
@@ -92,14 +96,9 @@ def test_pi_sharp_examples():
         pi_sharp(NORMAL_FORM, dx(3, 1))
 
 
-def test_fundamental_check_arguments():
-    with pytest.raises(ValueError):
-        np_fundamental_check(NORMAL_FORM, 0)
-
-
 @pytest.mark.parametrize("label,candidate,expected", PANEL, ids=[p[0] for p in PANEL])
 def test_fundamental_identity_panel(label, candidate, expected):
-    result = np_fundamental_check(candidate, 2)
+    result = np_fundamental_check(candidate)
     assert result.passed is expected
     if not expected:
         assert result.failures, "negative members need a certified witness tuple"
@@ -116,7 +115,7 @@ def test_graph_closure_matches_fundamental_identity(label, candidate, expected):
 def test_zero_tensor_graph_is_closed():
     zero = NambuCandidate(Context(3, 2), MultiVec.zero(3, 3))
     assert graph_closure_check(zero, seed=0, samples=4).passed
-    assert np_fundamental_check(zero, 2).passed
+    assert np_fundamental_check(zero).passed
 
 
 def courant_graph_closed(c, seed, samples):
@@ -237,33 +236,64 @@ def test_nm1_bracket_examples():
         assert lhs == rhs
 
 
+NAMBU_ROWS = ["fundamental_identity", "graph_closure_dorfman", "closure_iff_fundamental"]
+ALGEBROID_ROWS = [name for name, _ in LEIBNIZ_ALGEBROID]
+
+
 @pytest.mark.parametrize(
     "candidate",
     [NORMAL_FORM, scaled_normal(var(3, 1)), PANEL[4][1]],
     ids=["normal", "scaled", "decomposable4"],
 )
 def test_leibniz_algebroid_suite(candidate):
-    results = check_nambu_leibniz_algebroid(candidate, seed=8, samples=8)
+    results = check_nambu(candidate, seed=8, samples=8)
+    assert [r.name for r in results[3:]] == ALGEBROID_ROWS
     for result in results:
         assert result.passed, (result.name, result.failures[:1])
 
 
 def test_poisson_bivector_recovers_cotangent_algebroid():
     c = NambuCandidate(Context(3, 1), dd(3, 1, 2))
-    for result in check_nambu_leibniz_algebroid(c, seed=9, samples=10):
+    results = check_nambu(c, seed=9, samples=10)
+    assert [r.name for r in results[3:]] == ALGEBROID_ROWS
+    for result in results:
         assert result.passed, result.name
 
 
 def test_non_nambu_candidate_refused():
-    with pytest.raises(NotNambuPoissonError):
-        check_nambu_leibniz_algebroid(PANEL[6][1], seed=0, samples=2)
+    """A tensor that fails the fundamental identity gets no algebroid rows."""
+    assert [r.name for r in check_nambu(PANEL[6][1], seed=0, samples=2)] == NAMBU_ROWS
 
 
-def test_algebroid_guard_uses_the_given_degree():
-    c = NambuCandidate(Context(5, 2), dd(5, 1, 2, 3) + dd(5, 3, 4, 5))
-    assert np_fundamental_check(c, 1).passed
-    assert not np_fundamental_check(c, 2).passed
-    with pytest.raises(NotNambuPoissonError):
-        check_nambu_leibniz_algebroid(c, seed=0, samples=1)
-    results = check_nambu_leibniz_algebroid(c, seed=0, samples=1, max_degree=1)
-    assert [r.name for r in results][0] == "form_bracket_leibniz"
+def fundamental_verdict_at_degree(c, degree):
+    """Whether L_{pi#(df1^...^dfn)} pi vanishes on every n-tuple of distinct monomials
+    of total degree 1..degree, each wedge built from scratch."""
+    m = c.ctx.m
+    monomials = [Poly(m, {exps: 1}) for exps in monomials_up_to(m, degree) if any(exps)]
+    for fs in combinations(monomials, c.ctx.n):
+        if not lie_multivec(pi_sharp(c, reduce(wedge, map(d_scalar, fs))), c.pi).is_zero:
+            return False
+    return True
+
+
+# constant and not decomposable, so not Nambu-Poisson; a sweep of degree 1 misses it
+NOT_DECOMPOSABLE_52 = NambuCandidate(Context(5, 2), dd(5, 1, 2, 3) + dd(5, 3, 4, 5))
+
+
+def test_degree_two_sweep_fails_where_degree_one_passes():
+    assert fundamental_verdict_at_degree(NOT_DECOMPOSABLE_52, 1)
+    fundamental = np_fundamental_check(NOT_DECOMPOSABLE_52)
+    assert (fundamental.cases, len(fundamental.failures)) == (190, 76)
+    assert [r.name for r in check_nambu(NOT_DECOMPOSABLE_52, seed=0, samples=1)] == NAMBU_ROWS
+
+
+DEGREE_THREE_PANEL = [(label, c) for label, c, _ in PANEL] + [
+    ("noninvolutive_x1_m4", NambuCandidate(Context(4, 2), dd(4, 1, 2, 3) + var(4, 1) * dd(4, 1, 2, 4))),
+    ("not_decomposable_m5", NOT_DECOMPOSABLE_52),
+]
+
+
+@pytest.mark.parametrize("label,candidate", DEGREE_THREE_PANEL, ids=[p[0] for p in DEGREE_THREE_PANEL])
+def test_degree_three_sweep_gives_the_degree_two_verdict(label, candidate):
+    # the identity depends only on 2-jets, so monomials of degree 3 can change nothing
+    assert fundamental_verdict_at_degree(candidate, 3) is np_fundamental_check(candidate).passed

@@ -36,7 +36,7 @@ from hicourant.plectic import (
     solve_admissible,
     solve_hamiltonian,
 )
-from hicourant.scalar import Poly
+from hicourant.scalar import InputError, Poly
 
 from oracles import oracle_lie_form, oracle_vec_bracket
 
@@ -91,10 +91,9 @@ def test_nondegeneracy_pointwise():
     result = nondegeneracy_check(NONCLOSED31, points)
     assert result.name == "nondegeneracy_at_points"
     assert not result.passed  # @1 is always in the kernel of x1*dx2^dx3
-    with pytest.raises(ValueError):
-        nondegeneracy_check(NONCLOSED31, [])
-    with pytest.raises(ValueError):
-        nondegeneracy_check(VOLUME32, [])
+    for candidate in (NONCLOSED31, VOLUME32):
+        with pytest.raises(InputError, match="^at least one evaluation point is required$"):
+            nondegeneracy_check(candidate, [])
 
 
 def test_graph_closure_fixtures():
