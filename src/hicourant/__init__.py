@@ -72,8 +72,7 @@ from .plectic import (
     UnsupportedSolveError,
     admissible_bracket,
     check_admissible_lie_algebroid,
-    deformed_graph_check,
-    graph_closure_omega,
+    check_plectic,
     hemi_bracket,
     nondegeneracy_check,
     omega_flat,

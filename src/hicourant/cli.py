@@ -1,21 +1,21 @@
-"""Command-line surface: compute brackets, run identity suites, emit reports.
+"""Command-line surface: parse the flags, make one library call (a BRACKETS
+kind or a CHECK_TARGETS suite), report.
 
-Exit codes: 0 when every check passed, 1 when a check failed (the
-report is still emitted), 2 when the input is refused.  A refusal is a
+Exit codes: 0 when every check passed, 1 when a check failed (the report
+is still emitted), 2 when the input is refused.  A refusal is a
 scalar.InputError, raised by the library's own checks (a chart or sample
 count out of range, a tensor of the wrong degree, a DSL error, an exponent
 above scalar.MAX_EXPONENT, a non-closed omega given to the admissible
-suite) or here (a structure flag the command does not read, or a required
-one missing).  Any other exception is a program fault and escapes.
-Output is a deterministic function of the flags and the seed, so identical
-invocations produce byte-identical reports.
+suite) or here (an argparse error, a structure flag the command does not
+read, or a required one missing).  Any other exception is a program fault
+and escapes; `--help` exits 0.  Identical invocations produce
+byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -23,15 +23,12 @@ from dataclasses import dataclass
 from . import courant, nambu, plectic
 from .courant import CheckResult
 from .dsl import parse, parse_form, parse_multivec, parse_section
-from .exterior import Context, Form, random_point
+from .exterior import Context, Form
 from .scalar import InputError
 
 
 # The tensor each structure flag holds: its kind and its degree minus n.
 STRUCTURES = {"theta": ("form", 2), "phi": ("form", 1), "pi": ("multivec", 1), "omega": ("form", 1)}
-
-# The seeded rational points at which plectic certifies the rank of a non-constant omega.
-RANK_POINTS = 5
 
 
 def _structures(args, ctx: Context, owner: str, reads, required=()) -> dict:
@@ -55,22 +52,11 @@ def _random_scope(_ctx, args, **_) -> str:
     return f"{args.samples} seeded random samples with polynomial coefficients of degree <= 2"
 
 
-def _plectic_suite(ctx: Context, args, omega: Form, theta: Form | None = None) -> list[CheckResult]:
-    candidate = plectic.PlecticCandidate(ctx, omega)
-    rng = random.Random(args.seed)
-    points = [random_point(rng, ctx.m) for _ in range(RANK_POINTS)]
-    checks = [plectic.nondegeneracy_check(candidate, points)]
-    checks.extend(plectic.graph_closure_omega(candidate, args.seed, args.samples))
-    if theta is not None:
-        checks.extend(plectic.deformed_graph_check(candidate, theta, args.seed, args.samples))
-    return checks
-
-
 def _plectic_scope(ctx: Context, args, omega: Form, **_) -> str:
     if plectic.PlecticCandidate(ctx, omega).is_constant:
         rank = "exact global rank test"
     else:
-        rank = f"rank certified only at {RANK_POINTS} seeded rational points"
+        rank = f"rank certified only at {plectic.RANK_POINTS} seeded rational points"
     return f"{rank}; closure over all coordinate-vector pairs plus {args.samples} seeded random pairs"
 
 
@@ -109,13 +95,28 @@ CHECK_TARGETS = {
         "2-jets: all n-tuples of distinct monomials of total degree 1..2 were swept); graph "
         f"closure over all constant basis n-form pairs plus {a.samples} seeded random pairs",
     ),
-    "plectic": CheckTarget(_plectic_suite, ("omega", "theta"), _plectic_scope),
+    "plectic": CheckTarget(
+        lambda ctx, a, omega, theta=None: plectic.check_plectic(
+            plectic.PlecticCandidate(ctx, omega), a.seed, a.samples, theta
+        ),
+        ("omega", "theta"),
+        _plectic_scope,
+    ),
     "admissible": CheckTarget(
         lambda ctx, a, omega: plectic.check_admissible_lie_algebroid(
             plectic.PlecticCandidate(ctx, omega), a.seed, a.samples
         ),
         ("omega",),
     ),
+}
+
+
+# Each bracket kind: the structure flags it requires, and its bracket of (e1, e2, **tensors),
+# which looks the courant function up when called (bench/tracer.py rebinds those names).
+BRACKETS = {
+    "courant": ((), lambda e1, e2: courant.courant_bracket(e1, e2)),
+    "dorfman": ((), lambda e1, e2: courant.dorfman_bracket(e1, e2)),
+    "deformed": (("theta",), lambda e1, e2, theta: courant.deformed_dorfman(e1, e2, theta)),
 }
 
 
@@ -179,8 +180,15 @@ class SuiteReport:
         return "\n".join(lines)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser, and its subcommand parsers, whose refusals are InputErrors."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hicourant",
         description="exact bracket calculus on the generalized tangent bundle TM (+) Wedge^n T*M",
     )
@@ -192,7 +200,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bracket = sub.add_parser("bracket", help="compute a bracket of two sections")
     common(bracket)
-    bracket.add_argument("kind", choices=("courant", "dorfman", "deformed"))
+    bracket.add_argument("kind", choices=BRACKETS)
     bracket.add_argument("e1", help="first section, e.g. '(@1 ; x2*dx1)'")
     bracket.add_argument("e2", help="second section")
     bracket.add_argument("--theta", help="deformation (n+2)-form, required for kind=deformed")
@@ -220,44 +228,23 @@ def _build_parser() -> argparse.ArgumentParser:
 def _run_check(args) -> SuiteReport:
     ctx = Context(args.dim, args.order)
     target = CHECK_TARGETS[args.target]
-    # the sweep refuses it too, but only after the flags are parsed and plectic's rank test ran
-    if args.samples < 1:
-        raise InputError("samples must be at least 1")
     tensors = _structures(args, ctx, f"target={args.target}", target.flags, target.flags[:1])
     checks = target.suite(ctx, args, **tensors)
-    return SuiteReport(
-        suite=args.target,
-        m=ctx.m,
-        n=ctx.n,
-        seed=args.seed,
-        samples=args.samples,
-        quantifier_scope=target.scope(ctx, args, **tensors),
-        checks=checks,
-    )
+    scope = target.scope(ctx, args, **tensors)
+    return SuiteReport(args.target, ctx.m, ctx.n, args.seed, args.samples, scope, checks)
 
 
 def _cmd_bracket(args) -> int:
     ctx = Context(args.dim, args.order)
-    flags = ("theta",) if args.kind == "deformed" else ()
+    flags, bracket = BRACKETS[args.kind]
     tensors = _structures(args, ctx, f"kind={args.kind}", flags, flags)
-    e1 = parse_section(args.e1, ctx)
-    e2 = parse_section(args.e2, ctx)
-    if args.kind == "courant":
-        result = courant.courant_bracket(e1, e2)
-    elif args.kind == "dorfman":
-        result = courant.dorfman_bracket(e1, e2)
-    else:
-        result = courant.deformed_dorfman(e1, e2, tensors["theta"])
-    print(result)
+    print(bracket(parse_section(args.e1, ctx), parse_section(args.e2, ctx), **tensors))
     return 0
 
 
 def _cmd_check(args) -> int:
     report = _run_check(args)
-    if args.json:
-        print(report.to_json())
-    else:
-        print(report.to_text())
+    print(report.to_json() if args.json else report.to_text())
     return 0 if report.passed else 1
 
 
@@ -287,9 +274,8 @@ def _cmd_solve(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "bracket":
             return _cmd_bracket(args)
         if args.command == "check":

@@ -343,6 +343,20 @@ def check_deformation(
     return [closed, leibniz, agreement]
 
 
+GAUGE = (
+    ("gauge_intertwiner", "gauge(phi)[e1,e2]_{d phi} = [gauge(phi)e1, gauge(phi)e2]"),
+    ("gauge_automorphism", "d phi = 0: gauge(phi)[e1,e2] = [gauge(phi)e1, gauge(phi)e2]"),
+)
+
+
+def _gauge_residuals(phi, dphi, e1, e2):
+    residual = gauge(phi, deformed_dorfman(e1, e2, dphi)) - dorfman_bracket(gauge(phi, e1), gauge(phi, e2))
+    yield (e1, e2), residual
+    if dphi.is_zero:
+        # the twist by d phi = 0 adds nothing, so this is the same residual
+        yield (e1, e2), residual
+
+
 def check_gauge_isomorphism(
     ctx: Context, phi: Form, seed: int = 0, samples: int = 25
 ) -> list[CheckResult]:
@@ -351,20 +365,5 @@ def check_gauge_isomorphism(
         raise InputError(f"gauge form must have degree n+1={ctx.n + 1}")
     sweep = cases(seed, samples, partial(_random_sections, ctx, 2))
     dphi = ext_d(phi)
-    intertwiner = CheckResult(
-        "gauge_intertwiner", "gauge(phi)[e1,e2]_{d phi} = [gauge(phi)e1, gauge(phi)e2]"
-    )
-    automorphism = CheckResult(
-        "gauge_automorphism", "d phi = 0: gauge(phi)[e1,e2] = [gauge(phi)e1, gauge(phi)e2]"
-    )
-    for e1, e2 in sweep:
-        lhs = gauge(phi, deformed_dorfman(e1, e2, dphi))
-        residual = lhs - dorfman_bracket(gauge(phi, e1), gauge(phi, e2))
-        intertwiner.record((e1, e2), residual)
-        if dphi.is_zero:
-            # the twist by d phi = 0 adds nothing, so this is the same residual
-            automorphism.record((e1, e2), residual)
-    results = [intertwiner]
-    if dphi.is_zero:
-        results.append(automorphism)
-    return results
+    table = GAUGE if dphi.is_zero else GAUGE[:1]
+    return sweep_checks(table, sweep, partial(_gauge_residuals, phi, dphi))

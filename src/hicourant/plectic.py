@@ -27,6 +27,7 @@ from .exterior import (
     lie_form,
     random_form,
     random_multivec,
+    random_point,
     random_poly,
 )
 from .scalar import ChartMismatchError, InputError, Poly
@@ -207,53 +208,57 @@ def _graph_defect(c: PlecticCandidate, e: Section) -> Form:
     return e.form - omega_flat(c, e.vec)
 
 
-def _graph_pairs(c: PlecticCandidate, seed: int, samples: int):
-    """Pairs of graph sections over all coordinate vector fields, then seeded random pairs."""
+def _coordinate_graph_pairs(c: PlecticCandidate):
+    """Pairs of graph sections over all coordinate vector fields, built when first drawn."""
     fields = [_graph_section(c, MultiVec.basis(c.ctx.m, (j,))) for j in range(1, c.ctx.m + 1)]
-    return cases(seed, samples, partial(_random_graph_sections, c, 2), product(fields, repeat=2))
+    yield from product(fields, repeat=2)
 
 
-def graph_closure_omega(c: PlecticCandidate, seed: int = 0, samples: int = 25) -> list[CheckResult]:
-    """Closedness, graph closure, isotropy, and their forced agreement."""
-    pairs = _graph_pairs(c, seed, samples)
+# The seeded rational points at which check_plectic certifies the rank of a non-constant omega.
+RANK_POINTS = 5
+
+GRAPH_CLOSURE = (
+    ("graph_closure", "[X + i_X omega, Y + i_Y omega] has form part i_{[X,Y]} omega"),
+    ("graph_isotropy", "<X + i_X omega, Y + i_Y omega> = 0"),
+    ("deformed_graph_closure", "[X + i_X omega, Y + i_Y omega]_theta has form part i_{[X,Y]} omega"),
+)
+
+
+def _graph_residuals(c: PlecticCandidate, theta: Form | None, e1: Section, e2: Section):
+    yield (e1, e2), _graph_defect(c, dorfman_bracket(e1, e2))
+    yield (e1, e2), pairing(e1, e2)
+    if theta is not None:
+        yield (e1, e2), _graph_defect(c, deformed_dorfman(e1, e2, theta))
+
+
+def check_plectic(
+    c: PlecticCandidate, seed: int = 0, samples: int = 25, theta: Form | None = None
+) -> list[CheckResult]:
+    """Rank of omega-flat (exact for constant omega, else at RANK_POINTS seeded points), then
+    one sweep of graph pairs X + i_X omega for the two graph theorems: closed under the Dorfman
+    bracket iff d omega = 0 and, given theta, under [.,.]_theta iff d omega + theta = 0."""
+    if theta is not None and theta.degree != c.ctx.n + 2:
+        raise InputError(f"deformation form must have degree n+2={c.ctx.n + 2}")
+    sweep = cases(seed, samples, partial(_random_graph_sections, c, 2), _coordinate_graph_pairs(c))
+    rng = random.Random(seed)
+    checks = [nondegeneracy_check(c, [random_point(rng, c.ctx.m) for _ in range(RANK_POINTS)])]
+    d_omega = ext_d(c.omega)
     closed = CheckResult("omega_closed", "d omega = 0")
-    closed.record((c.omega,), ext_d(c.omega))
-
-    closure = CheckResult(
-        "graph_closure", "[X + i_X omega, Y + i_Y omega] has form part i_{[X,Y]} omega"
-    )
-    isotropy = CheckResult("graph_isotropy", "<X + i_X omega, Y + i_Y omega> = 0")
-    for e1, e2 in pairs:
-        closure.record((e1, e2), _graph_defect(c, dorfman_bracket(e1, e2)))
-        isotropy.record((e1, e2), pairing(e1, e2))
-
+    closed.record((c.omega,), d_omega)
+    table = GRAPH_CLOSURE if theta is not None else GRAPH_CLOSURE[:2]
+    closure, isotropy, *twisted = sweep_checks(table, sweep, partial(_graph_residuals, c, theta))
     agreement = CheckResult("closure_iff_closed", "the graph is closed iff d omega = 0")
     agreement.record_iff((c.omega,), ("d-closed", closed), ("graph-closed", closure))
-    return [closed, closure, isotropy, agreement]
-
-
-def deformed_graph_check(
-    c: PlecticCandidate, theta: Form, seed: int = 0, samples: int = 25
-) -> list[CheckResult]:
-    """Graph closure under the theta-twisted bracket iff d omega + theta = 0."""
-    if theta.degree != c.ctx.n + 2:
-        raise InputError(f"deformation form must have degree n+2={c.ctx.n + 2}")
-    pairs = _graph_pairs(c, seed, samples)
-    matched = CheckResult("omega_theta_matched", "d omega + theta = 0")
-    matched.record((c.omega, theta), ext_d(c.omega) + theta)
-
-    closure = CheckResult(
-        "deformed_graph_closure",
-        "[X + i_X omega, Y + i_Y omega]_theta has form part i_{[X,Y]} omega",
-    )
-    for e1, e2 in pairs:
-        closure.record((e1, e2), _graph_defect(c, deformed_dorfman(e1, e2, theta)))
-
-    agreement = CheckResult(
-        "deformed_closure_iff_matched", "the graph is closed under [.,.]_theta iff d omega + theta = 0"
-    )
-    agreement.record_iff((c.omega, theta), ("matched", matched), ("graph-closed", closure))
-    return [matched, closure, agreement]
+    checks += [closed, closure, isotropy, agreement]
+    if theta is not None:
+        matched = CheckResult("omega_theta_matched", "d omega + theta = 0")
+        matched.record((c.omega, theta), d_omega + theta)
+        agreement = CheckResult(
+            "deformed_closure_iff_matched", "the graph is closed under [.,.]_theta iff d omega + theta = 0"
+        )
+        agreement.record_iff((c.omega, theta), ("matched", matched), ("graph-closed", twisted[0]))
+        checks += [matched, *twisted, agreement]
+    return checks
 
 
 def solve_admissible(c: PlecticCandidate, alpha: Form) -> AdmissiblePair | None:

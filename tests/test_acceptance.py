@@ -47,8 +47,7 @@ from hicourant.plectic import (
     PlecticCandidate,
     admissible_bracket,
     check_admissible_lie_algebroid,
-    deformed_graph_check,
-    graph_closure_omega,
+    check_plectic,
     hemi_bracket,
     random_hamiltonian_pair,
     semi_bracket,
@@ -262,22 +261,19 @@ def test_criterion_08_multisymplectic_closure_panels():
     ]
     for candidate in panel:
         expect_closed = ext_d(candidate.omega).is_zero
-        closed, closure, isotropy, agreement = graph_closure_omega(candidate, seed=108, samples=8)
+        # matched deformation must always restore closure
+        checks = check_plectic(candidate, seed=108, samples=8, theta=-ext_d(candidate.omega))
+        closed, closure, isotropy, agreement, matched, twisted, twisted_agreement = checks[1:]
         assert closed.passed is expect_closed
         assert closure.passed is expect_closed
         assert isotropy.passed  # exact isotropy on every sampled graph pair
         assert agreement.passed
         budget.cases += closure.cases + isotropy.cases
-        # matched deformation must always restore closure
-        matched, twisted, twisted_agreement = deformed_graph_check(
-            candidate, -ext_d(candidate.omega), seed=108, samples=8
-        )
         assert matched.passed and twisted.passed and twisted_agreement.passed
         budget.cases += twisted.cases
         if not expect_closed:
-            mismatched = deformed_graph_check(
-                candidate, Form.zero(candidate.ctx.m, candidate.ctx.n + 2), seed=108, samples=8
-            )
+            zero = Form.zero(candidate.ctx.m, candidate.ctx.n + 2)
+            mismatched = check_plectic(candidate, seed=108, samples=8, theta=zero)[5:]
             assert not mismatched[0].passed and not mismatched[1].passed
             assert mismatched[2].passed
             budget.cases += mismatched[1].cases

@@ -184,11 +184,24 @@ def test_json_failure_witness_replays():
     assert not residual.is_zero
 
 
-def test_samples_below_one_rejected_for_every_target():
-    for target, *flags in [
-        ("gauge", "--phi", "x3*dx1^dx2"),
-        ("admissible", "--omega", "dx1^dx2^dx3"),
-    ]:
+# flags each check target accepts at m = 3, n = 1
+VALID_TARGET_FLAGS = {
+    "courant-axioms": [],
+    "dorfman-axioms": [],
+    "deformation": ["--theta", "dx1^dx2^dx3"],
+    "gauge": ["--phi", "x3*dx1^dx2"],
+    "nambu": ["--pi", "@1^@2"],
+    "plectic": ["--omega", "dx1^dx2", "--theta", "x1*dx1^dx2^dx3"],
+    "admissible": ["--omega", "dx1^dx2"],
+}
+
+
+def test_samples_below_one_rejected_for_every_target(capsys):
+    assert set(VALID_TARGET_FLAGS) == set(cli.CHECK_TARGETS)
+    for target, flags in VALID_TARGET_FLAGS.items():
+        # the flags are valid, so the refusal below is the suite's own samples check
+        assert cli.main(["check", target, "-m3", "-n1", *flags, "--samples=1"]) in (0, 1), target
+        assert capsys.readouterr().err == ""
         for samples in ("0", "-5"):
             result = run_cli("check", target, "-m", "3", "-n", "1", *flags, f"--samples={samples}")
             assert result.returncode == 2, (target, samples)
@@ -198,12 +211,18 @@ def test_samples_below_one_rejected_for_every_target():
 
 @pytest.mark.parametrize("option", ["--degree=1", "--points=3"])
 def test_removed_size_options_are_usage_errors(option, capsys):
-    with pytest.raises(SystemExit) as usage_error:
-        cli.main(["check", "nambu", "-m3", "-n2", "--pi", "@1^@2^@3", option])
-    assert usage_error.value.code == 2
+    assert cli.main(["check", "nambu", "-m3", "-n2", "--pi", "@1^@2^@3", option]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"unrecognized arguments: {option}" in captured.err
+    assert captured.err == f"error: unrecognized arguments: {option}\n"
+
+
+def test_help_still_exits_0(capsys):
+    for argv in (["--help"], ["check", "--help"]):
+        with pytest.raises(SystemExit) as help_exit:
+            cli.main(argv)
+        assert help_exit.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: hicourant")
 
 
 def test_deep_or_long_dsl_input_never_raises_a_traceback():
@@ -292,6 +311,19 @@ USER_INPUT_ERRORS = {
         ["check", "gauge", "-m3", "-n1", "--phi", "x3*dx1^dx2", "--samples=0"],
         "samples must be at least 1",
     ),
+    # argparse's own refusals
+    "unknown-option": (
+        ["check", "dorfman-axioms", "-m2", "-n1", "--quick"], "unrecognized arguments: --quick"
+    ),
+    "m-not-an-int": (
+        ["check", "dorfman-axioms", "-m", "x", "-n1"], "argument --dim/-m: invalid int value: 'x'"
+    ),
+    "missing-target": (["check", "-m3", "-n1"], "the following arguments are required: target"),
+    "unknown-command": (
+        ["frobnicate"],
+        "argument command: invalid choice: 'frobnicate' "
+        "(choose from 'bracket', 'check', 'solve-hamiltonian')",
+    ),
     "admissible-not-closed": (
         ["check", "admissible", "-m3", "-n1", "--omega", "x1*dx2^dx3", "--samples", "4"],
         "omega is not closed; the admissible bracket needs d omega = 0",
@@ -367,8 +399,9 @@ def _degree_refusals():
         "solve_hamiltonian": (
             lambda: plectic.solve_hamiltonian(omega, forms[1]), "form must have degree n-1=0, got 1"
         ),
-        "deformed_graph_check": (
-            lambda: plectic.deformed_graph_check(omega, forms[2]), "deformation form must have degree n+2=3"
+        "check_plectic": (
+            lambda: plectic.check_plectic(omega, theta=forms[2]),
+            "deformation form must have degree n+2=3",
         ),
         "pi_sharp": (lambda: pi_sharp(pi, forms[1]), "form must have degree n=2, got 1"),
         "nambu_form_bracket": (
@@ -436,7 +469,7 @@ def test_bad_plectic_theta_exits_2_before_any_suite_function_runs(monkeypatch, c
     def no_call(*args, **kwargs):
         raise AssertionError("a suite function ran")
 
-    for name in ("nondegeneracy_check", "graph_closure_omega", "deformed_graph_check"):
+    for name in ("check_plectic", "nondegeneracy_check"):
         monkeypatch.setattr(plectic, name, no_call)
     argv = ["check", "plectic", "-m4", "-n1", "--omega", "dx1^dx2+dx3^dx4", "--theta", "dx1^(("]
     assert cli.main(argv) == 2
@@ -461,3 +494,5 @@ def test_every_structure_option_is_in_the_structure_table():
             )
     for target, spec in cli.CHECK_TARGETS.items():
         assert set(spec.flags) <= set(cli.STRUCTURES), target
+    for kind, (flags, _bracket) in cli.BRACKETS.items():
+        assert set(flags) <= set(cli.STRUCTURES), kind

@@ -32,8 +32,7 @@ from hicourant.nambu import (
 from hicourant.plectic import (
     PlecticCandidate,
     check_admissible_lie_algebroid,
-    deformed_graph_check,
-    graph_closure_omega,
+    check_plectic,
 )
 from hicourant.scalar import ChartMismatchError, Poly
 
@@ -246,8 +245,8 @@ SAMPLED_SUITES = {
     "gauge": lambda s: check_gauge_isomorphism(Context(3, 1), Form.zero(3, 2), samples=s),
     "nambu": lambda s: check_nambu(NAMBU32, samples=s),
     "nambu_graph_closure": lambda s: graph_closure_check(NAMBU32, samples=s),
-    "plectic_graph_closure": lambda s: graph_closure_omega(PLECTIC31, samples=s),
-    "plectic_deformed_graph": lambda s: deformed_graph_check(PLECTIC31, Form.zero(3, 3), samples=s),
+    "plectic_graph_closure": lambda s: check_plectic(PLECTIC31, samples=s),
+    "plectic_deformed_graph": lambda s: check_plectic(PLECTIC31, samples=s, theta=Form.zero(3, 3)),
     "admissible_lie_algebroid": lambda s: check_admissible_lie_algebroid(PLECTIC31, samples=s),
 }
 

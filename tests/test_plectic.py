@@ -15,6 +15,7 @@ from hicourant.exterior import (
     i_vec,
     lie_form,
     random_multivec,
+    random_point,
     vec_bracket,
 )
 from hicourant.plectic import (
@@ -25,9 +26,9 @@ from hicourant.plectic import (
     PlecticCandidate,
     UnsupportedSolveError,
     admissible_bracket,
+    RANK_POINTS,
     check_admissible_lie_algebroid,
-    deformed_graph_check,
-    graph_closure_omega,
+    check_plectic,
     hemi_bracket,
     nondegeneracy_check,
     omega_flat,
@@ -96,38 +97,82 @@ def test_nondegeneracy_pointwise():
             nondegeneracy_check(candidate, [])
 
 
+def graph_checks(candidate, seed, samples, theta=None):
+    """check_plectic without its leading rank check."""
+    return check_plectic(candidate, seed, samples, theta)[1:]
+
+
 def test_graph_closure_fixtures():
-    closed, closure, isotropy, agreement = graph_closure_omega(VOLUME32, seed=3, samples=8)
+    closed, closure, isotropy, agreement = graph_checks(VOLUME32, seed=3, samples=8)
     assert closed.passed and closure.passed and isotropy.passed and agreement.passed
 
-    closed, closure, isotropy, agreement = graph_closure_omega(NONCLOSED31, seed=3, samples=8)
+    closed, closure, isotropy, agreement = graph_checks(NONCLOSED31, seed=3, samples=8)
     assert not closed.passed
     assert not closure.passed and closure.failures
     assert isotropy.passed  # isotropy holds for any omega
     assert agreement.passed
 
     zero = PlecticCandidate(Context(3, 1), Form.zero(3, 2))
-    results = graph_closure_omega(zero, seed=3, samples=4)
+    results = graph_checks(zero, seed=3, samples=4)
     assert all(r.passed for r in results)
 
 
 def test_deformed_graph_fixtures():
     theta = -dx(3, 1, 2, 3)
-    matched, closure, agreement = deformed_graph_check(NONCLOSED31, theta, seed=3, samples=6)
+    matched, closure, agreement = graph_checks(NONCLOSED31, 3, 6, theta)[4:]
     assert matched.passed and closure.passed and agreement.passed
 
-    matched, closure, agreement = deformed_graph_check(
-        NONCLOSED31, Form.zero(3, 3), seed=3, samples=6
-    )
+    matched, closure, agreement = graph_checks(NONCLOSED31, 3, 6, Form.zero(3, 3))[4:]
     assert not matched.passed and not closure.passed and agreement.passed
 
-    matched, closure, agreement = deformed_graph_check(
-        VOLUME32, Form.zero(3, 4), seed=3, samples=6
-    )
+    matched, closure, agreement = graph_checks(VOLUME32, 3, 6, Form.zero(3, 4))[4:]
     assert matched.passed and closure.passed and agreement.passed
 
-    with pytest.raises(ValueError):
-        deformed_graph_check(VOLUME32, dx(3, 1, 2), seed=0, samples=2)
+    with pytest.raises(InputError, match="^deformation form must have degree n\\+2=4$"):
+        check_plectic(VOLUME32, seed=0, samples=2, theta=dx(3, 1, 2))
+
+
+def test_check_plectic_refuses_theta_then_samples_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("work before the refusal")
+
+    for name in ("nondegeneracy_check", "omega_flat", "ext_d"):
+        monkeypatch.setattr(plectic, name, no_work)
+    with pytest.raises(InputError, match="^deformation form must have degree n\\+2=3$"):
+        check_plectic(NONCLOSED31, samples=0, theta=dx(3, 1, 2))
+    with pytest.raises(InputError, match="^samples must be at least 1$"):
+        check_plectic(NONCLOSED31, samples=0, theta=dx(3, 1, 2, 3))
+
+
+def test_check_plectic_with_theta_starts_with_the_checks_without_it():
+    for candidate, theta in [
+        (NONCLOSED31, -dx(3, 1, 2, 3)),
+        (NONCLOSED31, Form.zero(3, 3)),
+        (SYMPLECTIC41, Form.zero(4, 3)),
+    ]:
+        plain = check_plectic(candidate, seed=5, samples=4)
+        twisted = check_plectic(candidate, seed=5, samples=4, theta=theta)
+        assert [c.name for c in twisted] == [c.name for c in plain] + [
+            "omega_theta_matched", "deformed_graph_closure", "deformed_closure_iff_matched"
+        ]
+        assert twisted[:5] == plain
+
+
+def test_deformed_graph_closure_sweeps_the_same_pairs_as_graph_closure():
+    for samples in (1, 6):
+        checks = {c.name: c for c in check_plectic(NONCLOSED31, 3, samples, Form.zero(3, 3))}
+        # all 3 x 3 coordinate pairs, then the seeded pairs
+        assert checks["deformed_graph_closure"].cases == checks["graph_closure"].cases == 9 + samples
+
+
+def test_check_plectic_rank_is_nondegeneracy_at_the_seeded_rank_points():
+    for seed in (0, 7):
+        rng = random.Random(seed)
+        points = [random_point(rng, 3) for _ in range(RANK_POINTS)]
+        rank = check_plectic(NONCLOSED31, seed=seed, samples=1)[0]
+        assert rank.name == "nondegeneracy_at_points"
+        assert rank == nondegeneracy_check(NONCLOSED31, points)
+        assert rank.cases == RANK_POINTS
 
 
 def test_gauge_untwists_matched_deformation():

@@ -32,12 +32,23 @@ def usage_lines():
 USAGE = usage_lines()
 
 
+def usage_ids():
+    """Each command's first two words, lengthened a word at a time until no earlier id is the same."""
+    ids = []
+    for argv, _, _ in USAGE:
+        k = 2
+        while " ".join(argv[:k]) in ids:
+            k += 1
+        ids.append(" ".join(argv[:k]))
+    return ids
+
+
 def test_the_usage_block_has_commands_and_outputs():
     assert len(USAGE) >= 10
     assert sum(expected is not None for _, _, expected in USAGE) >= 4
 
 
-@pytest.mark.parametrize("argv,code,expected", USAGE, ids=[" ".join(argv[:2]) for argv, _, _ in USAGE])
+@pytest.mark.parametrize("argv,code,expected", USAGE, ids=usage_ids())
 def test_readme_usage_line(argv, code, expected):
     result = run_main(argv)
     assert result["exit"] == code, result["stderr"]

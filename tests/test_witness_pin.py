@@ -80,14 +80,16 @@ def _plectic(m, n, omega):
     return plectic.PlecticCandidate(ctx, parse_form(omega, ctx, n + 1))
 
 
-def _graph_closure_omega():
-    return plectic.graph_closure_omega(_plectic(3, 2, "dx1^dx2^dx3"), SEED, SAMPLES)
+def _plectic_graph():
+    # the checks of the plain graph theorem, after the rank check
+    return plectic.check_plectic(_plectic(3, 2, "dx1^dx2^dx3"), SEED, SAMPLES)[1:5]
 
 
 def _deformed_graph():
+    # the checks of the twisted graph theorem, which come last
     candidate = _plectic(3, 1, "x1*dx2^dx3")
     theta = parse_form("-dx1^dx2^dx3", candidate.ctx, 3)
-    return plectic.deformed_graph_check(candidate, theta, SEED, SAMPLES)
+    return plectic.check_plectic(candidate, SEED, SAMPLES, theta)[5:]
 
 
 SUITES = {
@@ -100,7 +102,7 @@ SUITES = {
     "gauge-open-m3n1": lambda: _gauge("x3*dx1^dx2"),
     "nambu-m3n2": lambda: _nambu(3, "@1^@2^@3"),
     "nambu-not-poisson-m4n2": lambda: _nambu(4, "@1^@2^@3 + x2*@2^@3^@4"),
-    "graph-closure-omega-m3n2": _graph_closure_omega,
+    "graph-closure-omega-m3n2": _plectic_graph,
     "deformed-graph-m3n1": _deformed_graph,
 }
 
