@@ -19,6 +19,7 @@ import json
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cache
 
 from . import courant, nambu, plectic
 from .courant import CheckResult
@@ -181,13 +182,20 @@ class SuiteReport:
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser, and its subcommand parsers, whose refusals are InputErrors."""
+    """An argument parser, and its subcommand parsers, whose refusals are InputErrors
+    and which read only whole option names, never a unique prefix of one."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise InputError(message)
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use; choices read the
+    live BRACKETS and CHECK_TARGETS dicts."""
     parser = _Parser(
         prog="hicourant",
         description="exact bracket calculus on the generalized tangent bundle TM (+) Wedge^n T*M",

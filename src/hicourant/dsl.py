@@ -15,16 +15,21 @@ in JSON reports:
 variance, scalars acting as scale factors on either side.  Values print
 back through str() in a canonical order, and parsing that text returns
 an equal value.
+
+One compiled regex scans the tokens, as (kind, text, position, value)
+tuples; one recursive descent evaluates as it reads.  A "+"/"-" chain
+grades each term as it arrives and is summed once, through
+scalar.sum_of_products or exterior.collect, so the cost of a parse is
+linear in the length of its input.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+import re
 
 from .courant import Section
-from .exterior import Context, Form, MultiVec
-from .scalar import FIELD_BITS, ExponentBoundError, InputError, Poly, exponent_guard
+from .exterior import Context, Form, MultiVec, collect
+from .scalar import FIELD_BITS, ExponentBoundError, InputError, Poly, exponent_guard, sum_of_products
 
 
 class DslError(InputError):
@@ -49,75 +54,53 @@ class GradingError(DslError):
 
 # -- lexer ---------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class Token:
-    kind: str  # RATIONAL VAR COVEC VEC OP EOF
-    text: str
-    position: int
-    value: object = None
-
-
-_OPERATORS = set("+-*^();")
+# Whitespace (str.isspace), then one token; BAD, any other character, starts
+# an anomaly that _lex_error names.  Digits are ASCII only.
+_TOKEN = re.compile(
+    r"\s*(?:(?P<OP>[-+*^();])|(?P<RATIONAL>[0-9]+(?:/[0-9]*)?)|(?P<VAR>x[0-9]+)"
+    r"|(?P<COVEC>dx[0-9]+)|(?P<VEC>@[0-9]+)|(?P<BAD>\S))"
+)
 
 
-def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    i = 0
-    length = len(text)
-    while i < length:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        start = i
-        if ch in _OPERATORS:
-            tokens.append(Token("OP", ch, start))
-            i += 1
-            continue
-        if "0" <= ch <= "9":
-            while i < length and "0" <= text[i] <= "9":
-                i += 1
-            numerator = int(text[start:i])
-            if i < length and text[i] == "/":
-                j = i + 1
-                if j >= length or not "0" <= text[j] <= "9":
-                    raise LexError(i, "expected digits after '/' in a rational literal")
-                i = j
-                while i < length and "0" <= text[i] <= "9":
-                    i += 1
-                denominator = int(text[j:i])
-                if denominator == 0:
-                    raise LexError(start, "rational literal with zero denominator")
-                value = Fraction(numerator, denominator)
-            else:
-                value = Fraction(numerator)
-            tokens.append(Token("RATIONAL", text[start:i], start, value))
-            continue
-        if ch == "@":
-            i += 1
-            j = i
-            while i < length and "0" <= text[i] <= "9":
-                i += 1
-            if i == j:
-                raise LexError(start, "expected a coordinate index after '@'")
-            tokens.append(Token("VEC", text[start:i], start, int(text[j:i])))
-            continue
-        if ch.isalpha():
-            while i < length and text[i].isalpha():
-                i += 1
-            word = text[start:i]
-            j = i
-            while i < length and "0" <= text[i] <= "9":
-                i += 1
-            if i == j or word not in ("x", "dx"):
-                raise LexError(start, f"unrecognized name {text[start:i]!r}")
-            index = int(text[j:i])
-            kind = "VAR" if word == "x" else "COVEC"
-            tokens.append(Token(kind, text[start:i], start, index))
-            continue
-        raise LexError(start, f"unexpected character {ch!r}")
-    tokens.append(Token("EOF", "", length))
+def _lex_error(text: str, start: int) -> LexError:
+    """The error for the character at `start`, which starts no token."""
+    if text[start] == "@":
+        return LexError(start, "expected a coordinate index after '@'")
+    if not text[start].isalpha():
+        return LexError(start, f"unexpected character {text[start]!r}")
+    end = start
+    while end < len(text) and text[end].isalpha():
+        end += 1
+    while end < len(text) and "0" <= text[end] <= "9":
+        end += 1
+    return LexError(start, f"unrecognized name {text[start:end]!r}")
+
+
+def tokenize(text: str) -> list[tuple]:
+    """(kind, text, position, value) tuples ending in EOF; kind is OP, RATIONAL
+    (value: int numerator and denominator), VAR, COVEC or VEC (value: the index)."""
+    tokens = []
+    append = tokens.append
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        token = match[kind]
+        start = match.end() - len(token)
+        if kind == "OP":
+            append((kind, token, start, None))
+        elif kind == "RATIONAL":
+            numerator, slash, denominator = token.partition("/")
+            numerator = int(numerator)  # first, as the character lexer converted it
+            if slash and not denominator:
+                raise LexError(start + len(token) - 1, "expected digits after '/' in a rational literal")
+            denominator = int(denominator) if slash else 1
+            if not denominator:
+                raise LexError(start, "rational literal with zero denominator")
+            append((kind, token, start, (numerator, denominator)))
+        elif kind == "BAD":
+            raise _lex_error(text, start)
+        else:
+            append((kind, token, start, int(token[2 if kind == "COVEC" else 1 :])))
+    append(("EOF", "", len(text), None))
     return tokens
 
 
@@ -126,13 +109,6 @@ def tokenize(text: str) -> list[Token]:
 # Parentheses are the only construct that recurses; this bounds their
 # nesting well inside Python's recursion limit.
 MAX_PAREN_DEPTH = 100
-
-# binary operators from the loosest binding level to "^"; "*" binds tightest
-_LEVELS = ("+-", "^")
-
-
-def _is_zero_scalar(value) -> bool:
-    return isinstance(value, Poly) and value.is_zero
 
 
 def _kind_name(value) -> str:
@@ -143,125 +119,139 @@ def _kind_name(value) -> str:
     return f"multivector of degree {value.degree}"
 
 
-def _combine(op: Token, left, right, m: int):
-    """Apply a binary operator after checking the grading of its operands."""
-    if op.text in "+-":
-        if _is_zero_scalar(left) and not isinstance(right, Poly):
-            left = type(right).zero(m, right.degree)
-        if _is_zero_scalar(right) and not isinstance(left, Poly):
-            right = type(left).zero(m, left.degree)
-        if type(left) is not type(right) or getattr(left, "degree", None) != getattr(
-            right, "degree", None
-        ):
-            raise GradingError(
-                op.position,
-                f"cannot {'add' if op.text == '+' else 'subtract'} "
-                f"{_kind_name(right)} and {_kind_name(left)}",
-            )
-        return left + right if op.text == "+" else left - right
+def _combine(op: str, position: int, left, right):
+    """Apply "*" or "^" after checking the grading of its operands."""
     if isinstance(left, Poly) or isinstance(right, Poly):
         return left * right
-    if op.text == "*":
-        raise GradingError(op.position, "'*' needs at least one scalar operand; use '^' on tensors")
+    if op == "*":
+        raise GradingError(position, "'*' needs at least one scalar operand; use '^' on tensors")
     if type(left) is not type(right):
-        raise GradingError(op.position, f"cannot wedge {_kind_name(left)} with {_kind_name(right)}")
+        raise GradingError(position, f"cannot wedge {_kind_name(left)} with {_kind_name(right)}")
     return left.wedge(right)
 
 
-class _Parser:
-    """Recursive descent that evaluates each value as soon as it is parsed."""
+def _sum(m: int, lead, terms: list):
+    """The sum of the signed (sign, value) terms, all of the kind of `lead`."""
+    if len(terms) == 1 and terms[0][0] > 0:
+        return terms[0][1]
+    if isinstance(lead, Poly):
+        return sum_of_products(m, [(sign, p, None) for sign, p in terms])
+    signed = ((idx, sign, p, None) for sign, t in terms for idx, p in t.coeffs.items())
+    return collect(type(lead), m, lead.degree, signed)
 
-    def __init__(self, tokens: list[Token], ctx: Context):
+
+class _Parser:
+    """Recursive descent over the token tuples that evaluates each value as it is parsed."""
+
+    def __init__(self, tokens: list[tuple], ctx: Context):
         self.tokens = tokens
         self.pos = 0
         self.m = ctx.m
+        self.guard = exponent_guard(ctx.m)
         self.depth = 0
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
+    def advance(self) -> tuple:
         token = self.tokens[self.pos]
         self.pos += 1
         return token
 
-    def expect(self, text: str) -> Token:
-        token = self.peek()
-        if token.kind != "OP" or token.text != text:
-            raise ParseError(token.position, f"expected {text!r}, found {token.text or 'end of input'!r}")
+    def expect(self, text: str) -> tuple:
+        token = self.tokens[self.pos]
+        if token[1] != text:
+            raise ParseError(token[2], f"expected {text!r}, found {token[1] or 'end of input'!r}")
         return self.advance()
 
     def expect_end(self) -> None:
-        tail = self.peek()
-        if tail.kind != "EOF":
-            raise ParseError(tail.position, f"unexpected trailing input {tail.text!r}")
+        _, text, position, _ = self.tokens[self.pos]
+        if text:
+            raise ParseError(position, f"unexpected trailing input {text!r}")
 
-    def combine(self, op: Token, left, right):
+    def combine(self, op: tuple, left, right):
         try:
-            return _combine(op, left, right, self.m)
+            return _combine(op[1], op[2], left, right)
         except ExponentBoundError as exc:
-            raise DslError(op.position, str(exc)) from None
+            raise DslError(op[2], str(exc)) from None
 
-    def parse_expr(self, level: int = 0):
-        """Left-associative chain of the operators at `level` and tighter."""
-        if level == len(_LEVELS):
-            return self.parse_product()
-        value = self.parse_expr(level + 1)
-        while self.peek().kind == "OP" and self.peek().text in _LEVELS[level]:
+    def parse_expr(self):
+        """A "+"/"-" chain, graded term by term at each operator and summed once.
+        Until a tensor arrives the chain is scalar; a tensor after a scalar prefix
+        that sums to zero sets the chain's kind, and a later scalar term must be zero."""
+        lead = self.parse_wedge()
+        terms = [(1, lead)]
+        while self.tokens[self.pos][1] in ("+", "-"):
+            _, op, position, _ = self.advance()
+            sign = 1 if op == "+" else -1
+            right = self.parse_wedge()
+            if type(right) is type(lead) and getattr(right, "degree", None) == getattr(lead, "degree", None):
+                terms.append((sign, right))
+            elif isinstance(right, Poly) and not right.terms:
+                continue
+            elif isinstance(lead, Poly) and not _sum(self.m, lead, terms).terms:
+                lead, terms = right, [(sign, right)]
+            else:
+                raise GradingError(
+                    position,
+                    f"cannot {'add' if op == '+' else 'subtract'} {_kind_name(right)} and {_kind_name(lead)}",
+                )
+        return _sum(self.m, lead, terms)
+
+    def parse_wedge(self):
+        value = self.parse_product()
+        while self.tokens[self.pos][1] == "^":
             op = self.advance()
-            value = self.combine(op, value, self.parse_expr(level + 1))
+            value = self.combine(op, value, self.parse_product())
         return value
 
     def parse_product(self):
         """Left-associative "*" chain.  Its leading RATIONAL and in-range VAR
-        factors fold into one pending monomial coeff * x^key, made a Poly when
+        factors fold into one pending monomial num/den * x^key, made a Poly when
         another operand appears; values, errors and positions stay the same."""
-        coeff, key, op, value = Fraction(1), 0, None, None
+        tokens, m = self.tokens, self.m
+        num, den, key, op, value = 1, 1, 0, None, None
         while True:
-            token = self.peek()
-            if value is None and token.kind == "RATIONAL":
-                coeff *= self.advance().value
-            elif value is None and token.kind == "VAR" and 1 <= token.value <= self.m:
-                key += 1 << FIELD_BITS * (self.advance().value - 1)
-                if coeff and key & exponent_guard(self.m):
-                    raise DslError(op.position, str(ExponentBoundError()))
+            kind, _, _, token_value = tokens[self.pos]
+            if value is None and kind == "RATIONAL":
+                self.pos += 1
+                num *= token_value[0]
+                den *= token_value[1]
+            elif value is None and kind == "VAR" and 1 <= token_value <= m:
+                self.pos += 1
+                key += 1 << FIELD_BITS * (token_value - 1)
+                if num and key & self.guard:
+                    raise DslError(op[2], str(ExponentBoundError()))
             elif op is None:
                 value = self.parse_atom()
             else:
-                left = Poly.monomial(self.m, coeff, key) if value is None else value
+                left = Poly.monomial(m, num, den, key) if value is None else value
                 value = self.combine(op, left, self.parse_atom())
-            if self.peek().kind != "OP" or self.peek().text != "*":
-                return Poly.monomial(self.m, coeff, key) if value is None else value
+            if tokens[self.pos][1] != "*":
+                return Poly.monomial(m, num, den, key) if value is None else value
             op = self.advance()
 
     def parse_atom(self):
         negations = 0
-        while self.peek().kind == "OP" and self.peek().text == "-":
-            self.advance()
+        while self.tokens[self.pos][1] == "-":
+            self.pos += 1
             negations += 1
-        token = self.advance()
-        if token.kind == "RATIONAL":
-            value = Poly.const(self.m, token.value)
-        elif token.kind in ("VAR", "COVEC", "VEC"):
-            if not 1 <= token.value <= self.m:
-                raise GradingError(
-                    token.position, f"coordinate index {token.value} out of range 1..{self.m}"
-                )
-            if token.kind == "VAR":
-                value = Poly.var(self.m, token.value)
+        kind, text, position, token_value = self.advance()
+        if kind == "RATIONAL":
+            value = Poly.monomial(self.m, *token_value, 0)
+        elif kind in ("VAR", "COVEC", "VEC"):
+            if not 1 <= token_value <= self.m:
+                raise GradingError(position, f"coordinate index {token_value} out of range 1..{self.m}")
+            if kind == "VAR":
+                value = Poly.var(self.m, token_value)
             else:
-                value = (Form if token.kind == "COVEC" else MultiVec).basis(self.m, (token.value,))
-        elif token.kind == "OP" and token.text == "(":
+                value = (Form if kind == "COVEC" else MultiVec).basis(self.m, (token_value,))
+        elif text == "(":
             if self.depth == MAX_PAREN_DEPTH:
-                raise ParseError(
-                    token.position, f"parentheses nested deeper than {MAX_PAREN_DEPTH} levels"
-                )
+                raise ParseError(position, f"parentheses nested deeper than {MAX_PAREN_DEPTH} levels")
             self.depth += 1
             value = self.parse_expr()
             self.depth -= 1
             self.expect(")")
         else:
-            raise ParseError(token.position, f"expected a value, found {token.text or 'end of input'!r}")
+            raise ParseError(position, f"expected a value, found {text or 'end of input'!r}")
         return -value if negations % 2 else value
 
 
@@ -276,7 +266,7 @@ def _coerce(value, ctx: Context, expected, position: int = 0):
     cls = Form if kind == "form" else MultiVec
     if isinstance(value, cls) and value.degree == degree:
         return value
-    if _is_zero_scalar(value):
+    if isinstance(value, Poly) and value.is_zero:
         return cls.zero(ctx.m, degree)
     if isinstance(value, Poly) and degree == 0:
         return cls(ctx.m, 0, {(): value})
@@ -293,17 +283,17 @@ def parse(text: str, ctx: Context, expected):
     parser = _Parser(tokenize(text), ctx)
     if expected == "section":
         parser.expect("(")
-        vec_start = parser.peek().position
+        vec_start = parser.tokens[parser.pos][2]
         vec_value = parser.parse_expr()
         parser.expect(";")
-        form_start = parser.peek().position
+        form_start = parser.tokens[parser.pos][2]
         form_value = parser.parse_expr()
         parser.expect(")")
         parser.expect_end()
         vec_value = _coerce(vec_value, ctx, ("multivec", 1), vec_start)
         form_value = _coerce(form_value, ctx, ("form", ctx.n), form_start)
         return Section(ctx, vec_value, form_value)
-    start = parser.peek().position
+    start = parser.tokens[parser.pos][2]
     value = parser.parse_expr()
     parser.expect_end()
     return _coerce(value, ctx, expected, start)

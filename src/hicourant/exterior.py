@@ -17,7 +17,7 @@ full_pair are one coefficient-pair loop, _bilinear; lie_form and
 lie_multivec (and so vec_bracket) are one component-formula body, _lie;
 _same_chart is the one chart check on operands.  Every operator sums
 its signed coefficient products through the one multiply-accumulate
-kernel, scalar.sum_of_products, once per output index (_collect groups
+kernel, scalar.sum_of_products, once per output index (collect groups
 them), instead of building and adding a Poly per product.
 """
 
@@ -57,7 +57,7 @@ def _merge_indices(left: MultiIndex, right: MultiIndex) -> tuple[int, MultiIndex
     return -1 if inversions % 2 else 1, tuple(sorted(left + right))
 
 
-def _collect(cls, m: int, degree: int, terms):
+def collect(cls, m: int, degree: int, terms):
     """Tensor summing sign * p * q (p alone when q is None) over (index, sign, p, q)
     terms, one sum_of_products per index, with zero sums dropped.  A lone p
     must be nonzero."""
@@ -135,7 +135,7 @@ class _Alternating:
     @classmethod
     def basis(cls, m: int, idx: MultiIndex):
         idx = tuple(idx)
-        return cls(m, len(idx), {idx: Poly.const(m, 1)})
+        return cls(m, len(idx), {idx: Poly.monomial(m, 1, 1, 0)})
 
     @property
     def is_zero(self) -> bool:
@@ -157,7 +157,7 @@ class _Alternating:
             ((idx, 1, p, None) for idx, p in self.coeffs.items()),
             ((idx, sign, p, None) for idx, p in other.coeffs.items()),
         )
-        return _collect(type(self), self.m, self.degree, terms)
+        return collect(type(self), self.m, self.degree, terms)
 
     def __neg__(self):
         return type(self)._raw(self.m, self.degree, {i: -p for i, p in self.coeffs.items()})
@@ -172,7 +172,7 @@ class _Alternating:
             return NotImplemented
         _same_chart(self, scalar)
         terms = ((idx, 1, p, scalar) for idx, p in self.coeffs.items())
-        return _collect(type(self), self.m, self.degree, terms)
+        return collect(type(self), self.m, self.degree, terms)
 
     __rmul__ = __mul__
 
@@ -246,7 +246,7 @@ def _bilinear(cls, degree: int, a, b, rule):
                 if hit is not None:
                     yield hit[1], hit[0], p, q
 
-    return _collect(cls, a.m, degree, terms())
+    return collect(cls, a.m, degree, terms())
 
 
 def i_vec(X: MultiVec, a: Form) -> Form:
@@ -297,7 +297,7 @@ def ext_d(a: Form) -> Form:
                 if not dp.is_zero:
                     yield merged[1], merged[0], dp, None
 
-    return _collect(Form, a.m, a.degree + 1, terms())
+    return collect(Form, a.m, a.degree + 1, terms())
 
 
 def d_scalar(f: Poly) -> Form:
@@ -336,7 +336,7 @@ def _lie(X: MultiVec, T):
                     if hit is not None:
                         yield hit[1], -sign * hit[0] if t % 2 else sign * hit[0], p, d
 
-    return _collect(type(T), m, T.degree, terms())
+    return collect(type(T), m, T.degree, terms())
 
 
 def lie_form(X: MultiVec, a: Form) -> Form:

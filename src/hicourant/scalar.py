@@ -9,7 +9,7 @@ The kernel works on ints: a monomial is one packed key with a field of
 FIELD_BITS bits per exponent, so a product of monomials is an integer
 addition, and coefficients are int numerators over one denominator per
 polynomial.  `Fraction` and exponent tuples appear only at the boundary:
-the constructor, `const`, `monomial`, `coefficients`, `constant_term`,
+the constructor, `const`, `coefficients`, `constant_term`,
 `single_term`, `eval_at` and printing.  Every product, in `Poly * Poly`
 and in the tensor operators, runs through one fused multiply-accumulate,
 `sum_of_products`, which makes one Poly per sum, not one per product.
@@ -161,9 +161,9 @@ class Poly:
         return cls(m, {(0,) * m: value})
 
     @classmethod
-    def monomial(cls, m: int, coeff: Fraction, key: int) -> "Poly":
-        """coeff * x^key for a packed key within the exponent bound."""
-        return cls._raw(m, {key: coeff.numerator}, coeff.denominator) if coeff else cls.zero(m)
+    def monomial(cls, m: int, num: int, den: int, key: int) -> "Poly":
+        """num/den * x^key for ints, den > 0, and a packed key within the exponent bound."""
+        return cls._raw(m, {key: num}, den) if num else cls.zero(m)
 
     @classmethod
     def var(cls, m: int, i: int) -> "Poly":

@@ -328,6 +328,14 @@ USER_INPUT_ERRORS = {
         ["check", "admissible", "-m3", "-n1", "--omega", "x1*dx2^dx3", "--samples", "4"],
         "omega is not closed; the admissible bracket needs d omega = 0",
     ),
+    # a unique prefix of an option is not read as the option
+    "option-prefix": (
+        ["check", "dorfman-axioms", "-m2", "-n1", "--sample=3"], "unrecognized arguments: --sample=3"
+    ),
+    "structure-flag-prefix": (
+        ["check", "deformation", "-m3", "-n1", "--the", "x1*dx1^dx2^dx3"],
+        "unrecognized arguments: --the x1*dx1^dx2^dx3",
+    ),
 }
 
 
@@ -348,6 +356,41 @@ def test_value_error_inside_a_suite_is_not_reported_as_bad_input(monkeypatch, ca
         with pytest.raises(error, match="internal fault"):
             cli.main(["check", "dorfman-axioms", "-m2", "-n1"])
         assert capsys.readouterr().err == ""
+
+
+def test_the_argument_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_a_refusal_mid_parse_leaves_the_parser_as_built(capsys):
+    valid = ["bracket", "dorfman", "-m2", "-n1", "(@1 ; x2*dx1)", "(@2 ; 0)"]
+    cli._build_parser.cache_clear()
+    alone = cli.main(valid), capsys.readouterr()
+    refusals = (
+        ["bracket", "dorfman", "-m", "x", "-n1", "(@1 ; 0)", "(@2 ; 0)"],
+        ["check", "dorfman-axioms", "-m2", "-n1", "--samples"],
+        ["check", "-m3", "-n1"],
+        ["bracket", "dorfman", "-m2", "-n1", "--thet", "dx1", "(@1 ; 0)"],
+    )
+    for refused in refusals:
+        assert cli.main(refused) == 2
+        capsys.readouterr()
+        assert (cli.main(valid), capsys.readouterr()) == alone
+    assert alone[0] == 0 and alone[1].out == "(0 ; -dx1)\n"
+
+
+def test_a_check_target_added_after_the_parser_is_built_is_reached(monkeypatch, capsys):
+    cli._build_parser()
+    calls = []
+
+    def probe(ctx, args):
+        calls.append((ctx.m, ctx.n, args.samples))
+        return []
+
+    monkeypatch.setitem(cli.CHECK_TARGETS, "probe", cli.CheckTarget(probe))
+    assert cli.main(["check", "probe", "-m2", "-n1", "--samples", "3"]) == 0
+    assert calls == [(2, 1, 3)]
+    assert "suite: probe (m=2, n=1)" in capsys.readouterr().out
 
 
 C21, C31, C32 = Context(2, 1), Context(3, 1), Context(3, 2)

@@ -1,12 +1,15 @@
 """Surface syntax: parsing, grading errors, canonical printing, round-trips."""
 
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hicourant import dsl, exterior, scalar
 from hicourant.courant import Section, random_section
 from hicourant.dsl import (
     MAX_PAREN_DEPTH,
@@ -140,6 +143,196 @@ def test_exponent_bound_is_a_positioned_error():
     with pytest.raises(DslError) as err:
         parse_form(f"({at_bound})*dx1 ^ x1*dx2", CTX32, 2)
     assert err.value.position == len(at_bound) + 7
+
+
+_AT_BOUND = "*".join(["x1"] * MAX_EXPONENT)
+_EXPONENT_MESSAGE = f"exponent of a variable exceeds the bound {MAX_EXPONENT}"
+
+# (text, expected kind, error class, position, message): every refusal of the
+# lexer and parser, pinned to its exact class, position and message
+ERROR_PARITY = [
+    ("$", "scalar", LexError, 0, "unexpected character '$'"),
+    ("dy1", "scalar", LexError, 0, "unrecognized name 'dy1'"),
+    ("\u00e91", "scalar", LexError, 0, "unrecognized name '\u00e91'"),
+    ("x\u0661", "scalar", LexError, 0, "unrecognized name 'x'"),
+    ("xx1", "scalar", LexError, 0, "unrecognized name 'xx1'"),
+    ("x1\u00e9", "scalar", LexError, 2, "unrecognized name '\u00e9'"),
+    ("1/", "scalar", LexError, 1, "expected digits after '/' in a rational literal"),
+    ("1/x", "scalar", LexError, 1, "expected digits after '/' in a rational literal"),
+    ("1/0", "scalar", LexError, 0, "rational literal with zero denominator"),
+    ("1/00", "scalar", LexError, 0, "rational literal with zero denominator"),
+    ("1/2/3", "scalar", LexError, 3, "unexpected character '/'"),
+    ("@", "scalar", LexError, 0, "expected a coordinate index after '@'"),
+    ("@x1", "scalar", LexError, 0, "expected a coordinate index after '@'"),
+    ("", "scalar", ParseError, 0, "expected a value, found 'end of input'"),
+    ("x1 x2", "scalar", ParseError, 3, "unexpected trailing input 'x2'"),
+    ("x1 + ", "scalar", ParseError, 5, "expected a value, found 'end of input'"),
+    ("x1 + (x2", "scalar", ParseError, 8, "expected ')', found 'end of input'"),
+    ("(@1 ; dx1", "section", ParseError, 9, "expected ')', found 'end of input'"),
+    ("x1 + dx1", ("form", 1), GradingError, 3, "cannot add form of degree 1 and scalar"),
+    ("x1 - dx1", ("form", 1), GradingError, 3, "cannot subtract form of degree 1 and scalar"),
+    ("dx1 - dx1 + x1", ("form", 1), GradingError, 10, "cannot add scalar and form of degree 1"),
+    ("dx1 + dx1^dx2", ("form", 1), GradingError, 4, "cannot add form of degree 2 and form of degree 1"),
+    ("x1 + @1 - x1", ("multivec", 1), GradingError, 3, "cannot add multivector of degree 1 and scalar"),
+    (
+        "x1 - x1 + @1 - @1 + dx1", ("form", 1), GradingError, 18,
+        "cannot add form of degree 1 and multivector of degree 1",
+    ),
+    ("x7", "scalar", GradingError, 0, "coordinate index 7 out of range 1..3"),
+    ("dx1*dx2", ("form", 2), GradingError, 3, "'*' needs at least one scalar operand; use '^' on tensors"),
+    ("@1^dx1", ("form", 2), GradingError, 2, "cannot wedge multivector of degree 1 with form of degree 1"),
+    ("  x1 + x2", ("form", 1), GradingError, 2, "expected a form of degree 1, got scalar"),
+    (_AT_BOUND + "*x2*x1", "scalar", DslError, 3 * MAX_EXPONENT + 2, _EXPONENT_MESSAGE),
+    (f"({_AT_BOUND})*dx1 ^ x1*dx2", ("form", 2), DslError, len(_AT_BOUND) + 7, _EXPONENT_MESSAGE),
+]
+
+
+@pytest.mark.parametrize(
+    "text,expected,error,position,message", ERROR_PARITY, ids=[repr(row[0][:20]) for row in ERROR_PARITY]
+)
+def test_error_parity(text, expected, error, position, message):
+    with pytest.raises(DslError) as err:
+        parse(text, CTX32, expected)
+    assert type(err.value) is error
+    assert err.value.position == position
+    assert str(err.value) == f"at position {position}: {message}"
+
+
+@pytest.mark.parametrize(
+    "text,expected,value",
+    [
+        ("x1 - x1 + dx1", ("form", 1), Form.basis(3, (1,))),
+        ("0 + dx1", ("form", 1), Form.basis(3, (1,))),
+        ("dx1 + 0", ("form", 1), Form.basis(3, (1,))),
+        ("dx1 - dx1 + 0*x1", ("form", 1), Form.zero(3, 1)),
+        ("x1\u3000+\u2003x2", "scalar", Poly.var(3, 1) + Poly.var(3, 2)),
+    ],
+)
+def test_accepted_edge_cases(text, expected, value):
+    assert parse(text, CTX32, expected) == value
+
+
+# -- the parser against values built without it ---------------------------------
+
+
+def _term_text(rng, coeff, exps):
+    """|coeff| * x^exps with shuffled factors and the coefficient, sometimes unreduced, anywhere."""
+    factors = [f"x{i + 1}" for i, e in enumerate(exps) for _ in range(e)]
+    rng.shuffle(factors)
+    if coeff != 1 or not factors or rng.random() < 0.3:
+        scale = rng.choice((1, 1, 2, 3))
+        num, den = coeff.numerator * scale, coeff.denominator * scale
+        factors.insert(rng.randint(0, len(factors)), str(num) if den == 1 else f"{num}/{den}")
+    return "*".join(factors)
+
+
+def _chain_text(rng, entries):
+    """A sum of signed (sign, coeff, exps) entries, some runs under a sign in parentheses."""
+    pieces, i = [], 0
+    while i < len(entries):
+        run = entries[i : i + rng.choice((1, 1, 1, 2, 3))]
+        i += len(run)
+        if len(run) == 1:
+            pieces.append((run[0][0], _term_text(rng, run[0][1], run[0][2])))
+            continue
+        outer = rng.choice((1, -1))
+        pieces.append((outer, "(" + _chain_text(rng, [(s * outer, c, e) for s, c, e in run]) + ")"))
+    (sign, text), rest = pieces[0], pieces[1:]
+    return ("-" if sign < 0 else "") + text + "".join(f" {'-' if s < 0 else '+'} {t}" for s, t in rest)
+
+
+def _scalar_operand(rng, m, terms):
+    """(text, {exps: coeff}): a chain of rational monomials with repeats and one cancelling term."""
+    pool = [tuple(rng.randint(0, 2) for _ in range(m)) for _ in range(max(1, terms // 2))]
+    entries = [
+        (rng.choice((1, -1)), Fraction(rng.randint(1, 9), rng.choice((1, 1, 2, 3, 4, 5))), rng.choice(pool))
+        for _ in range(terms)
+    ]
+    sign, coeff, exps = rng.choice(entries)
+    entries.insert(rng.randint(0, len(entries)), (-sign, coeff, exps))
+    value = Counter()
+    for sign, coeff, exps in entries:
+        value[exps] += sign * coeff
+    return _chain_text(rng, entries), value
+
+
+def _tensor_operand(rng, m, degree, symbol, terms):
+    """(text, {index: {exps: coeff}}): "(chain)*basis" per index, each basis in a shuffled
+    order, plus one repeated index whose coefficient chain is its negation."""
+    parts, value = [], {}
+    indices = list(combinations(range(1, m + 1), degree))
+    for idx in indices + [rng.choice(indices)]:
+        order = list(idx)
+        rng.shuffle(order)
+        parity = sum(a > b for k, a in enumerate(order) for b in order[k + 1 :]) % 2
+        text, coeffs = _scalar_operand(rng, m, terms)
+        parts.append(f"({text})*" + "^".join(f"{symbol}{i}" for i in order))
+        for exps, coeff in coeffs.items():
+            row = value.setdefault(idx, Counter())
+            row[exps] += -coeff if parity else coeff
+    return " + ".join(parts), value
+
+
+def _tensor(cls, m, degree, value):
+    return cls(m, degree, {idx: Poly(m, dict(row)) for idx, row in value.items()})
+
+
+@pytest.mark.parametrize("m,n,terms", [(5, 2, 12), (4, 1, 30), (4, 2, 18), (3, 1, 4)])
+def test_io_shaped_sections_match_values_built_without_the_parser(m, n, terms):
+    rng = random.Random(f"{m}-{n}-{terms}")
+    ctx = Context(m, n)
+    for _ in range(3):
+        vec_text, vec = _tensor_operand(rng, m, 1, "@", terms)
+        form_text, form = _tensor_operand(rng, m, n, "dx", terms)
+        expected = Section(ctx, _tensor(MultiVec, m, 1, vec), _tensor(Form, m, n, form))
+        assert parse_section(f"({vec_text} ; {form_text})", ctx) == expected
+        text, value = _scalar_operand(rng, m, terms)
+        assert parse_scalar(text, ctx) == Poly(m, dict(value))
+
+
+def _counted_entries(monkeypatch) -> Counter:
+    """Counter whose "entries" grows by the coefficient entries that each sum_of_products reads
+    (|p| * |q| per product, |p| for a lone p) and by both operands' entries per Poly.__add__."""
+    work = Counter()
+    real_sum, real_add = scalar.sum_of_products, Poly.__add__
+
+    def counted_sum(m, products):
+        products = list(products)
+        work["entries"] += sum(len(p.terms) * (1 if q is None else len(q.terms)) for _, p, q in products)
+        return real_sum(m, products)
+
+    def counted_add(self, other):
+        work["entries"] += len(self.terms) + len(getattr(other, "terms", ()))
+        return real_add(self, other)
+
+    for module in (scalar, exterior, dsl):
+        if hasattr(module, "sum_of_products"):
+            monkeypatch.setattr(module, "sum_of_products", counted_sum)
+    monkeypatch.setattr(Poly, "__add__", counted_add)
+    return work
+
+
+def _distinct_chain(terms: int, tail: str) -> str:
+    """terms distinct monomials of x1..x4, exponents 0..6, each with a rational coefficient."""
+    pieces = []
+    for t in range(terms):
+        factors = [f"x{i + 1}" for i in range(4) for _ in range(t // 7**i % 7)]
+        pieces.append("*".join([f"{t % 9 + 1}/{t % 5 + 1}", *factors]) + tail)
+    return " + ".join(pieces)
+
+
+@pytest.mark.parametrize("expected,tail", [("scalar", ""), (("form", 2), "*dx1^dx2")])
+def test_chain_work_per_term_is_flat(monkeypatch, expected, tail):
+    ctx = Context(4, 2)
+    per_term = {}
+    for terms in (250, 500, 1000, 2000):
+        text = _distinct_chain(terms, tail)
+        work = _counted_entries(monkeypatch)
+        value = parse(text, ctx, expected)
+        monkeypatch.undo()
+        assert len(value.terms if expected == "scalar" else value.coeffs[(1, 2)].terms) == terms
+        per_term[terms] = work["entries"] / terms
+    assert max(per_term.values()) <= 1.01 * min(per_term.values()), per_term
 
 
 def test_round_trip_seeded_values():
