@@ -76,7 +76,6 @@ from .plectic import (
     hemi_bracket,
     nondegeneracy_check,
     omega_flat,
-    random_hamiltonian_pair,
     semi_bracket,
     solve_admissible,
     solve_hamiltonian,

@@ -76,6 +76,14 @@ def _lex_error(text: str, start: int) -> LexError:
     return LexError(start, f"unrecognized name {text[start:end]!r}")
 
 
+def _int(digits: str, position: int) -> int:
+    """int(digits), or a LexError at `position` for more digits than the interpreter converts."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise LexError(position, f"{len(digits)} digits exceed Python's int-string limit") from None
+
+
 def tokenize(text: str) -> list[tuple]:
     """(kind, text, position, value) tuples ending in EOF; kind is OP, RATIONAL
     (value: int numerator and denominator), VAR, COVEC or VEC (value: the index)."""
@@ -89,17 +97,17 @@ def tokenize(text: str) -> list[tuple]:
             append((kind, token, start, None))
         elif kind == "RATIONAL":
             numerator, slash, denominator = token.partition("/")
-            numerator = int(numerator)  # first, as the character lexer converted it
+            numerator = _int(numerator, start)
             if slash and not denominator:
                 raise LexError(start + len(token) - 1, "expected digits after '/' in a rational literal")
-            denominator = int(denominator) if slash else 1
+            denominator = _int(denominator, start) if slash else 1
             if not denominator:
                 raise LexError(start, "rational literal with zero denominator")
             append((kind, token, start, (numerator, denominator)))
         elif kind == "BAD":
             raise _lex_error(text, start)
         else:
-            append((kind, token, start, int(token[2 if kind == "COVEC" else 1 :])))
+            append((kind, token, start, _int(token[2 if kind == "COVEC" else 1 :], start)))
     append(("EOF", "", len(text), None))
     return tokens
 

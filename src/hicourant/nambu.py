@@ -104,14 +104,15 @@ def graph_closure_check(c: NambuCandidate, seed: int = 0, samples: int = 25) -> 
     def pair(rng):
         return tuple(random_form(rng, ctx.m, ctx.n) for _ in range(2))
 
-    check = CheckResult(
-        "graph_closure_dorfman",
-        "[pi#a + a, pi#b + b] stays in the graph of pi# (dorfman bracket)",
-    )
-    for a, b in cases(seed, samples, pair, product(basis, repeat=2)):
-        result = dorfman_bracket(_graph_section(c, a), _graph_section(c, b))
-        check.record((a, b), result.vec - pi_sharp(c, result.form))
+    table = (("graph_closure_dorfman", "[pi#a + a, pi#b + b] stays in the graph of pi# (dorfman bracket)"),)
+    sweep = cases(seed, samples, pair, product(basis, repeat=2))
+    (check,) = sweep_checks(table, sweep, partial(_graph_residual, c))
     return check
+
+
+def _graph_residual(c: NambuCandidate, a: Form, b: Form):
+    result = dorfman_bracket(_graph_section(c, a), _graph_section(c, b))
+    yield (a, b), result.vec - pi_sharp(c, result.form)
 
 
 def nambu_form_bracket(c: NambuCandidate, a: Form, b: Form) -> Form:

@@ -25,7 +25,6 @@ from .exterior import (
     ext_d,
     i_vec,
     lie_form,
-    random_form,
     random_multivec,
     random_point,
     random_poly,
@@ -353,18 +352,3 @@ def check_admissible_lie_algebroid(
     if not ext_d(c.omega).is_zero:
         raise NotClosedError("omega is not closed; the admissible bracket needs d omega = 0")
     return sweep_checks(ADMISSIBLE_LIE_ALGEBROID, sweep, partial(_admissible_residuals, c))
-
-
-def random_hamiltonian_pair(
-    rng: random.Random, c: PlecticCandidate
-) -> HamiltonianPair:
-    """Backward-generated Hamiltonian pair: random potential, solved field.
-
-    Only valid for constant-coefficient omega whose flat map is
-    surjective (true for the fixtures used in the test suites).
-    """
-    while True:
-        xi = random_form(rng, c.ctx.m, c.ctx.n - 1)
-        pair = solve_hamiltonian(c, xi)
-        if pair is not None:
-            return pair

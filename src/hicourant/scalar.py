@@ -10,8 +10,8 @@ FIELD_BITS bits per exponent, so a product of monomials is an integer
 addition, and coefficients are int numerators over one denominator per
 polynomial.  `Fraction` and exponent tuples appear only at the boundary:
 the constructor, `const`, `coefficients`, `constant_term`,
-`single_term`, `eval_at` and printing.  Every product, in `Poly * Poly`
-and in the tensor operators, runs through one fused multiply-accumulate,
+`single_term`, `eval_at` and printing.  Every sum and product (`+`, `-`,
+`*` and the tensor operators) runs through one fused multiply-accumulate,
 `sum_of_products`, which makes one Poly per sum, not one per product.
 """
 
@@ -196,22 +196,11 @@ class Poly:
             return Poly.const(self.m, other)
         return None
 
-    def __add__(self, other):
+    def __add__(self, other, sign: int = 1):
         other = self._lift(other)
         if other is None:
             return NotImplemented
-        a, b, den = self.terms, other.terms, self.den
-        if den != other.den:
-            den = lcm(den, other.den)
-            a = {key: c * (den // self.den) for key, c in a.items()}
-            b = {key: c * (den // other.den) for key, c in b.items()}
-        merged = dict(a)
-        get = merged.get
-        for key, c in b.items():
-            merged[key] = get(key, 0) + c
-        if 0 in merged.values():
-            merged = {key: c for key, c in merged.items() if c}
-        return Poly._raw(self.m, merged, den)
+        return sum_of_products(self.m, ((1, self, None), (sign, other, None)))
 
     __radd__ = __add__
 
@@ -219,16 +208,10 @@ class Poly:
         return Poly._raw(self.m, {key: -c for key, c in self.terms.items()}, self.den)
 
     def __sub__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return self.__add__(other, -1)
 
     def __rsub__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        return (-self).__add__(other)
 
     def __mul__(self, other):
         other = self._lift(other)

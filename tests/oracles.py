@@ -6,16 +6,19 @@ package, so the two can be cross-checked against each other exactly.
 The Cartan-route Lie derivative i_X d + d i_X and the textbook Dorfman
 and Courant brackets built on it are the second route for the package's
 component-formula Lie derivative and its one bracket kernel.
+`hamiltonian_pairs` is the exhaustive sweep of Hamiltonian pairs that
+the hemi- and semi-bracket tests share.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from hicourant.courant import Section
 from hicourant.exterior import Form, MultiVec, ext_d, i_vec
-from hicourant.scalar import Poly
+from hicourant.plectic import solve_hamiltonian
+from hicourant.scalar import Poly, monomials_up_to
 
 
 def signed_lookup(tensor, seq) -> Poly:
@@ -203,3 +206,25 @@ def oracle_courant(e1: Section, e2: Section) -> Section:
     form = oracle_lie_form(x, b) - oracle_lie_form(y, a)
     form = form + Fraction(1, 2) * (ext_d(i_vec(y, a)) - ext_d(i_vec(x, b)))
     return Section(e1.ctx, oracle_vec_bracket(x, y), form)
+
+
+def hamiltonian_pairs(c, count: int) -> list:
+    """Every ordered pair of Hamiltonian pairs whose potentials are the monomial
+    (n-1)-forms x^a dx^I with |a| <= 2, each solved by solve_hamiltonian.
+
+    Asserts that every potential solves and that there are `count` ordered
+    pairs.  Where the flat map is bijective, X_xi is linear in xi, so an
+    identity that is R-bilinear in (xi, eta) and holds on every pair here
+    holds for all potentials of degree <= 2.
+    """
+    m, n = c.ctx.m, c.ctx.n
+    solved = []
+    for exps in monomials_up_to(m, 2):
+        for idx in combinations(range(1, m + 1), n - 1):
+            xi = Poly(m, {exps: 1}) * Form.basis(m, idx)
+            pair = solve_hamiltonian(c, xi)
+            assert pair is not None, f"{xi} has no Hamiltonian field"
+            solved.append(pair)
+    pairs = list(product(solved, repeat=2))
+    assert len(pairs) == count
+    return pairs

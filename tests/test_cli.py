@@ -248,6 +248,10 @@ def test_non_ascii_digits_are_positioned_lex_errors(capsys):
         assert captured.err.startswith("error: at position 6: ")
 
 
+# Python's limit on the digits of an int read from a string (3.11 and later); 0 where it has none
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+OVER_INT_LIMIT = INT_DIGITS + 1
+
 USER_INPUT_ERRORS = {
     "m-zero-check": (
         ["check", "dorfman-axioms", "-m0", "-n1"], "chart dimension m must be positive"
@@ -336,10 +340,32 @@ USER_INPUT_ERRORS = {
         ["check", "deformation", "-m3", "-n1", "--the", "x1*dx1^dx2^dx3"],
         "unrecognized arguments: --the x1*dx1^dx2^dx3",
     ),
+    # a number one digit over Python's int-string limit is refused at its token
+    "numerator-over-int-limit": (
+        ["bracket", "dorfman", "-m2", "-n1", "(@1 ; 0)", f"(0 ; {'7' * OVER_INT_LIMIT}*dx1)"],
+        f"at position 5: {OVER_INT_LIMIT} digits exceed Python's int-string limit",
+    ),
+    "denominator-over-int-limit": (
+        ["bracket", "dorfman", "-m2", "-n1", "(@1 ; 0)", f"(0 ; 1/{'7' * OVER_INT_LIMIT}*dx1)"],
+        f"at position 5: {OVER_INT_LIMIT} digits exceed Python's int-string limit",
+    ),
+    "index-over-int-limit": (
+        ["bracket", "dorfman", "-m2", "-n1", "(@1 ; 0)", f"(0 ; x{'1' * OVER_INT_LIMIT}*dx1)"],
+        f"at position 5: {OVER_INT_LIMIT} digits exceed Python's int-string limit",
+    ),
 }
 
 
-@pytest.mark.parametrize("argv,message", USER_INPUT_ERRORS.values(), ids=USER_INPUT_ERRORS)
+def user_input_cases():
+    """USER_INPUT_ERRORS as parameters; the int-limit cases skip where Python has no such limit."""
+    skip = pytest.mark.skipif(not INT_DIGITS, reason="no int-string limit")
+    return [
+        pytest.param(*case, id=name, marks=skip if name.endswith("-over-int-limit") else ())
+        for name, case in USER_INPUT_ERRORS.items()
+    ]
+
+
+@pytest.mark.parametrize("argv,message", user_input_cases())
 def test_user_input_errors_exit_2_with_their_message(argv, message, capsys):
     assert cli.main(argv) == 2
     captured = capsys.readouterr()

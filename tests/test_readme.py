@@ -1,7 +1,9 @@
-"""README's "Command line" block, run line by line through `cli.main`.
+"""README's "Command line" block, run line by line through `cli.main`,
+and its "Library quick start" block, run as one program.
 
 Every `hicourant ...` line must exit 1 where its comment says `fails`
 and 0 otherwise.  Where the next line is `#   -> X`, stdout must be X.
+Each `print(...)  # X` line of the quick start must print X.
 """
 
 import re
@@ -54,3 +56,12 @@ def test_readme_usage_line(argv, code, expected):
     assert result["exit"] == code, result["stderr"]
     if expected is not None:
         assert result["stdout"] == expected + "\n"
+
+
+def test_library_quick_start_prints_what_its_comments_say(capsys):
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"## Library quick start\n\n```python\n(.*?)```", text, re.S).group(1)
+    expected = [line.partition("# ")[2] for line in block.splitlines() if line.startswith("print(")]
+    assert len(expected) >= 3
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == expected

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hicourant.exterior import Form
 from hicourant.scalar import MAX_EXPONENT, ChartMismatchError, ExponentBoundError, Poly, sum_of_products
 
 
@@ -30,6 +31,40 @@ def test_add_coefficient_oracle():
     b = poly3({(1, 1, 0): Fraction(-2), (2, 0, 0): Fraction(5)})
     merged = {(0, 0, 1): Fraction(1, 3), (2, 0, 0): Fraction(5)}
     assert (a + b).coefficients() == merged
+
+
+def shifted_coefficients(p, sign, constant):
+    """The coefficients of sign * p + constant, summed as exponent tuple -> Fraction."""
+    out = {exps: sign * c for exps, c in p.coefficients().items()}
+    out[(0, 0, 0)] = out.get((0, 0, 0), 0) + constant
+    return {exps: c for exps, c in out.items() if c}
+
+
+def test_reflected_and_mixed_operands_match_the_coefficient_oracle():
+    p = poly3({(1, 0, 0): Fraction(2, 3), (0, 0, 0): Fraction(1, 2), (0, 1, 1): Fraction(-5, 4)})
+    for built, (sign, constant) in [
+        (1 - p, (-1, 1)),
+        (Fraction(1, 3) + p, (1, Fraction(1, 3))),
+        (p - Fraction(1, 2), (1, Fraction(-1, 2))),  # cancels the constant term
+    ]:
+        assert built.coefficients() == shifted_coefficients(p, sign, constant)
+        assert built.den == Poly(3, built.coefficients()).den
+
+
+def test_a_cancellation_across_denominators_is_the_canonical_zero():
+    half, third = poly3({(1, 0, 0): Fraction(1, 2)}), poly3({(0, 1, 0): Fraction(1, 3)})
+    total = half + third
+    rest = total - half  # over 6 and 2, reduced to 3
+    assert (total.den, rest.den) == (6, 3)
+    assert rest.coefficients() == {(0, 1, 0): Fraction(1, 3)}
+    zero = rest - third
+    assert zero.den == 1
+    assert zero.terms == {}
+
+
+def test_adding_a_tensor_to_a_scalar_is_a_type_error():
+    with pytest.raises(TypeError):
+        X1 + Form.basis(3, (1,))
 
 
 def test_mul_examples():
