@@ -146,16 +146,7 @@ class SuiteReport:
             "params": {"samples": self.samples},
             "quantifier_scope": self.quantifier_scope,
             "checks": [
-                {
-                    "name": check.name,
-                    "identity": check.identity,
-                    "cases": check.cases,
-                    "failures": [
-                        {"inputs": list(failure.inputs), "residual": failure.residual}
-                        for failure in check.failures
-                    ],
-                    "passed": check.passed,
-                }
+                {**vars(check), "failures": [vars(f) for f in check.failures], "passed": check.passed}
                 for check in self.checks
             ],
             "passed": self.passed,

@@ -47,8 +47,7 @@ class Section:
     def __post_init__(self):
         if self.vec.degree != 1:
             raise InputError("vector part must have degree 1")
-        if self.form.degree != self.ctx.n:
-            raise InputError(f"form part must have degree n={self.ctx.n}, got {self.form.degree}")
+        self.ctx.require_degree("form part", 0, self.form)
         if self.vec.m != self.ctx.m or self.form.m != self.ctx.m:
             raise ChartMismatchError("section parts live on a different chart than the context")
 
@@ -137,9 +136,7 @@ def t_map(e1: Section, e2: Section, e3: Section) -> Form:
 
 def deformed_dorfman(e1: Section, e2: Section, theta: Form) -> Section:
     """Dorfman bracket twisted by an (n+2)-form: add i_{X ^ Y} theta."""
-    n = e1.ctx.n
-    if theta.degree != n + 2:
-        raise InputError(f"deformation form must have degree n+2={n + 2}, got {theta.degree}")
+    e1.ctx.require_degree("deformation form", 2, theta)
     base = dorfman_bracket(e1, e2)
     twist = contract_vec_into_form(wedge(e1.vec, e2.vec), theta)
     return base.add_form(twist)
@@ -147,9 +144,7 @@ def deformed_dorfman(e1: Section, e2: Section, theta: Form) -> Section:
 
 def gauge(phi: Form, e: Section) -> Section:
     """Shear X + a -> X + a + i_X phi for an (n+1)-form phi."""
-    n = e.ctx.n
-    if phi.degree != n + 1:
-        raise InputError(f"gauge form must have degree n+1={n + 1}, got {phi.degree}")
+    e.ctx.require_degree("gauge form", 1, phi)
     return e.add_form(i_vec(e.vec, phi))
 
 
@@ -174,7 +169,8 @@ class Failure:
 
 @dataclass
 class CheckResult:
-    """Outcome of one seeded identity check with counterexample witnesses."""
+    """Outcome of one seeded identity check with counterexample witnesses.  The field
+    order here and in Failure is the key order of a check in the JSON report."""
 
     name: str
     identity: str
@@ -186,14 +182,12 @@ class CheckResult:
         return not self.failures
 
     def record(self, inputs, residual) -> None:
-        self.cases += 1
-        if not residual.is_zero:
-            self.failures.append(Failure(tuple(str(v) for v in inputs), str(residual)))
+        self.record_verdict(inputs, residual.is_zero, residual)
 
-    def record_verdict(self, inputs, agree: bool, note: str) -> None:
+    def record_verdict(self, inputs, agree: bool, note) -> None:
         self.cases += 1
         if not agree:
-            self.failures.append(Failure(tuple(str(v) for v in inputs), note))
+            self.failures.append(Failure(tuple(str(v) for v in inputs), str(note)))
 
     def record_iff(self, inputs, left: tuple[str, CheckResult], right: tuple[str, CheckResult]):
         """One case that passes iff the two (label, check) pairs both pass or both fail."""
@@ -328,8 +322,7 @@ def check_deformation(
     vector sections, which is what makes a non-closed theta fail
     deterministically rather than by luck of the sampler.
     """
-    if theta.degree != ctx.n + 2:
-        raise InputError(f"deformation form must have degree n+2={ctx.n + 2}")
+    ctx.require_degree("deformation form", 2, theta)
     coordinate = [Section.of_vec(ctx, MultiVec.basis(ctx.m, (i,))) for i in range(1, ctx.m + 1)]
     sweep = cases(seed, samples, partial(_random_sections, ctx, 3), product(coordinate, repeat=3))
     closed = CheckResult("theta_closed", "d theta = 0")
@@ -361,8 +354,7 @@ def check_gauge_isomorphism(
     ctx: Context, phi: Form, seed: int = 0, samples: int = 25
 ) -> list[CheckResult]:
     """Verify the gauge shear intertwines the d(phi)-twisted and plain brackets."""
-    if phi.degree != ctx.n + 1:
-        raise InputError(f"gauge form must have degree n+1={ctx.n + 1}")
+    ctx.require_degree("gauge form", 1, phi)
     sweep = cases(seed, samples, partial(_random_sections, ctx, 2))
     dphi = ext_d(phi)
     table = GAUGE if dphi.is_zero else GAUGE[:1]

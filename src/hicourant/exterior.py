@@ -47,6 +47,14 @@ class Context:
         if not 1 <= self.n <= self.m:
             raise InputError(f"bracket order n={self.n} must satisfy 1 <= n <= m={self.m}")
 
+    def require_degree(self, what: str, offset: int, *tensors) -> None:
+        """The one refusal of a tensor whose degree is not n + offset: an InputError
+        naming the expected degree and that of the first tensor that misses it."""
+        for tensor in tensors:
+            if tensor.degree != self.n + offset:
+                formula = f"n{offset:+d}" if offset else "n"
+                raise InputError(f"{what} must have degree {formula}={self.n + offset}, got {tensor.degree}")
+
 
 def _merge_indices(left: MultiIndex, right: MultiIndex) -> tuple[int, MultiIndex] | None:
     """Sign s and sorted union K with dx^left ^ dx^right = s * dx^K, None on overlap."""

@@ -32,7 +32,7 @@ from .exterior import (
     random_poly,
     wedge,
 )
-from .scalar import ChartMismatchError, InputError, Poly, monomials_up_to
+from .scalar import ChartMismatchError, Poly, monomials_up_to
 
 
 @dataclass(frozen=True)
@@ -43,18 +43,14 @@ class NambuCandidate:
     pi: MultiVec
 
     def __post_init__(self):
-        if self.pi.degree != self.ctx.n + 1:
-            raise InputError(
-                f"tensor must have degree n+1={self.ctx.n + 1}, got {self.pi.degree}"
-            )
+        self.ctx.require_degree("tensor", 1, self.pi)
         if self.pi.m != self.ctx.m:
             raise ChartMismatchError("tensor lives on a different chart than the context")
 
 
 def pi_sharp(c: NambuCandidate, xi: Form) -> MultiVec:
     """The induced map on n-forms: pi#(xi) = i_xi pi."""
-    if xi.degree != c.ctx.n:
-        raise InputError(f"form must have degree n={c.ctx.n}, got {xi.degree}")
+    c.ctx.require_degree("form", 0, xi)
     return contract_form_into_vec(xi, c.pi)
 
 
@@ -118,15 +114,12 @@ def _graph_residual(c: NambuCandidate, a: Form, b: Form):
 def nambu_form_bracket(c: NambuCandidate, a: Form, b: Form) -> Form:
     """Induced bracket on n-forms: L_{pi#a} b - L_{pi#b} a + d i_{pi#b} a,
     the form part of the Dorfman bracket of the graph sections pi#a + a, pi#b + b."""
-    if a.degree != c.ctx.n or b.degree != c.ctx.n:
-        raise InputError(f"both forms must have degree n={c.ctx.n}")
     return dorfman_form(_graph_section(c, a), _graph_section(c, b))
 
 
 def marrero_bracket(c: NambuCandidate, a: Form, b: Form) -> Form:
     """Comparison bracket on n-forms: L_{pi#a} b + (-1)^{n+1} <pi, da> b."""
-    if a.degree != c.ctx.n or b.degree != c.ctx.n:
-        raise InputError(f"both forms must have degree n={c.ctx.n}")
+    c.ctx.require_degree("both forms", 0, a, b)
     xa = pi_sharp(c, a)
     scale = full_pair(c.pi, ext_d(a))
     if (c.ctx.n + 1) % 2:
@@ -136,8 +129,7 @@ def marrero_bracket(c: NambuCandidate, a: Form, b: Form) -> Form:
 
 def leibniz_nm1_bracket(c: NambuCandidate, xi: Form, eta: Form) -> Form:
     """Leibniz bracket on (n-1)-forms: {xi, eta} = L_{pi#(d xi)} eta."""
-    if xi.degree != c.ctx.n - 1 or eta.degree != c.ctx.n - 1:
-        raise InputError(f"both forms must have degree n-1={c.ctx.n - 1}")
+    c.ctx.require_degree("both forms", -1, xi, eta)
     return lie_form(pi_sharp(c, ext_d(xi)), eta)
 
 

@@ -36,7 +36,7 @@ class NotClosedError(InputError):
     """Raised when an operation requires d omega = 0 but omega is not closed."""
 
 
-class UnsupportedSolveError(ValueError):
+class UnsupportedSolveError(InputError):
     """Raised when the exact linear solve needs constant coefficients."""
 
 
@@ -52,10 +52,7 @@ class PlecticCandidate:
     omega: Form
 
     def __post_init__(self):
-        if self.omega.degree != self.ctx.n + 1:
-            raise InputError(
-                f"structure form must have degree n+1={self.ctx.n + 1}, got {self.omega.degree}"
-            )
+        self.ctx.require_degree("structure form", 1, self.omega)
         if self.omega.m != self.ctx.m:
             raise ChartMismatchError("form lives on a different chart than the context")
 
@@ -236,8 +233,8 @@ def check_plectic(
     """Rank of omega-flat (exact for constant omega, else at RANK_POINTS seeded points), then
     one sweep of graph pairs X + i_X omega for the two graph theorems: closed under the Dorfman
     bracket iff d omega = 0 and, given theta, under [.,.]_theta iff d omega + theta = 0."""
-    if theta is not None and theta.degree != c.ctx.n + 2:
-        raise InputError(f"deformation form must have degree n+2={c.ctx.n + 2}")
+    if theta is not None:
+        c.ctx.require_degree("deformation form", 2, theta)
     sweep = cases(seed, samples, partial(_random_graph_sections, c, 2), _coordinate_graph_pairs(c))
     rng = random.Random(seed)
     checks = [nondegeneracy_check(c, [random_point(rng, c.ctx.m) for _ in range(RANK_POINTS)])]
@@ -268,8 +265,7 @@ def solve_admissible(c: PlecticCandidate, alpha: Form) -> AdmissiblePair | None:
     solver; construct an AdmissiblePair directly to verify a candidate.
     """
     ctx = c.ctx
-    if alpha.degree != ctx.n:
-        raise InputError(f"form must have degree n={ctx.n}, got {alpha.degree}")
+    ctx.require_degree("form", 0, alpha)
     if not c.is_constant:
         raise UnsupportedSolveError(
             "exact solving needs constant-coefficient omega; "
@@ -285,8 +281,7 @@ def solve_admissible(c: PlecticCandidate, alpha: Form) -> AdmissiblePair | None:
 
 def solve_hamiltonian(c: PlecticCandidate, xi: Form) -> HamiltonianPair | None:
     """Solve d xi = i_X omega for constant-coefficient omega; None if not Hamiltonian."""
-    if xi.degree != c.ctx.n - 1:
-        raise InputError(f"form must have degree n-1={c.ctx.n - 1}, got {xi.degree}")
+    c.ctx.require_degree("form", -1, xi)
     admissible = solve_admissible(c, ext_d(xi))
     if admissible is None:
         return None
@@ -295,7 +290,7 @@ def solve_hamiltonian(c: PlecticCandidate, xi: Form) -> HamiltonianPair | None:
 
 def _same_structure(c: PlecticCandidate, p, q) -> None:
     if p.candidate != c or q.candidate != c:
-        raise ValueError("both pairs must belong to this structure")
+        raise InputError("both pairs must belong to this structure")
 
 
 def admissible_bracket(c: PlecticCandidate, a: AdmissiblePair, b: AdmissiblePair) -> AdmissiblePair:

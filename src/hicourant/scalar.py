@@ -93,7 +93,10 @@ def monomial_text(coeff: Fraction, exps: Exponents, tail: str = "") -> tuple[boo
     magnitude = abs(coeff)
     has_factors = any(exps) or bool(tail)
     if magnitude != 1 or not has_factors:
-        parts.append(str(magnitude))
+        try:
+            parts.append(str(magnitude))
+        except ValueError:
+            raise InputError("a coefficient has more digits than Python's int-string limit") from None
     for i, e in enumerate(exps):
         parts.extend([f"x{i + 1}"] * e)
     if tail:

@@ -251,6 +251,8 @@ def test_non_ascii_digits_are_positioned_lex_errors(capsys):
 # Python's limit on the digits of an int read from a string (3.11 and later); 0 where it has none
 INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 OVER_INT_LIMIT = INT_DIGITS + 1
+# a literal of 2L/3 digits, under the limit L, whose square is over it
+WIDE = "1" + "0" * (2 * INT_DIGITS // 3 - 1)
 
 USER_INPUT_ERRORS = {
     "m-zero-check": (
@@ -352,6 +354,14 @@ USER_INPUT_ERRORS = {
     "index-over-int-limit": (
         ["bracket", "dorfman", "-m2", "-n1", "(@1 ; 0)", f"(0 ; x{'1' * OVER_INT_LIMIT}*dx1)"],
         f"at position 5: {OVER_INT_LIMIT} digits exceed Python's int-string limit",
+    ),
+    "bracket-coefficient-over-int-limit": (
+        ["bracket", "dorfman", "-m2", "-n1", "(@1 ; 0)", f"(0 ; {WIDE}*{WIDE}*x1*dx1)"],
+        "a coefficient has more digits than Python's int-string limit",
+    ),
+    "witness-coefficient-over-int-limit": (
+        ["check", "deformation", "-m4", "-n1", "--theta", f"{WIDE}*{WIDE}*x4*dx1^dx2^dx3", "--samples", "1"],
+        "a coefficient has more digits than Python's int-string limit",
     ),
 }
 
@@ -470,27 +480,27 @@ def _degree_refusals():
         ),
         "check_plectic": (
             lambda: plectic.check_plectic(omega, theta=forms[2]),
-            "deformation form must have degree n+2=3",
+            "deformation form must have degree n+2=3, got 2",
         ),
         "pi_sharp": (lambda: pi_sharp(pi, forms[1]), "form must have degree n=2, got 1"),
         "nambu_form_bracket": (
-            lambda: nambu.nambu_form_bracket(pi, forms[1], forms[2]), "both forms must have degree n=2"
+            lambda: nambu.nambu_form_bracket(pi, forms[1], forms[2]), "form must have degree n=2, got 1"
         ),
         "marrero_bracket": (
-            lambda: nambu.marrero_bracket(pi, forms[2], forms[1]), "both forms must have degree n=2"
+            lambda: nambu.marrero_bracket(pi, forms[2], forms[1]), "both forms must have degree n=2, got 1"
         ),
         "leibniz_nm1_bracket": (
-            lambda: nambu.leibniz_nm1_bracket(pi, forms[2], forms[1]), "both forms must have degree n-1=1"
+            lambda: nambu.leibniz_nm1_bracket(pi, forms[2], forms[1]), "both forms must have degree n-1=1, got 2"
         ),
         "deformed_dorfman": (
             lambda: courant.deformed_dorfman(e, e, forms[2]), "deformation form must have degree n+2=3, got 2"
         ),
         "gauge": (lambda: courant.gauge(forms[1], e), "gauge form must have degree n+1=2, got 1"),
         "check_deformation": (
-            lambda: courant.check_deformation(C31, forms[2]), "deformation form must have degree n+2=3"
+            lambda: courant.check_deformation(C31, forms[2]), "deformation form must have degree n+2=3, got 2"
         ),
         "check_gauge_isomorphism": (
-            lambda: courant.check_gauge_isomorphism(C31, forms[1]), "gauge form must have degree n+1=2"
+            lambda: courant.check_gauge_isomorphism(C31, forms[1]), "gauge form must have degree n+1=2, got 1"
         ),
     }
 

@@ -127,7 +127,7 @@ def test_deformed_graph_fixtures():
     matched, closure, agreement = graph_checks(VOLUME32, 3, 6, Form.zero(3, 4))[4:]
     assert matched.passed and closure.passed and agreement.passed
 
-    with pytest.raises(InputError, match="^deformation form must have degree n\\+2=4$"):
+    with pytest.raises(InputError, match="^deformation form must have degree n\\+2=4, got 2$"):
         check_plectic(VOLUME32, seed=0, samples=2, theta=dx(3, 1, 2))
 
 
@@ -137,7 +137,7 @@ def test_check_plectic_refuses_theta_then_samples_before_any_work(monkeypatch):
 
     for name in ("nondegeneracy_check", "omega_flat", "ext_d"):
         monkeypatch.setattr(plectic, name, no_work)
-    with pytest.raises(InputError, match="^deformation form must have degree n\\+2=3$"):
+    with pytest.raises(InputError, match="^deformation form must have degree n\\+2=3, got 2$"):
         check_plectic(NONCLOSED31, samples=0, theta=dx(3, 1, 2))
     with pytest.raises(InputError, match="^samples must be at least 1$"):
         check_plectic(NONCLOSED31, samples=0, theta=dx(3, 1, 2, 3))
@@ -192,8 +192,9 @@ def test_solve_admissible_examples():
     pair = solve_admissible(VOLUME32, var(3, 1) * dx(3, 2, 3))
     assert pair.x_alpha == var(3, 1) * dd(3, 1)
     assert solve_admissible(DEGENERATE31, dx(3, 3)) is None
-    with pytest.raises(UnsupportedSolveError):
+    with pytest.raises(UnsupportedSolveError) as refusal:
         solve_admissible(NONCLOSED31, dx(3, 2))
+    assert isinstance(refusal.value, InputError)
     with pytest.raises(ValueError):
         solve_admissible(VOLUME32, dx(3, 1))
 
@@ -310,7 +311,7 @@ def test_hamiltonian_brackets_refuse_pairs_of_another_structure():
     assert semi_bracket(doubled, p, q) == Fraction(-1, 2) * dx(3, 3)
     for bracket in (hemi_bracket, semi_bracket):
         for pair in ((p, q), (p, solve_hamiltonian(VOLUME32, var(3, 1) * dx(3, 3)))):
-            with pytest.raises(ValueError, match="both pairs must belong to this structure"):
+            with pytest.raises(InputError, match="both pairs must belong to this structure"):
                 bracket(VOLUME32, *pair)
 
 
