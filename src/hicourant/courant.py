@@ -5,6 +5,10 @@ symmetric pairing, the non-skew higher-order Dorfman bracket that every
 other bracket is derived from, the skew higher-order Courant bracket,
 deformations by an (n+2)-form, gauge shears by an (n+1)-form, and seeded
 exact verification suites for the identities those operations satisfy.
+
+Each bracket and the pairing is a term stream (see `exterior`) that its public
+function collects once; a residual builds only its inner brackets and sums its
+outer brackets, pairings and products f*e as streams, one collect per part.
 """
 
 from __future__ import annotations
@@ -19,16 +23,16 @@ from .exterior import (
     Context,
     Form,
     MultiVec,
-    contract_vec_into_form,
+    collect,
+    contract_terms,
     d_scalar,
     ext_d,
-    i_vec,
-    lie_form,
+    ext_d_terms,
+    lie_terms,
     random_form,
     random_multivec,
     random_poly,
     vec_apply,
-    vec_bracket,
     wedge,
 )
 from .scalar import ChartMismatchError, InputError
@@ -71,13 +75,12 @@ class Section:
         if self.ctx != other.ctx:
             raise ChartMismatchError(f"context mismatch: {self.ctx} vs {other.ctx}")
 
-    def __add__(self, other: "Section") -> "Section":
+    def __add__(self, other: "Section", sign: int = 1) -> "Section":
         self._check_ctx(other)
-        return Section(self.ctx, self.vec + other.vec, self.form + other.form)
+        return self.summed(self.terms(), other.terms(sign))
 
     def __sub__(self, other: "Section") -> "Section":
-        self._check_ctx(other)
-        return Section(self.ctx, self.vec - other.vec, self.form - other.form)
+        return self.__add__(other, -1)
 
     def __neg__(self) -> "Section":
         return Section(self.ctx, -self.vec, -self.form)
@@ -90,35 +93,56 @@ class Section:
     def add_form(self, a: Form) -> "Section":
         return Section(self.ctx, self.vec, self.form + a)
 
+    def terms(self, scale=1, q=None):
+        """The (vector terms, form terms) streams of scale * q * self, or of scale * self."""
+        return self.vec.terms(scale, q), self.form.terms(scale, q)
+
+    def summed(self, *streams):
+        """The Section of self's context summing (vector terms, form terms) streams."""
+        vecs, forms = zip(*streams)
+        return Section(self.ctx, self.vec.summed(*vecs), self.form.summed(*forms))
+
     def __str__(self):
         return f"({self.vec} ; {self.form})"
 
 
+def pairing_terms(e1: Section, e2: Section, scale=1):
+    """The stream of scale * <e1, e2>, see pairing."""
+    e1._check_ctx(e2)
+    half = HALF * scale
+    return chain(contract_terms(e1.vec, e2.form, half), contract_terms(e2.vec, e1.form, half))
+
+
 def pairing(e1: Section, e2: Section) -> Form:
     """Symmetric pairing <X + a, Y + b> = (i_X b + i_Y a) / 2, an (n-1)-form."""
-    e1._check_ctx(e2)
-    return HALF * (i_vec(e1.vec, e2.form) + i_vec(e2.vec, e1.form))
+    return collect(Form, e1.ctx.m, e1.ctx.n - 1, pairing_terms(e1, e2))
 
 
-def dorfman_form(e1: Section, e2: Section) -> Form:
-    """Form part L_X b - i_Y da of the Dorfman bracket of e1 = X + a and e2 = Y + b.
+def dorfman_terms(e1: Section, e2: Section, scale=1):
+    """The (vector terms, form terms) streams of scale * [e1, e2], see dorfman_bracket.
 
-    By the Cartan formula this is L_X b - L_Y a + d i_Y a, with one Lie
-    derivative instead of two; the test oracles build that form.
+    The form part L_X b - i_Y da is, by the Cartan formula, L_X b - L_Y a + d i_Y a
+    with one Lie derivative instead of two; the test oracles build that form.
     """
     e1._check_ctx(e2)
-    return lie_form(e1.vec, e2.form) - i_vec(e2.vec, ext_d(e1.form))
+    form = chain(lie_terms(e1.vec, e2.form, scale), contract_terms(e2.vec, ext_d(e1.form), -scale))
+    return lie_terms(e1.vec, e2.vec, scale), form
 
 
 def dorfman_bracket(e1: Section, e2: Section) -> Section:
-    """Non-skew bracket [X,Y] + L_X b - i_Y da."""
-    form = dorfman_form(e1, e2)
-    return Section(e1.ctx, vec_bracket(e1.vec, e2.vec), form)
+    """Non-skew bracket [X,Y] + L_X b - i_Y da of e1 = X + a and e2 = Y + b."""
+    return e1.summed(dorfman_terms(e1, e2))
+
+
+def courant_terms(e1: Section, e2: Section, scale=1):
+    """The (vector terms, form terms) streams of scale * the Courant bracket [e1, e2]."""
+    vec, form = dorfman_terms(e1, e2, scale)
+    return vec, chain(form, ext_d_terms(pairing(e1, e2), -scale))
 
 
 def courant_bracket(e1: Section, e2: Section) -> Section:
     """Skew bracket [X,Y] + L_X b - L_Y a + (d i_Y a - d i_X b) / 2 = Dorfman - d<e1,e2>."""
-    return dorfman_bracket(e1, e2).add_form(-ext_d(pairing(e1, e2)))
+    return e1.summed(courant_terms(e1, e2))
 
 
 def anchor(e: Section) -> MultiVec:
@@ -126,34 +150,38 @@ def anchor(e: Section) -> MultiVec:
     return e.vec
 
 
+def _cyclic_defect(e1, e2, e3, e12, e23, e31) -> Form:
+    """T(e1, e2, e3) given the Courant brackets e12 = [e1,e2], e23 = [e2,e3] and e31 = [e3,e1]."""
+    streams = (pairing_terms(x, e, Fraction(-1, 3)) for x, e in ((e12, e3), (e23, e1), (e31, e2)))
+    return collect(Form, e1.ctx.m, e1.ctx.n - 1, chain(*streams))
+
+
 def t_map(e1: Section, e2: Section, e3: Section) -> Form:
     """Cyclic pairing defect T = -(<[e1,e2], e3> + c.p.) / 3, an (n-1)-form."""
-    total = pairing(courant_bracket(e1, e2), e3)
-    total = total + pairing(courant_bracket(e2, e3), e1)
-    total = total + pairing(courant_bracket(e3, e1), e2)
-    return Fraction(-1, 3) * total
+    brackets = courant_bracket(e1, e2), courant_bracket(e2, e3), courant_bracket(e3, e1)
+    return _cyclic_defect(e1, e2, e3, *brackets)
+
+
+def deformed_terms(e1: Section, e2: Section, theta: Form, scale=1):
+    """The (vector terms, form terms) streams of scale * [e1, e2]_theta, see deformed_dorfman."""
+    e1.ctx.require_degree("deformation form", 2, theta)
+    vec, form = dorfman_terms(e1, e2, scale)
+    return vec, chain(form, contract_terms(wedge(e1.vec, e2.vec), theta, scale))
 
 
 def deformed_dorfman(e1: Section, e2: Section, theta: Form) -> Section:
     """Dorfman bracket twisted by an (n+2)-form: add i_{X ^ Y} theta."""
-    e1.ctx.require_degree("deformation form", 2, theta)
-    base = dorfman_bracket(e1, e2)
-    twist = contract_vec_into_form(wedge(e1.vec, e2.vec), theta)
-    return base.add_form(twist)
+    return e1.summed(deformed_terms(e1, e2, theta))
 
 
 def gauge(phi: Form, e: Section) -> Section:
     """Shear X + a -> X + a + i_X phi for an (n+1)-form phi."""
     e.ctx.require_degree("gauge form", 1, phi)
-    return e.add_form(i_vec(e.vec, phi))
+    return e.summed(e.terms(), ((), contract_terms(e.vec, phi)))
 
 
 def random_section(rng: random.Random, ctx: Context) -> Section:
-    return Section(
-        ctx,
-        random_multivec(rng, ctx.m, 1),
-        random_form(rng, ctx.m, ctx.n),
-    )
+    return Section(ctx, random_multivec(rng, ctx.m, 1), random_form(rng, ctx.m, ctx.n))
 
 
 # -- check reporting ----------------------------------------------------------
@@ -209,8 +237,9 @@ def sweep_checks(table, sweep, residuals) -> list[CheckResult]:
     """One CheckResult per (name, identity) row of table.  For each case of sweep,
     residuals(*case) yields one (inputs, residual) pair per row, in table order;
     a generator that yields more or fewer pairs than table has rows raises ValueError.
-    Tables hold only strings and generators look their brackets up when they run,
-    so rebinding a module's names (as bench/tracer.py does) reaches every bracket."""
+    Tables hold only strings and generators look their term streams up when they run, so
+    rebinding `dorfman_terms` in every module reaches every bracket; rebinding a public
+    bracket (as bench/tracer.py does) reaches only the inner brackets a residual builds."""
     checks = [CheckResult(name, identity) for name, identity in table]
     for case in sweep:
         for check, (inputs, residual) in zip(checks, residuals(*case), strict=True):
@@ -218,19 +247,27 @@ def sweep_checks(table, sweep, residuals) -> list[CheckResult]:
     return checks
 
 
-def leibniz_residual(bracket, a, b, c, ab, ac):
-    """[a,[b,c]] - ([[a,b],c] + [b,[a,c]]) for any bracket, given ab = [a,b] and ac = [a,c]."""
-    return bracket(a, bracket(b, c)) - (bracket(ab, c) + bracket(b, ac))
+def leibniz_residual(terms, a, b, c, ab, ac):
+    """[a,[b,c]] - ([[a,b],c] + [b,[a,c]]) for any bracket on Sections or forms, given as
+    its term streams terms(x, y, scale=1), with ab = [a,b] and ac = [a,c]."""
+    return a.summed(terms(a, a.summed(terms(b, c))), terms(ab, c, scale=-1), terms(b, ac, scale=-1))
 
 
-def scalar_residual(bracket, anchor, a, b, f, ab):
-    """[a, f*b] - (f*[a,b] + anchor(a)(f)*b) for any bracket, given ab = [a,b]."""
-    return bracket(a, f * b) - (f * ab + vec_apply(anchor(a), f) * b)
+def scalar_residual(terms, anchor, a, b, f, ab, *extra):
+    """[a, f*b] - (f*[a,b] + anchor(a)(f)*b) plus the extra streams, for any bracket, given ab = [a,b]."""
+    return b.summed(terms(a, f * b), ab.terms(-1, f), b.terms(-1, vec_apply(anchor(a), f)), *extra)
+
+
+def _pairing_residual(e1, e2, e3, x, y):
+    """L_rho(e1)<e2,e3> - (<x, e3> + <e2, y>), with x and y standing for [e1,e2] and [e1,e3]."""
+    p23 = pairing(e2, e3)
+    return p23.summed(lie_terms(anchor(e1), p23), pairing_terms(x, e3, -1), pairing_terms(e2, y, -1))
 
 
 def anchor_residual(anchor, a, b, ab):
     """anchor([a,b]) - [anchor(a), anchor(b)], given ab = [a,b]."""
-    return anchor(ab) - vec_bracket(anchor(a), anchor(b))
+    rho = anchor(ab)
+    return rho.summed(rho.terms(), lie_terms(anchor(a), anchor(b), -1))
 
 
 def _random_sections(ctx: Context, k: int, rng: random.Random) -> tuple[Section, ...]:
@@ -254,20 +291,15 @@ COURANT_AXIOMS = (
 
 
 def _courant_residuals(e1, e2, e3, f):
-    e12 = courant_bracket(e1, e2)
-    lhs = (
-        courant_bracket(e1, courant_bracket(e2, e3))
-        + courant_bracket(e2, courant_bracket(e3, e1))
-        + courant_bracket(e3, e12)
-    )
-    yield (e1, e2, e3), lhs - Section.of_form(e1.ctx, ext_d(t_map(e1, e2, e3)))
-    correction = Section.of_form(e1.ctx, wedge(d_scalar(f), pairing(e1, e2)))
-    yield (e1, e2, f), scalar_residual(courant_bracket, anchor, e1, e2, f, e12) + correction
+    e12, e23, e31 = courant_bracket(e1, e2), courant_bracket(e2, e3), courant_bracket(e3, e1)
+    d_t = ext_d_terms(_cyclic_defect(e1, e2, e3, e12, e23, e31), -1)
+    outer = courant_terms(e1, e23), courant_terms(e2, e31), courant_terms(e3, e12)
+    yield (e1, e2, e3), e1.summed(*outer, ((), d_t))
+    correction = ((), wedge(d_scalar(f), pairing(e1, e2)).terms())
+    yield (e1, e2, f), scalar_residual(courant_terms, anchor, e1, e2, f, e12, correction)
     yield (e1, e2), anchor_residual(anchor, e1, e2, e12)
-    lhs = lie_form(anchor(e1), pairing(e2, e3))
-    rhs = pairing(e12.add_form(ext_d(pairing(e1, e2))), e3)
-    rhs = rhs + pairing(e2, courant_bracket(e1, e3).add_form(ext_d(pairing(e1, e3))))
-    yield (e1, e2, e3), lhs - rhs
+    e13 = courant_bracket(e1, e3).add_form(ext_d(pairing(e1, e3)))
+    yield (e1, e2, e3), _pairing_residual(e1, e2, e3, e12.add_form(ext_d(pairing(e1, e2))), e13)
 
 
 def check_courant_axioms(ctx: Context, seed: int = 0, samples: int = 25) -> list[CheckResult]:
@@ -288,13 +320,13 @@ DORFMAN_AXIOMS = (
 def _dorfman_residuals(e1, e2, e3, f):
     e12 = dorfman_bracket(e1, e2)
     e13 = dorfman_bracket(e1, e3)
-    yield (e1, e2, e3), leibniz_residual(dorfman_bracket, e1, e2, e3, e12, e13)
-    yield (e1, e2, f), scalar_residual(dorfman_bracket, anchor, e1, e2, f, e12)
-    rhs = f * e12 - vec_apply(e2.vec, f) * e1
-    rhs = rhs + Section.of_form(e1.ctx, wedge(d_scalar(f), 2 * pairing(e1, e2)))
-    yield (e1, e2, f), dorfman_bracket(f * e1, e2) - rhs
-    lhs = lie_form(anchor(e1), pairing(e2, e3))
-    yield (e1, e2, e3), lhs - (pairing(e12, e3) + pairing(e2, e13))
+    yield (e1, e2, e3), leibniz_residual(dorfman_terms, e1, e2, e3, e12, e13)
+    yield (e1, e2, f), scalar_residual(dorfman_terms, anchor, e1, e2, f, e12)
+    # [f*e1, e2] - (f*[e1,e2] - rho(e2)(f)*e1 + df ^ 2<e1,e2>)
+    df_pair = ((), wedge(d_scalar(f), pairing(e1, e2)).terms(-2))
+    rhs = e12.terms(-1, f), e1.terms(1, vec_apply(e2.vec, f)), df_pair
+    yield (e1, e2, f), e1.summed(dorfman_terms(f * e1, e2), *rhs)
+    yield (e1, e2, e3), _pairing_residual(e1, e2, e3, e12, e13)
     yield (e1, e2), anchor_residual(anchor, e1, e2, e12)
 
 
@@ -309,8 +341,9 @@ DEFORMED_LEIBNIZ = (
 )
 
 
-def _leibniz_residuals(bracket, e1, e2, e3):
-    yield (e1, e2, e3), leibniz_residual(bracket, e1, e2, e3, bracket(e1, e2), bracket(e1, e3))
+def _leibniz_residuals(terms, e1, e2, e3):
+    ab, ac = e1.summed(terms(e1, e2)), e1.summed(terms(e1, e3))
+    yield (e1, e2, e3), leibniz_residual(terms, e1, e2, e3, ab, ac)
 
 
 def check_deformation(
@@ -327,8 +360,8 @@ def check_deformation(
     sweep = cases(seed, samples, partial(_random_sections, ctx, 3), product(coordinate, repeat=3))
     closed = CheckResult("theta_closed", "d theta = 0")
     closed.record((theta,), ext_d(theta))
-    bracket = partial(deformed_dorfman, theta=theta)
-    [leibniz] = sweep_checks(DEFORMED_LEIBNIZ, sweep, partial(_leibniz_residuals, bracket))
+    terms = partial(deformed_terms, theta=theta)
+    [leibniz] = sweep_checks(DEFORMED_LEIBNIZ, sweep, partial(_leibniz_residuals, terms))
     agreement = CheckResult(
         "closed_iff_leibniz", "the twisted bracket obeys Leibniz iff d theta = 0"
     )
@@ -343,7 +376,10 @@ GAUGE = (
 
 
 def _gauge_residuals(phi, dphi, e1, e2):
-    residual = gauge(phi, deformed_dorfman(e1, e2, dphi)) - dorfman_bracket(gauge(phi, e1), gauge(phi, e2))
+    vec, form = deformed_terms(e1, e2, dphi)
+    xy = e1.vec.summed(vec)  # gauge(phi)[e1,e2]_{d phi} = [X,Y] + its form part + i_[X,Y] phi
+    sheared = xy.terms(), chain(form, contract_terms(xy, phi))
+    residual = e1.summed(sheared, dorfman_terms(gauge(phi, e1), gauge(phi, e2), -1))
     yield (e1, e2), residual
     if dphi.is_zero:
         # the twist by d phi = 0 adds nothing, so this is the same residual

@@ -19,7 +19,7 @@ an equal value.
 One compiled regex scans the tokens, as (kind, text, position, value)
 tuples; one recursive descent evaluates as it reads.  A "+"/"-" chain
 grades each term as it arrives and is summed once, through
-scalar.sum_of_products or exterior.collect, so the cost of a parse is
+scalar.sum_of_products or one tensor `summed`, so the cost of a parse is
 linear in the length of its input.
 """
 
@@ -28,7 +28,7 @@ from __future__ import annotations
 import re
 
 from .courant import Section
-from .exterior import Context, Form, MultiVec, collect
+from .exterior import Context, Form, MultiVec
 from .scalar import FIELD_BITS, ExponentBoundError, InputError, Poly, exponent_guard, sum_of_products
 
 
@@ -144,8 +144,7 @@ def _sum(m: int, lead, terms: list):
         return terms[0][1]
     if isinstance(lead, Poly):
         return sum_of_products(m, [(sign, p, None) for sign, p in terms])
-    signed = ((idx, sign, p, None) for sign, t in terms for idx, p in t.coeffs.items())
-    return collect(type(lead), m, lead.degree, signed)
+    return lead.summed(*(t.terms(sign) for sign, t in terms))
 
 
 class _Parser:

@@ -11,14 +11,15 @@ one fixed set of sign conventions that every other module inherits:
   i_{X ^ Y} = i_Y o i_X, so (i_{X ^ Y} a)(...) = a(X, Y, ...).
 
 Index signs come only from _merge_indices (dx^I ^ dx^J: wedge, ext_d and
-the index moves of _lie) and _split_sign (dx^I ^ dx^rest = s dx^J: every
-contraction and the pairing).  wedge, i_vec, both contractions and
-full_pair are one coefficient-pair loop, _bilinear; lie_form and
-lie_multivec (and so vec_bracket) are one component-formula body, _lie;
-_same_chart is the one chart check on operands.  Every operator sums
-its signed coefficient products through the one multiply-accumulate
-kernel, scalar.sum_of_products, once per output index (collect groups
-them), instead of building and adding a Poly per product.
+the index moves of lie_terms) and _split_sign (dx^I ^ dx^rest = s dx^J:
+every contraction and the pairing); _same_chart is the one chart check on
+operands.  Each operator is a term stream of (index, scale, p, q), that is
+scale * p * q at that index: lie_terms (lie_form, lie_multivec and so
+vec_bracket), contract_terms (i_vec, both contractions and full_pair) and
+ext_d_terms.  Each public operator is one collect over its stream, one
+scalar.sum_of_products per output index.  A caller that adds operators (a
+bracket, or an identity's residual) chains their streams into one collect,
+so only values that are differentiated or contracted again get built.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import chain, combinations
 
 from .scalar import ChartMismatchError, InputError, Poly, join_signed_terms, monomial_text
@@ -66,16 +68,15 @@ def _merge_indices(left: MultiIndex, right: MultiIndex) -> tuple[int, MultiIndex
 
 
 def collect(cls, m: int, degree: int, terms):
-    """Tensor summing sign * p * q (p alone when q is None) over (index, sign, p, q)
-    terms, one sum_of_products per index, with zero sums dropped.  A lone p
-    must be nonzero."""
+    """Tensor summing scale * p * q (p alone when q is None) over (index, scale, p, q)
+    terms, one sum_of_products per index, with zero sums dropped."""
     groups: dict[MultiIndex, list] = {}
-    for idx, sign, p, q in terms:
-        groups.setdefault(idx, []).append((sign, p, q))
+    for idx, scale, p, q in terms:
+        groups.setdefault(idx, []).append((scale, p, q))
     out: dict[MultiIndex, Poly] = {}
     for idx, group in groups.items():
-        sign, p, q = group[0]
-        total = p if len(group) == 1 and sign > 0 and q is None else sum_of_products(m, group)
+        scale, p, q = group[0]
+        total = p if len(group) == 1 and scale == 1 and q is None else sum_of_products(m, group)
         if total.terms:
             out[idx] = total
     return cls._raw(m, degree, out)
@@ -159,13 +160,17 @@ class _Alternating:
         if self.degree != other.degree:
             raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
 
+    def terms(self, scale=1, q: Poly | None = None):
+        """The (index, scale, p, q) stream of scale * q * self, or of scale * self when q is None."""
+        return ((idx, scale, p, q) for idx, p in self.coeffs.items())
+
+    def summed(self, *streams):
+        """The tensor of self's type, chart and degree summing the term streams in one collect."""
+        return collect(type(self), self.m, self.degree, chain(*streams))
+
     def __add__(self, other, sign: int = 1):
         self._check_compatible(other)
-        terms = chain(
-            ((idx, 1, p, None) for idx, p in self.coeffs.items()),
-            ((idx, sign, p, None) for idx, p in other.coeffs.items()),
-        )
-        return collect(type(self), self.m, self.degree, terms)
+        return self.summed(self.terms(), other.terms(sign))
 
     def __neg__(self):
         return type(self)._raw(self.m, self.degree, {i: -p for i, p in self.coeffs.items()})
@@ -175,12 +180,11 @@ class _Alternating:
 
     def __mul__(self, scalar):
         if isinstance(scalar, (int, Fraction)):
-            scalar = Poly.const(self.m, scalar)
+            return self.summed(self.terms(scalar))
         if not isinstance(scalar, Poly):
             return NotImplemented
         _same_chart(self, scalar)
-        terms = ((idx, 1, p, scalar) for idx, p in self.coeffs.items())
-        return collect(type(self), self.m, self.degree, terms)
+        return self.summed(self.terms(1, scalar))
 
     __rmul__ = __mul__
 
@@ -188,7 +192,8 @@ class _Alternating:
         """Alternating product of two same-variance tensors."""
         if type(self) is not type(other):
             raise TypeError("wedge requires both factors of the same variance")
-        return _bilinear(type(self), self.degree + other.degree, self, other, _merge_indices)
+        terms = _bilinear_terms(self, other, _merge_indices)
+        return collect(type(self), self.m, self.degree + other.degree, terms)
 
     __xor__ = wedge
 
@@ -242,26 +247,28 @@ def _require(value, kind, degree=None, label="argument"):
         raise ValueError(f"{label} must have degree {degree}, got {value.degree}")
 
 
-def _bilinear(cls, degree: int, a, b, rule):
-    """Tensor summing sign * a_I * b_J at index K over coefficient pairs,
+def _bilinear_terms(a, b, rule, scale=1):
+    """The stream of scale * sign * a_I * b_J at index K over coefficient pairs,
     where rule(I, J) gives (sign, K), or None when the pair does not combine."""
     _same_chart(a, b)
+    for I, p in a.coeffs.items():
+        for J, q in b.coeffs.items():
+            hit = rule(I, J)
+            if hit is not None:
+                yield hit[1], hit[0] * scale, p, q
 
-    def terms():
-        for I, p in a.coeffs.items():
-            for J, q in b.coeffs.items():
-                hit = rule(I, J)
-                if hit is not None:
-                    yield hit[1], hit[0], p, q
 
-    return collect(cls, a.m, degree, terms())
+def contract_terms(P, a, scale=1):
+    """The stream of scale times the contraction of a by the lower-degree P: i_P a of a
+    form by a multivector P, or the leading-slot i_P a of a multivector by a form P."""
+    return _bilinear_terms(P, a, _split_sign, scale)
 
 
 def i_vec(X: MultiVec, a: Form) -> Form:
     """First-slot contraction of a form by a vector field; zero on scalars."""
     _require(X, MultiVec, 1, "vector field")
     _require(a, Form, label="form")
-    return _bilinear(Form, max(a.degree - 1, 0), X, a, _split_sign)
+    return collect(Form, a.m, max(a.degree - 1, 0), contract_terms(X, a))
 
 
 def contract_form_into_vec(xi: Form, P: MultiVec) -> MultiVec:
@@ -270,7 +277,7 @@ def contract_form_into_vec(xi: Form, P: MultiVec) -> MultiVec:
     _require(P, MultiVec, label="multivector")
     if xi.degree > P.degree:
         raise ValueError(f"form degree {xi.degree} exceeds multivector degree {P.degree}")
-    return _bilinear(MultiVec, P.degree - xi.degree, xi, P, _split_sign)
+    return collect(MultiVec, P.m, P.degree - xi.degree, contract_terms(xi, P))
 
 
 def contract_vec_into_form(P: MultiVec, a: Form) -> Form:
@@ -279,7 +286,7 @@ def contract_vec_into_form(P: MultiVec, a: Form) -> Form:
     _require(a, Form, label="form")
     if P.degree > a.degree:
         raise ValueError(f"multivector degree {P.degree} exceeds form degree {a.degree}")
-    return _bilinear(Form, a.degree - P.degree, P, a, _split_sign)
+    return collect(Form, a.m, a.degree - P.degree, contract_terms(P, a))
 
 
 def full_pair(P: MultiVec, a: Form) -> Poly:
@@ -288,24 +295,24 @@ def full_pair(P: MultiVec, a: Form) -> Poly:
     _require(a, Form, label="form")
     if P.degree != a.degree:
         raise ValueError(f"degree mismatch: {P.degree} vs {a.degree}")
-    return _bilinear(Form, 0, P, a, _split_sign).coeff(())
+    return collect(Form, a.m, 0, contract_terms(P, a)).coeff(())
+
+
+def ext_d_terms(a: Form, scale=1):
+    """The stream of scale * d a, with d(f dx^I) = sum_j (d_j f) dx_j ^ dx^I."""
+    for I, p in a.coeffs.items():
+        for j in range(1, a.m + 1):
+            merged = _merge_indices((j,), I)
+            if merged is not None:
+                dp = p.partial(j)
+                if not dp.is_zero:
+                    yield merged[1], merged[0] * scale, dp, None
 
 
 def ext_d(a: Form) -> Form:
     """Coordinate exterior derivative d(f dx^I) = sum_j (d_j f) dx_j ^ dx^I."""
     _require(a, Form, label="form")
-
-    def terms():
-        for I, p in a.coeffs.items():
-            for j in range(1, a.m + 1):
-                merged = _merge_indices((j,), I)
-                if merged is None:
-                    continue
-                dp = p.partial(j)
-                if not dp.is_zero:
-                    yield merged[1], merged[0], dp, None
-
-    return collect(Form, a.m, a.degree + 1, terms())
+    return collect(Form, a.m, a.degree + 1, ext_d_terms(a))
 
 
 def d_scalar(f: Poly) -> Form:
@@ -313,10 +320,11 @@ def d_scalar(f: Poly) -> Form:
     return ext_d(Form(f.m, 0, {(): f}))
 
 
-def _lie(X: MultiVec, T):
-    """Component formula (L_X T)_I = X(T_I) + sum_t sum_j T_{I[t -> j]} A_{i_t j}.
+def lie_terms(X: MultiVec, T, scale=1):
+    """The stream of scale * L_X T for a vector field X and a form or multivector T, by
+    the component formula (L_X T)_I = X(T_I) + sum_t sum_j T_{I[t -> j]} A_{i_t j}.
 
-    A is read off the Jacobian d_l X^k, built once per call: A_{ij} = d_i X^j
+    A is read off the Jacobian d_l X^k, built once per stream: A_{ij} = d_i X^j
     on forms and A_{ij} = -d_j X^i on multivectors.  The sum is scattered
     from T's nonzero coefficients: T_J adds X^k d_k T_J at J, and for each
     slot t and each entry A_{i, J_t} it adds T_J A_{i, J_t} at the sorted
@@ -325,40 +333,36 @@ def _lie(X: MultiVec, T):
     _same_chart(X, T)
     m = T.m
     covariant = isinstance(T, Form)
-    columns: dict[int, list[tuple[int, int, Poly]]] = {}  # j -> (i, s, d) with A_{ij} = s * d
+    columns: dict[int, list[tuple[int, int, Poly]]] = {}  # j -> (i, s, d) with scale * A_{ij} = s * d
     for (k,), xk in X.coeffs.items():
         for l in range(1, m + 1):
             d = xk.partial(l)
             if not d.is_zero:
-                i, j, sign = (l, k, 1) if covariant else (k, l, -1)
+                i, j, sign = (l, k, scale) if covariant else (k, l, -scale)
                 columns.setdefault(j, []).append((i, sign, d))
-
-    def terms():
-        for J, p in T.coeffs.items():
-            for (k,), xk in X.coeffs.items():
-                yield J, 1, xk, p.partial(k)
-            for t, jt in enumerate(J):
-                rest = J[:t] + J[t + 1 :]
-                for i, sign, d in columns.get(jt, ()):
-                    hit = _merge_indices((i,), rest)
-                    if hit is not None:
-                        yield hit[1], -sign * hit[0] if t % 2 else sign * hit[0], p, d
-
-    return collect(type(T), m, T.degree, terms())
+    for J, p in T.coeffs.items():
+        for (k,), xk in X.coeffs.items():
+            yield J, scale, xk, p.partial(k)
+        for t, jt in enumerate(J):
+            rest = J[:t] + J[t + 1 :]
+            for i, sign, d in columns.get(jt, ()):
+                hit = _merge_indices((i,), rest)
+                if hit is not None:
+                    yield hit[1], -sign * hit[0] if t % 2 else sign * hit[0], p, d
 
 
 def lie_form(X: MultiVec, a: Form) -> Form:
     """Lie derivative L_X a; the Cartan route i_X d + d i_X is the test oracle."""
     _require(X, MultiVec, 1, "vector field")
     _require(a, Form, label="form")
-    return _lie(X, a)
+    return collect(Form, a.m, a.degree, lie_terms(X, a))
 
 
 def lie_multivec(X: MultiVec, P: MultiVec) -> MultiVec:
     """Lie derivative L_X P, on decomposables sum_t Y_1 ^ ... ^ [X, Y_t] ^ ... ^ Y_k."""
     _require(X, MultiVec, 1, "vector field")
     _require(P, MultiVec, label="multivector")
-    return _lie(X, P)
+    return collect(MultiVec, P.m, P.degree, lie_terms(X, P))
 
 
 def vec_bracket(X: MultiVec, Y: MultiVec) -> MultiVec:
@@ -385,12 +389,15 @@ def vec_apply(X: MultiVec, f: Poly) -> Poly:
 _COEFF_CHOICES = (-3, -2, -1, 1, 2, 3)
 
 
+@cache
+def _draw_monomials(m: int) -> tuple[Poly, ...]:
+    return tuple(Poly(m, {exps: 1}) for exps in monomials_up_to(m, 2))
+
+
 def random_poly(rng: random.Random, m: int) -> Poly:
-    terms = {}
-    for exps in monomials_up_to(m, 2):
-        if rng.random() < 0.25:
-            terms[exps] = Fraction(rng.choice(_COEFF_CHOICES))
-    return Poly(m, terms)
+    # each monomial of degree <= 2 in turn gets a coefficient with probability 1/4
+    picks = [(rng.choice(_COEFF_CHOICES), x, None) for x in _draw_monomials(m) if rng.random() < 0.25]
+    return sum_of_products(m, picks)
 
 
 def _random_tensor(cls, rng, m, degree):

@@ -12,25 +12,24 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
-from .courant import CheckResult, Section, cases, dorfman_bracket, dorfman_form, leibniz_residual
+from .courant import CheckResult, Section, cases, dorfman_terms, leibniz_residual
 from .courant import anchor_residual, scalar_residual, sweep_checks
 from .exterior import (
     Context,
     Form,
     MultiVec,
     contract_form_into_vec,
+    contract_terms,
     d_scalar,
     ext_d,
     full_pair,
-    lie_form,
     lie_multivec,
+    lie_terms,
     random_form,
     random_poly,
-    wedge,
 )
 from .scalar import ChartMismatchError, Poly, monomials_up_to
 
@@ -66,23 +65,23 @@ def np_fundamental_check(c: NambuCandidate) -> CheckResult:
     The expression is linear and alternating in the df_i and differentiates
     each once more, so at each point it depends only on the 2-jets of the f_i;
     every 2-jet is the 2-jet of a polynomial of degree <= 2, a sum of these
-    monomials and a constant (df = 0).  Tuples come in combinations order;
-    each prefix wedge df1 ^ ... ^ dfk is built once.
+    monomials and a constant (df = 0).  Tuples come in combinations order, and
+    each prefix contraction i_{dfk} ... i_{df1} pi = i_{df1 ^ ... ^ dfk} pi is
+    built once, so a tuple's pi#(df1 ^ ... ^ dfn) is one contraction more.
     """
     ctx = c.ctx
     check = CheckResult("fundamental_identity", "L_{pi#(df1^...^dfn)} pi = 0")
-    monomials = [Poly(ctx.m, {exps: Fraction(1)}) for exps in monomials_up_to(ctx.m, 2) if any(exps)]
+    monomials = [Poly(ctx.m, {exps: 1}) for exps in monomials_up_to(ctx.m, 2) if any(exps)]
     differentials = [d_scalar(f) for f in monomials]
 
-    def sweep(start: int, fs: tuple, prefix) -> None:
+    def sweep(start: int, fs: tuple, prefix: MultiVec) -> None:
         if len(fs) == ctx.n:
-            check.record(fs, lie_multivec(pi_sharp(c, prefix), c.pi))
+            check.record(fs, lie_multivec(prefix, c.pi))
             return
         for i in range(start, len(monomials) - (ctx.n - len(fs) - 1)):
-            df = differentials[i]
-            sweep(i + 1, fs + (monomials[i],), df if prefix is None else wedge(prefix, df))
+            sweep(i + 1, fs + (monomials[i],), contract_form_into_vec(differentials[i], prefix))
 
-    sweep(0, (), None)
+    sweep(0, (), c.pi)
     return check
 
 
@@ -107,30 +106,42 @@ def graph_closure_check(c: NambuCandidate, seed: int = 0, samples: int = 25) -> 
 
 
 def _graph_residual(c: NambuCandidate, a: Form, b: Form):
-    result = dorfman_bracket(_graph_section(c, a), _graph_section(c, b))
-    yield (a, b), result.vec - pi_sharp(c, result.form)
+    ga = _graph_section(c, a)
+    vec, form = dorfman_terms(ga, _graph_section(c, b))
+    yield (a, b), ga.vec.summed(vec, contract_terms(a.summed(form), c.pi, -1))
+
+
+def _nambu_form_terms(c: NambuCandidate, a: Form, b: Form, scale=1):
+    """The stream of scale * [a, b]_pi, see nambu_form_bracket; the vector part is never built."""
+    return dorfman_terms(_graph_section(c, a), _graph_section(c, b), scale)[1]
 
 
 def nambu_form_bracket(c: NambuCandidate, a: Form, b: Form) -> Form:
     """Induced bracket on n-forms: L_{pi#a} b - L_{pi#b} a + d i_{pi#b} a,
     the form part of the Dorfman bracket of the graph sections pi#a + a, pi#b + b."""
-    return dorfman_form(_graph_section(c, a), _graph_section(c, b))
+    return a.summed(_nambu_form_terms(c, a, b))
+
+
+def _marrero_terms(c: NambuCandidate, a: Form, b: Form, scale=1):
+    c.ctx.require_degree("both forms", 0, a, b)
+    pair = full_pair(c.pi, ext_d(a))
+    sign = -scale if (c.ctx.n + 1) % 2 else scale
+    return chain(lie_terms(pi_sharp(c, a), b, scale), b.terms(sign, pair))
 
 
 def marrero_bracket(c: NambuCandidate, a: Form, b: Form) -> Form:
     """Comparison bracket on n-forms: L_{pi#a} b + (-1)^{n+1} <pi, da> b."""
-    c.ctx.require_degree("both forms", 0, a, b)
-    xa = pi_sharp(c, a)
-    scale = full_pair(c.pi, ext_d(a))
-    if (c.ctx.n + 1) % 2:
-        scale = -scale
-    return lie_form(xa, b) + scale * b
+    return b.summed(_marrero_terms(c, a, b))
+
+
+def _nm1_terms(c: NambuCandidate, xi: Form, eta: Form, scale=1):
+    c.ctx.require_degree("both forms", -1, xi, eta)
+    return lie_terms(pi_sharp(c, ext_d(xi)), eta, scale)
 
 
 def leibniz_nm1_bracket(c: NambuCandidate, xi: Form, eta: Form) -> Form:
     """Leibniz bracket on (n-1)-forms: {xi, eta} = L_{pi#(d xi)} eta."""
-    c.ctx.require_degree("both forms", -1, xi, eta)
-    return lie_form(pi_sharp(c, ext_d(xi)), eta)
+    return eta.summed(_nm1_terms(c, xi, eta))
 
 
 def check_nambu(c: NambuCandidate, seed: int = 0, samples: int = 25) -> list[CheckResult]:
@@ -167,13 +178,13 @@ LEIBNIZ_ALGEBROID = (
 
 
 def _algebroid_residuals(c: NambuCandidate, a, b, g, f, xi, eta, zeta):
-    form_bracket = partial(nambu_form_bracket, c)
-    nm1_bracket = partial(leibniz_nm1_bracket, c)
+    form_terms = partial(_nambu_form_terms, c)
+    nm1_terms = partial(_nm1_terms, c)
     anchor = partial(pi_sharp, c)
-    ab = form_bracket(a, b)
-    yield (a, b, g), leibniz_residual(form_bracket, a, b, g, ab, form_bracket(a, g))
+    ab = nambu_form_bracket(c, a, b)
+    yield (a, b, g), leibniz_residual(form_terms, a, b, g, ab, nambu_form_bracket(c, a, g))
     yield (a, b), anchor_residual(anchor, a, b, ab)
-    yield (a, b, f), scalar_residual(form_bracket, anchor, a, b, f, ab)
-    xy, xz = nm1_bracket(xi, eta), nm1_bracket(xi, zeta)
-    yield (xi, eta, zeta), leibniz_residual(nm1_bracket, xi, eta, zeta, xy, xz)
-    yield (a, b), pi_sharp(c, ab - marrero_bracket(c, a, b))
+    yield (a, b, f), scalar_residual(form_terms, anchor, a, b, f, ab)
+    xy, xz = leibniz_nm1_bracket(c, xi, eta), leibniz_nm1_bracket(c, xi, zeta)
+    yield (xi, eta, zeta), leibniz_residual(nm1_terms, xi, eta, zeta, xy, xz)
+    yield (a, b), pi_sharp(c, ab.summed(ab.terms(), _marrero_terms(c, a, b, -1)))

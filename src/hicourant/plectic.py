@@ -16,12 +16,13 @@ from fractions import Fraction
 from functools import partial
 from itertools import combinations, product
 
-from .courant import CheckResult, Section, cases, deformed_dorfman, dorfman_bracket, pairing
+from .courant import CheckResult, Section, cases, deformed_terms, dorfman_bracket, dorfman_terms, pairing
 from .courant import anchor, scalar_residual, sweep_checks
 from .exterior import (
     Context,
     Form,
     MultiVec,
+    contract_terms,
     ext_d,
     i_vec,
     lie_form,
@@ -199,9 +200,11 @@ def _random_graph_sections(c: PlecticCandidate, k: int, rng: random.Random) -> t
     return tuple(_graph_section(c, random_multivec(rng, c.ctx.m, 1)) for _ in range(k))
 
 
-def _graph_defect(c: PlecticCandidate, e: Section) -> Form:
-    """e.form - i_{e.vec} omega, zero iff e lies on the graph of omega-flat."""
-    return e.form - omega_flat(c, e.vec)
+def _graph_defect(c: PlecticCandidate, e: Section, stream) -> Form:
+    """Form part minus i_{vector part} omega of the (vector terms, form terms) stream of a
+    section of e's context, zero iff that section lies on the graph of omega-flat."""
+    vec, form = stream
+    return e.form.summed(form, contract_terms(e.vec.summed(vec), c.omega, -1))
 
 
 def _coordinate_graph_pairs(c: PlecticCandidate):
@@ -221,10 +224,10 @@ GRAPH_CLOSURE = (
 
 
 def _graph_residuals(c: PlecticCandidate, theta: Form | None, e1: Section, e2: Section):
-    yield (e1, e2), _graph_defect(c, dorfman_bracket(e1, e2))
+    yield (e1, e2), _graph_defect(c, e1, dorfman_terms(e1, e2))
     yield (e1, e2), pairing(e1, e2)
     if theta is not None:
-        yield (e1, e2), _graph_defect(c, deformed_dorfman(e1, e2, theta))
+        yield (e1, e2), _graph_defect(c, e1, deformed_terms(e1, e2, theta))
 
 
 def check_plectic(
@@ -323,12 +326,11 @@ ADMISSIBLE_LIE_ALGEBROID = (
 
 def _admissible_residuals(c: PlecticCandidate, a, b, e, f):
     ab = dorfman_bracket(a, b)
-    yield (a.form, b.form), ab + dorfman_bracket(b, a)
+    yield (a.form, b.form), a.summed(ab.terms(), dorfman_terms(b, a))
     bc, ca = dorfman_bracket(b, e), dorfman_bracket(e, a)
-    total = dorfman_bracket(ab, e) + dorfman_bracket(bc, a) + dorfman_bracket(ca, b)
-    yield (a.form, b.form, e.form), total
-    yield (a.form, b.form), _graph_defect(c, ab)
-    yield (a.form, b.form, f), scalar_residual(dorfman_bracket, anchor, a, b, f, ab)
+    yield (a.form, b.form, e.form), a.summed(dorfman_terms(ab, e), dorfman_terms(bc, a), dorfman_terms(ca, b))
+    yield (a.form, b.form), _graph_defect(c, a, ab.terms())
+    yield (a.form, b.form, f), scalar_residual(dorfman_terms, anchor, a, b, f, ab)
 
 
 def check_admissible_lie_algebroid(

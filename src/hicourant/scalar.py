@@ -12,7 +12,8 @@ polynomial.  `Fraction` and exponent tuples appear only at the boundary:
 the constructor, `const`, `coefficients`, `constant_term`,
 `single_term`, `eval_at` and printing.  Every sum and product (`+`, `-`,
 `*` and the tensor operators) runs through one fused multiply-accumulate,
-`sum_of_products`, which makes one Poly per sum, not one per product.
+`sum_of_products`, which makes one Poly per sum, not one per product, and
+takes a whole residual's term stream at once.
 """
 
 from __future__ import annotations
@@ -285,22 +286,26 @@ class Poly:
 
 
 def sum_of_products(m: int, products) -> Poly:
-    """Sum of sign * p * q over (sign, p, q) triples of chart m, where q is None for a lone p.
+    """Sum of scale * p * q over (scale, p, q) triples of chart m, where q is None for a lone
+    p and scale is an int or a Fraction, whose denominator joins the product's den.
 
-    Int numerators accumulate per denominator and merge once over their lcm.
-    Every key a product made is checked against MAX_EXPONENT before
-    cancellation, so the sum refuses whatever one of its products would.
+    Int numerators accumulate per denominator and merge once over their lcm, so one
+    call sums a whole term stream.  Every key a product made is checked against
+    MAX_EXPONENT before cancellation, so the sum refuses whatever one of its products would.
     """
     sums: dict[int, dict[int, int]] = {}
-    for sign, p, q in products:
-        if q is None and sign > 0 and p.den not in sums:
-            sums[p.den] = dict(p.terms)  # one dict copy, so a long sum plus a short one stays cheap
+    for scale, p, q in products:
+        den = p.den
+        if scale.__class__ is Fraction:
+            scale, den = scale.numerator, den * scale.denominator
+        if q is None and scale == 1 and den not in sums:
+            sums[den] = dict(p.terms)  # one dict copy, so a long sum plus a short one stays cheap
             continue
-        right, den = (((0, 1),), p.den) if q is None else (q.terms.items(), p.den * q.den)
+        right, den = (((0, 1),), den) if q is None else (q.terms.items(), den * q.den)
         acc = sums.setdefault(den, {})
         get = acc.get
         for k1, c1 in p.terms.items():
-            c1 *= sign
+            c1 *= scale
             for k2, c2 in right:
                 key = k1 + k2
                 acc[key] = get(key, 0) + c1 * c2

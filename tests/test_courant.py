@@ -7,6 +7,7 @@ from itertools import combinations, product
 import pytest
 
 from hicourant.courant import (
+    CheckResult,
     Section,
     anchor,
     cases,
@@ -333,6 +334,45 @@ def test_deformation_biconditional_panel():
         assert agreement.passed
         if not expect_closed:
             assert leibniz.failures, "expected a concrete Leibniz witness"
+
+
+X4 = Poly.var(4, 4)
+
+
+@pytest.mark.parametrize("samples", [1, 3])
+@pytest.mark.parametrize(
+    "ctx,theta",
+    [
+        (Context(3, 1), dx(3, 1, 2, 3)),
+        (Context(4, 1), X4 * dx(4, 1, 2, 3)),
+        (Context(4, 2), dx(4, 1, 2, 3, 4)),
+    ],
+    ids=["closed-m3n1", "open-m4n1", "closed-m4n2"],
+)
+def test_deformation_sweeps_every_coordinate_triple(ctx, theta, samples):
+    # the m^3 constant coordinate triples make a non-closed theta fail deterministically
+    closed, leibniz, agreement = check_deformation(ctx, theta, seed=2, samples=samples)
+    assert leibniz.cases == ctx.m**3 + samples
+    coordinate = {f"(@{i} ; 0)" for i in range(1, ctx.m + 1)}
+    assert any(set(f.inputs) <= coordinate for f in leibniz.failures) is not closed.passed
+    assert agreement.passed
+
+
+def _verdict(passed: bool) -> CheckResult:
+    check = CheckResult("verdict", "p")
+    check.record_verdict(("case",), passed, "note")
+    return check
+
+
+@pytest.mark.parametrize("left,right", product((True, False), repeat=2))
+def test_record_iff_fails_exactly_when_the_two_checks_disagree(left, right):
+    agreement = CheckResult("iff", "left iff right")
+    agreement.record_iff(("input",), ("left", _verdict(left)), ("right", _verdict(right)))
+    assert agreement.cases == 1
+    assert agreement.passed is (left == right)
+    if left != right:
+        note = f"left={left} right={right}"
+        assert [(f.inputs, f.residual) for f in agreement.failures] == [(("input",), note)]
 
 
 def test_gauge_isomorphism_fixtures():

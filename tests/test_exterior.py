@@ -11,13 +11,17 @@ from hicourant.exterior import (
     Context,
     Form,
     MultiVec,
+    collect,
     contract_form_into_vec,
+    contract_terms,
     contract_vec_into_form,
     ext_d,
+    ext_d_terms,
     full_pair,
     i_vec,
     lie_form,
     lie_multivec,
+    lie_terms,
     random_form,
     random_multivec,
     random_poly,
@@ -25,7 +29,7 @@ from hicourant.exterior import (
     vec_bracket,
     wedge,
 )
-from hicourant.scalar import MAX_EXPONENT, ChartMismatchError, ExponentBoundError, Poly
+from hicourant.scalar import MAX_EXPONENT, ChartMismatchError, ExponentBoundError, Poly, monomials_up_to
 
 from oracles import (
     oracle_contract_form_into_vec,
@@ -216,6 +220,62 @@ def test_tensor_operators_refuse_exponents_past_the_bound():
     with pytest.raises(ExponentBoundError):
         a * var(2, 1)
     assert wedge(a, dx(2, 2)) == Poly(2, {(MAX_EXPONENT, 0): 1}) * dx(2, 1, 2)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_term_streams_are_their_operators_scaled(m):
+    rng = random.Random(9700 + m)
+    for _ in range(15):
+        scale = rng.choice((1, -1, 2, Fraction(1, 2), Fraction(-1, 3)))
+        k = rng.randint(0, m)
+        a, P, X = random_form(rng, m, k), random_multivec(rng, m, k), random_multivec(rng, m, 1)
+        assert collect(Form, m, k, lie_terms(X, a, scale)) == scale * lie_form(X, a)
+        assert collect(MultiVec, m, k, lie_terms(X, P, scale)) == scale * lie_multivec(X, P)
+        assert collect(Form, m, k + 1, ext_d_terms(a, scale)) == scale * ext_d(a)
+        assert collect(Form, m, max(k - 1, 0), contract_terms(X, a, scale)) == scale * i_vec(X, a)
+        assert a.summed(a.terms(scale, X.coeff((1,))), a.terms(-1)) == X.coeff((1,)) * scale * a - a
+
+
+def test_contraction_by_a_wedge_examples():
+    # i_{xi ^ beta} P = i_beta i_xi P on the basis
+    P = dd(3, 1, 2, 3)
+    assert contract_form_into_vec(dx(3, 1, 2), P) == dd(3, 3)
+    assert contract_form_into_vec(dx(3, 2), contract_form_into_vec(dx(3, 1), P)) == dd(3, 3)
+    assert contract_form_into_vec(wedge(dx(3, 2), dx(3, 1)), P) == -dd(3, 3)
+    assert contract_form_into_vec(dx(3, 1), contract_form_into_vec(dx(3, 2), P)) == -dd(3, 3)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_contraction_by_a_wedge_is_iterated_contraction(m):
+    # i_{xi ^ beta} P = i_beta i_xi P, the step of the Nambu fundamental sweep
+    rng = random.Random(9800 + m)
+    nonzero = 0
+    for _ in range(20):
+        p = rng.randint(0, m - 1)
+        q = rng.randint(1, m - p)
+        k = rng.randint(p + q, m)
+        xi, beta, P = random_form(rng, m, p), random_form(rng, m, q), random_multivec(rng, m, k)
+        lhs = contract_form_into_vec(wedge(xi, beta), P)
+        assert lhs == contract_form_into_vec(beta, contract_form_into_vec(xi, P))
+        nonzero += not lhs.is_zero
+    assert nonzero >= 5
+
+
+def _constructor_random_poly(rng, m):
+    """random_poly through the validating constructor: one Fraction per drawn term."""
+    terms = {}
+    for exps in monomials_up_to(m, 2):
+        if rng.random() < 0.25:
+            terms[exps] = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)))
+    return Poly(m, terms)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_random_poly_matches_the_constructor_route(m):
+    for seed in range(200):
+        fast, slow = random.Random(seed), random.Random(seed)
+        assert random_poly(fast, m) == _constructor_random_poly(slow, m)
+        assert fast.getstate() == slow.getstate()
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])

@@ -3,6 +3,7 @@
 import random
 from functools import reduce
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -85,6 +86,21 @@ PANEL = [
         False,
     ),
 ]
+
+
+SWEPT_PAIRS_PANEL = PANEL[:1] + PANEL[4:7]
+
+
+@pytest.mark.parametrize("samples", [1, 2])
+@pytest.mark.parametrize("label,candidate,expected", SWEPT_PAIRS_PANEL, ids=[p[0] for p in SWEPT_PAIRS_PANEL])
+def test_graph_closure_sweeps_every_basis_pair(label, candidate, expected, samples):
+    # the C(m,n)^2 ordered pairs of constant basis n-forms make a failure deterministic
+    ctx = candidate.ctx
+    check = graph_closure_check(candidate, seed=4, samples=samples)
+    assert check.cases == comb(ctx.m, ctx.n) ** 2 + samples
+    assert check.passed is expected
+    closure = check_nambu(candidate, seed=4, samples=samples)[1]
+    assert (closure.name, closure.cases) == ("graph_closure_dorfman", check.cases)
 
 
 def test_pi_sharp_examples():

@@ -241,6 +241,30 @@ def test_sum_of_products_matches_a_fraction_oracle(case):
     assert 0 not in total.terms.values()
 
 
+def scaled_products(m):
+    maybe = st.one_of(st.none(), polys(m))
+    scales = st.sampled_from((1, -1, 3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 6)))
+    return st.lists(st.tuples(scales, polys(m), maybe), max_size=6)
+
+
+@given(charts.flatmap(lambda m: st.tuples(st.just(m), scaled_products(m))))
+@settings(max_examples=120, deadline=None)
+def test_sum_of_products_folds_int_and_fraction_scales(case):
+    m, products = case
+    total = sum_of_products(m, products)
+    assert total == naive_sum_of_products(m, products)
+    assert Poly(m, total.coefficients()).den == total.den
+    assert 0 not in total.terms.values()
+
+
+def test_sum_of_products_scales_known_answer():
+    x1, x2 = Poly.var(2, 1), Poly.var(2, 2)
+    total = sum_of_products(2, [(Fraction(1, 2), x1, x2), (Fraction(-1, 3), x2, None), (2, x1, None)])
+    assert total == Poly(2, {(1, 1): Fraction(1, 2), (0, 1): Fraction(-1, 3), (1, 0): 2})
+    assert total.den == 6
+    assert sum_of_products(2, [(Fraction(1, 2), x1, None), (Fraction(-1, 2), x1, None)]).is_zero
+
+
 def test_sum_of_products_refuses_a_bound_crossing_that_cancels():
     top = Poly(2, {(MAX_EXPONENT, 0): Fraction(1, 2)})
     x1 = Poly.var(2, 1)
@@ -249,6 +273,8 @@ def test_sum_of_products_refuses_a_bound_crossing_that_cancels():
         sum_of_products(2, [(1, top, x1), (-1, top, x1)])
     with pytest.raises(ExponentBoundError):
         sum_of_products(2, [(1, top, 2 * x1), (1, x1, None), (-1, top, Fraction(2, 3) * x1)])
+    with pytest.raises(ExponentBoundError):
+        sum_of_products(2, [(Fraction(1, 3), top, x1), (Fraction(-1, 3), top, x1)])
 
 
 def test_seeded_cross_check_against_sympy():

@@ -3,8 +3,9 @@
 The golden reports show a failing algebroid witness only for the deformed
 Leibniz check, so a change to how a suite records its inputs (sections
 where forms are due, or (a, b) where (a, b, f) is due) would leave them
-unchanged.  Here `dorfman_form` is replaced, in every `hicourant` module
-that binds it, by one of two wrong brackets, and every check's name,
+unchanged.  Here `dorfman_terms`, the term streams behind every Dorfman,
+Courant, twisted and Nambu form bracket, is replaced, in every `hicourant`
+module that binds it, by one of two wrong brackets, and every check's name,
 identity, case count and failures (inputs and residual) are compared with
 `tests/golden/algebroid-witnesses.pin.json`.  Regenerate it only for a
 change that sets out to alter what the suites record:
@@ -14,27 +15,31 @@ change that sets out to alter what the suites record:
 
 import json
 import sys
+from itertools import chain
 from pathlib import Path
 
 import pytest
 
 from hicourant import courant, nambu, plectic
 from hicourant.dsl import parse_form, parse_multivec
-from hicourant.exterior import Context, ext_d, i_vec, lie_form
+from hicourant.exterior import Context, contract_terms, ext_d, lie_terms
 
 PIN = Path(__file__).parent / "golden" / "algebroid-witnesses.pin.json"
 SEED = 13
 SAMPLES = 4
 
 
-def _flipped_i_y_da(e1, e2):
-    """L_X b + i_Y da: the sign of i_Y da flipped."""
-    return lie_form(e1.vec, e2.form) + i_vec(e2.vec, ext_d(e1.form))
+def _flipped_i_y_da(e1, e2, scale=1):
+    """[X,Y] + L_X b + i_Y da: the sign of i_Y da flipped."""
+    form = chain(lie_terms(e1.vec, e2.form, scale), contract_terms(e2.vec, ext_d(e1.form), scale))
+    return lie_terms(e1.vec, e2.vec, scale), form
 
 
-def _no_d_i_x_b(e1, e2):
-    """i_X db - i_Y da: L_X b without its d i_X b term."""
-    return i_vec(e1.vec, ext_d(e2.form)) - i_vec(e2.vec, ext_d(e1.form))
+def _no_d_i_x_b(e1, e2, scale=1):
+    """[X,Y] + i_X db - i_Y da: L_X b without its d i_X b term."""
+    da, db = ext_d(e1.form), ext_d(e2.form)
+    form = chain(contract_terms(e1.vec, db, scale), contract_terms(e2.vec, da, -scale))
+    return lie_terms(e1.vec, e2.vec, scale), form
 
 
 MUTANTS = {"flipped_i_Y_da": _flipped_i_y_da, "no_d_i_X_b": _no_d_i_x_b}
@@ -107,9 +112,9 @@ SUITES = {
 }
 
 
-def _patch_dorfman_form(setattr_, mutant):
-    """Rebind every module-level name that refers to the real dorfman_form."""
-    original = courant.dorfman_form
+def _patch_dorfman_terms(setattr_, mutant):
+    """Rebind every module-level name that refers to the real dorfman_terms."""
+    original = courant.dorfman_terms
     for name, module in list(sys.modules.items()):
         if module is None or not (name == "hicourant" or name.startswith("hicourant.")):
             continue
@@ -137,7 +142,7 @@ def _runs():
 @pytest.mark.parametrize("mutant,suite", _runs(), ids=[f"{m}-{s}" for m, s in _runs()])
 def test_failing_witnesses_are_pinned(mutant, suite, monkeypatch):
     expected = json.loads(PIN.read_text())[mutant][suite]
-    _patch_dorfman_form(monkeypatch.setattr, MUTANTS[mutant])
+    _patch_dorfman_terms(monkeypatch.setattr, MUTANTS[mutant])
     assert _record(SUITES[suite]()) == expected
 
 
@@ -147,6 +152,6 @@ if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
         pin[mutant_name] = {}
         for suite_name, suite in SUITES.items():
             with pytest.MonkeyPatch.context() as patch:
-                _patch_dorfman_form(patch.setattr, mutant)
+                _patch_dorfman_terms(patch.setattr, mutant)
                 pin[mutant_name][suite_name] = _record(suite())
     PIN.write_text(json.dumps(pin, indent=1) + "\n")
