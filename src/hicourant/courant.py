@@ -298,7 +298,7 @@ def _courant_residuals(e1, e2, e3, f):
     correction = ((), wedge(d_scalar(f), pairing(e1, e2)).terms())
     yield (e1, e2, f), scalar_residual(courant_terms, anchor, e1, e2, f, e12, correction)
     yield (e1, e2), anchor_residual(anchor, e1, e2, e12)
-    e13 = courant_bracket(e1, e3).add_form(ext_d(pairing(e1, e3)))
+    e13 = dorfman_bracket(e1, e3)  # [e1,e3] + d<e1,e3>, built as one bracket
     yield (e1, e2, e3), _pairing_residual(e1, e2, e3, e12.add_form(ext_d(pairing(e1, e2))), e13)
 
 

@@ -12,14 +12,18 @@ one fixed set of sign conventions that every other module inherits:
 
 Index signs come only from _merge_indices (dx^I ^ dx^J: wedge, ext_d and
 the index moves of lie_terms) and _split_sign (dx^I ^ dx^rest = s dx^J:
-every contraction and the pairing); _same_chart is the one chart check on
-operands.  Each operator is a term stream of (index, scale, p, q), that is
-scale * p * q at that index: lie_terms (lie_form, lie_multivec and so
-vec_bracket), contract_terms (i_vec, both contractions and full_pair) and
-ext_d_terms.  Each public operator is one collect over its stream, one
-scalar.sum_of_products per output index.  A caller that adds operators (a
-bracket, or an identity's residual) chains their streams into one collect,
-so only values that are differentiated or contracted again get built.
+every contraction and the pairing).  Both are pure functions of their
+index tuples and cached, so each sign is computed once per index pair.
+_same_chart is the one chart check on operands.  Each operator is a term
+stream of (index, scale, p, q), that is scale * p * q at that index:
+lie_terms (lie_form, lie_multivec and so vec_bracket), contract_terms
+(i_vec, both contractions and full_pair) and ext_d_terms.  Each public
+operator is one collect over its stream, one scalar.sum_of_products per
+output index.  A caller that adds operators (a bracket, or an identity's
+residual) chains their streams into one collect, so only values that are
+differentiated or contracted again get built.  Derivatives come from
+Poly.partial, which builds each once per polynomial, and lie_terms and
+ext_d_terms take them only in the variables that occur.
 """
 
 from __future__ import annotations
@@ -58,6 +62,7 @@ class Context:
                 raise InputError(f"{what} must have degree {formula}={self.n + offset}, got {tensor.degree}")
 
 
+@cache
 def _merge_indices(left: MultiIndex, right: MultiIndex) -> tuple[int, MultiIndex] | None:
     """Sign s and sorted union K with dx^left ^ dx^right = s * dx^K, None on overlap."""
     for k in left:
@@ -82,6 +87,7 @@ def collect(cls, m: int, degree: int, terms):
     return cls._raw(m, degree, out)
 
 
+@cache
 def _split_sign(sub: MultiIndex, full: MultiIndex) -> tuple[int, MultiIndex] | None:
     """Sign s with dx^sub ^ dx^rest = s * dx^full, rest = full minus sub; None if sub not in full."""
     rest = tuple(x for x in full if x not in sub)
@@ -301,12 +307,10 @@ def full_pair(P: MultiVec, a: Form) -> Poly:
 def ext_d_terms(a: Form, scale=1):
     """The stream of scale * d a, with d(f dx^I) = sum_j (d_j f) dx_j ^ dx^I."""
     for I, p in a.coeffs.items():
-        for j in range(1, a.m + 1):
+        for j in p.variables():
             merged = _merge_indices((j,), I)
             if merged is not None:
-                dp = p.partial(j)
-                if not dp.is_zero:
-                    yield merged[1], merged[0] * scale, dp, None
+                yield merged[1], merged[0] * scale, p.partial(j), None
 
 
 def ext_d(a: Form) -> Form:
@@ -324,25 +328,25 @@ def lie_terms(X: MultiVec, T, scale=1):
     """The stream of scale * L_X T for a vector field X and a form or multivector T, by
     the component formula (L_X T)_I = X(T_I) + sum_t sum_j T_{I[t -> j]} A_{i_t j}.
 
-    A is read off the Jacobian d_l X^k, built once per stream: A_{ij} = d_i X^j
-    on forms and A_{ij} = -d_j X^i on multivectors.  The sum is scattered
-    from T's nonzero coefficients: T_J adds X^k d_k T_J at J, and for each
-    slot t and each entry A_{i, J_t} it adds T_J A_{i, J_t} at the sorted
-    index of J[t -> i], with sign (-1)^t times that of dx^i ^ dx^(J without J_t).
+    A is read off the nonzero entries d_l X^k of the Jacobian, those with x_l in
+    X^k: A_{ij} = d_i X^j on forms and A_{ij} = -d_j X^i on multivectors.  The
+    sum is scattered from T's nonzero coefficients: T_J adds X^k d_k T_J at J
+    for each x_k in T_J, and for each slot t and each entry A_{i, J_t} it adds
+    T_J A_{i, J_t} at the sorted index of J[t -> i], with sign (-1)^t times
+    that of dx^i ^ dx^(J without J_t).
     """
     _same_chart(X, T)
-    m = T.m
     covariant = isinstance(T, Form)
     columns: dict[int, list[tuple[int, int, Poly]]] = {}  # j -> (i, s, d) with scale * A_{ij} = s * d
     for (k,), xk in X.coeffs.items():
-        for l in range(1, m + 1):
-            d = xk.partial(l)
-            if not d.is_zero:
-                i, j, sign = (l, k, scale) if covariant else (k, l, -scale)
-                columns.setdefault(j, []).append((i, sign, d))
+        for l in xk.variables():
+            i, j, sign = (l, k, scale) if covariant else (k, l, -scale)
+            columns.setdefault(j, []).append((i, sign, xk.partial(l)))
     for J, p in T.coeffs.items():
+        occurs = p.variables()
         for (k,), xk in X.coeffs.items():
-            yield J, scale, xk, p.partial(k)
+            if k in occurs:
+                yield J, scale, xk, p.partial(k)
         for t, jt in enumerate(J):
             rest = J[:t] + J[t + 1 :]
             for i, sign, d in columns.get(jt, ()):

@@ -14,6 +14,10 @@ the constructor, `const`, `coefficients`, `constant_term`,
 `*` and the tensor operators) runs through one fused multiply-accumulate,
 `sum_of_products`, which makes one Poly per sum, not one per product, and
 takes a whole residual's term stream at once.
+
+`partial(i)` keeps each derivative it builds in a private per-variable
+memo, so term streams that differentiate one coefficient again reuse it,
+and `variables()` lists the variables that occur, whose partials are nonzero.
 """
 
 from __future__ import annotations
@@ -121,10 +125,10 @@ class Poly:
     The form is canonical: no zero numerator is stored, `den` is positive,
     gcd(den, *numerators) is 1, and so `den` is 1 for zero.  Two
     polynomials are therefore equal iff m, `den` and `terms` are equal.
-    Values are immutable after construction.
+    Values are immutable; the lazily filled `_partials` memo is not part of ==, hash or repr.
     """
 
-    __slots__ = ("m", "terms", "den")
+    __slots__ = ("m", "terms", "den", "_partials")
 
     def __init__(self, m: int, terms: dict[Exponents, Fraction | int] | None = None):
         if m < 1:
@@ -233,8 +237,19 @@ class Poly:
             result = result * self
         return result
 
+    def variables(self) -> list[int]:
+        """The 1-based indices of the variables that occur, exactly the i with partial(i) nonzero."""
+        occurs = reduce(or_, self.terms, 0)
+        return [i for i in range(1, self.m + 1) if occurs >> (FIELD_BITS * (i - 1)) & _FIELD_MASK]
+
     def partial(self, i: int) -> "Poly":
-        """Formal partial derivative with respect to x_i (1-based)."""
+        """Formal partial derivative with respect to x_i (1-based), built once per variable."""
+        try:
+            return self._partials[i]
+        except AttributeError:
+            self._partials = {}
+        except KeyError:
+            pass
         if not 1 <= i <= self.m:
             raise ValueError(f"coordinate index {i} out of range 1..{self.m}")
         # lowering one exponent field is injective, so terms never collide
@@ -245,7 +260,8 @@ class Poly:
             e = (key >> shift) & _FIELD_MASK
             if e:
                 out[key - unit] = c * e
-        return Poly._raw(self.m, out, self.den)
+        self._partials[i] = derivative = Poly._raw(self.m, out, self.den)
+        return derivative
 
     def eval_at(self, point) -> Fraction:
         """Exact evaluation at a rational point of length m."""

@@ -55,6 +55,11 @@ def _perm_sign(perm) -> int:
     return sign
 
 
+def sort_sign(seq) -> int:
+    """Parity of the permutation that sorts the distinct entries of seq, from its cycles."""
+    return _perm_sign(sorted(range(len(seq)), key=seq.__getitem__))
+
+
 def oracle_wedge(a, b):
     """Wedge via the shuffle antisymmetrization of the component functions."""
     assert type(a) is type(b)

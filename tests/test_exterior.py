@@ -7,6 +7,7 @@ from itertools import combinations
 
 import pytest
 
+from hicourant import exterior
 from hicourant.exterior import (
     Context,
     Form,
@@ -41,6 +42,7 @@ from oracles import (
     oracle_lie_multivec,
     oracle_vec_bracket,
     oracle_wedge,
+    sort_sign,
 )
 
 
@@ -64,6 +66,40 @@ def test_context_validation():
         Context(3, 4)
     with pytest.raises(ValueError):
         Context(0, 0)
+
+
+def sign_rule_mismatches(m):
+    """The index pairs of 1..m on which exterior's _merge_indices or _split_sign, as bound
+    now, disagree with the permutation-parity oracle."""
+    increasing = [I for k in range(m + 1) for I in combinations(range(1, m + 1), k)]
+    wrong = []
+    for I in increasing:
+        for J in increasing:
+            merged = None if set(I) & set(J) else (sort_sign(I + J), tuple(sorted(I + J)))
+            if exterior._merge_indices(I, J) != merged:
+                wrong.append(("merge", I, J))
+            rest = tuple(j for j in J if j not in I)
+            split = (sort_sign(I + rest), rest) if set(I) <= set(J) else None
+            if exterior._split_sign(I, J) != split:
+                wrong.append(("split", I, J))
+    return wrong
+
+
+def test_sign_rules_match_the_permutation_parity_oracle():
+    for m in range(1, 6):
+        assert sign_rule_mismatches(m) == []
+
+
+@pytest.mark.parametrize("rule", ["_merge_indices", "_split_sign"])
+def test_a_sign_rule_flipped_on_two_slot_indices_fails_the_oracle(monkeypatch, rule):
+    original = getattr(exterior, rule)
+
+    def flipped(left, right):
+        hit = original(left, right)
+        return hit if hit is None or len(left) != 2 else (-hit[0], hit[1])
+
+    monkeypatch.setattr(exterior, rule, flipped)
+    assert sign_rule_mismatches(3) != []
 
 
 def test_wedge_examples():

@@ -10,6 +10,10 @@ stay public and cannot be bypassed by a private copy.
 The benchmark under `bench/` drives the package by name, so every
 hicourant name it imports or reads off a hicourant module must exist;
 a rename would otherwise show only as failed benchmark operations.
+
+The package supports Python 3.10, so every source of the package, the
+tests and the benchmark must parse under the 3.10 grammar, also where
+only a newer Python runs the tests.
 """
 
 import ast
@@ -22,6 +26,21 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "hicourant"
+
+
+SOURCES = sorted(path for part in ("src", "tests", "bench") for path in (ROOT / part).rglob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_sources_parse_under_the_python_3_10_grammar(path):
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+def test_the_python_3_10_grammar_refuses_except_star():
+    source = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    ast.parse(source)
+    with pytest.raises(SyntaxError):
+        ast.parse(source, feature_version=(3, 10))
 
 
 def import_problems(source: str, check_unused: bool = True) -> list[str]:

@@ -176,6 +176,16 @@ def test_check_plectic_rank_is_nondegeneracy_at_the_seeded_rank_points():
         assert rank.cases == RANK_POINTS
 
 
+def test_check_plectic_certifies_a_nonconstant_rank_at_five_distinct_points():
+    # a 2-form on R^3 is degenerate everywhere, so each rank point is a failure naming its point
+    for seed in (0, 7):
+        rank = check_plectic(NONCLOSED31, seed=seed, samples=1)[0]
+        assert rank.name == "nondegeneracy_at_points"
+        assert rank.cases == RANK_POINTS == 5
+        points = [failure.inputs[1] for failure in rank.failures]
+        assert len(set(points)) == len(points) == RANK_POINTS
+
+
 def test_gauge_untwists_matched_deformation():
     # d omega + theta = 0 makes gauge(-omega) intertwine twisted and plain brackets
     theta = -ext_d(NONCLOSED31.omega)

@@ -1,6 +1,8 @@
 """Exact polynomial ring: examples, errors, and algebraic laws."""
 
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -211,6 +213,75 @@ def test_leibniz_rule(ab):
     a, b = ab
     for i in range(1, a.m + 1):
         assert (a * b).partial(i) == a.partial(i) * b + a * b.partial(i)
+
+
+def oracle_partial(p, i):
+    """d p / d x_i over exponent tuples and Fractions, with no packed keys."""
+    out = {}
+    for exps, c in p.coefficients().items():
+        if exps[i - 1]:
+            lowered = exps[: i - 1] + (exps[i - 1] - 1,) + exps[i:]
+            out[lowered] = c * exps[i - 1]
+    return Poly(p.m, out)
+
+
+@given(charts.flatmap(polys))
+@settings(max_examples=80, deadline=None)
+def test_memoised_partials_match_the_fraction_oracle(p):
+    for i in range(1, p.m + 1):
+        derivative = p.partial(i)
+        assert derivative == oracle_partial(p, i)
+        assert p.partial(i) is derivative
+    assert p.variables() == [i for i in range(1, p.m + 1) if p.partial(i)]
+
+
+@given(charts.flatmap(polys))
+@settings(max_examples=60, deadline=None)
+def test_a_filled_memo_changes_no_value(p):
+    twin = Poly(p.m, p.coefficients())
+    before = hash(p), repr(p)
+    for i in range(1, p.m + 1):
+        p.partial(i)
+    assert p == twin and twin == p
+    assert (hash(p), repr(p)) == before == (hash(twin), repr(twin))
+
+
+def test_variables_and_out_of_range_partials_after_the_memo_is_filled():
+    p = X1 * X1 * X2 + ONE
+    assert p.variables() == [1, 2]
+    assert ONE.variables() == Poly.zero(3).variables() == []
+    for i in (1, 2, 3):
+        p.partial(i)
+    for i in (0, 4, -1):
+        with pytest.raises(ValueError):
+            p.partial(i)
+
+
+def test_threads_filling_one_memo_get_equal_derivatives():
+    # more threads than cores, switching often, so fills of the same memo entry interleave
+    terms = {(2, 1, 0): Fraction(1, 2), (0, 3, 1): -2, (1, 0, 0): 5, (0, 0, 0): 1}
+    expected = {i: oracle_partial(Poly(3, terms), i) for i in (1, 2, 3)}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            p = Poly(3, terms)
+            seen = [[] for _ in range(8)]
+
+            def work(out):
+                for i in (1, 2, 3, 2, 1, 3):
+                    out.append((i, p.partial(i)))
+
+            threads = [threading.Thread(target=work, args=(out,)) for out in seen]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+            assert all(len(out) == 6 and all(d == expected[i] for i, d in out) for out in seen)
+            assert all(p.partial(i) is p.partial(i) == expected[i] for i in (1, 2, 3))
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def naive_sum_of_products(m, products):

@@ -14,6 +14,14 @@ once: then every outer bracket was built and copied again by the tensor
 `+`/`-`, and the scalings by 1/2, 2 and -1/3 were products with constant
 polynomials.  Those scalings are now int or Fraction scales of the terms,
 so only the products by non-constant polynomials keep their old count.
+The Courant suite builds [e1,e3] + d<e1,e3> of its pairing row as one
+Dorfman bracket, so its own limits are its counts since then.
+
+`Poly.partial` keeps each derivative it builds, so every derivative
+object it returns that the suite has not seen before is one derivative
+computation; the counter keeps them alive so that no id is reused.  The
+limits are the distinct (polynomial, variable) pairs the suites
+differentiated while every call built its derivative again.
 """
 
 import sys
@@ -37,9 +45,17 @@ BEFORE = {
     "courant": {"products": 24_526, "nonconstant_products": 18_383, "lone": 24_603},
 }
 
+# the Courant suite's products since its pairing row takes a Dorfman bracket
+COURANT_PRODUCTS = {"products": 17_480, "nonconstant_products": 16_782}
+
+# derivative computations, one per Poly.partial call before it kept its results
+PARTIAL_CALLS_BEFORE = {"dorfman": 855, "courant": 1_120}
+DISTINCT_DERIVATIVES = {"dorfman": 336, "courant": 582}
+
 
 def install_counter(monkeypatch) -> Counter:
-    """Wrap every binding of sum_of_products by a counter of products and lone terms."""
+    """Wrap every binding of sum_of_products by a counter of products and lone terms, and
+    Poly.partial by a counter of calls and of the derivatives they built."""
     counts: Counter = Counter()
     original = scalar.sum_of_products
 
@@ -60,6 +76,18 @@ def install_counter(monkeypatch) -> Counter:
         for key, value in list(vars(module).items()):
             if value is original:
                 monkeypatch.setattr(module, key, counted)
+
+    built: dict[int, scalar.Poly] = {}
+    partial = scalar.Poly.partial
+
+    def counted_partial(self, i):
+        derivative = partial(self, i)
+        built[id(derivative)] = derivative
+        counts["partial_calls"] += 1
+        counts["derivatives"] = len(built)
+        return derivative
+
+    monkeypatch.setattr(scalar.Poly, "partial", counted_partial)
     return counts
 
 
@@ -92,10 +120,22 @@ def test_dorfman_products_stay_and_copies_fall(monkeypatch):
 
 def test_courant_products_do_not_rise_and_copies_fall(monkeypatch):
     counts = count_work(monkeypatch, SUITES["courant"])
-    before = BEFORE["courant"]
-    assert counts["nonconstant_products"] <= before["nonconstant_products"]
-    assert counts["products"] <= before["products"]
-    assert counts["lone"] < before["lone"]
+    assert counts["nonconstant_products"] <= COURANT_PRODUCTS["nonconstant_products"]
+    assert counts["products"] <= COURANT_PRODUCTS["products"]
+    assert counts["lone"] < BEFORE["courant"]["lone"]
+
+
+def test_counter_sees_each_derivative_built_once(monkeypatch):
+    counts = install_counter(monkeypatch)
+    p = scalar.Poly.var(2, 1) * scalar.Poly.var(2, 2)
+    p.partial(1), p.partial(1), p.partial(2), p.partial(1).partial(2)
+    assert (counts["partial_calls"], counts["derivatives"]) == (5, 3)
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_each_derivative_is_built_once_per_polynomial(monkeypatch, suite):
+    counts = count_work(monkeypatch, SUITES[suite])
+    assert counts["derivatives"] <= DISTINCT_DERIVATIVES[suite] < PARTIAL_CALLS_BEFORE[suite]
 
 
 @pytest.mark.parametrize("suite", sorted(SUITES))
