@@ -247,10 +247,10 @@ def sweep_checks(table, sweep, residuals) -> list[CheckResult]:
     return checks
 
 
-def leibniz_residual(terms, a, b, c, ab, ac):
+def leibniz_residual(terms, a, b, c, ab, ac, bc):
     """[a,[b,c]] - ([[a,b],c] + [b,[a,c]]) for any bracket on Sections or forms, given as
-    its term streams terms(x, y, scale=1), with ab = [a,b] and ac = [a,c]."""
-    return a.summed(terms(a, a.summed(terms(b, c))), terms(ab, c, scale=-1), terms(b, ac, scale=-1))
+    its term streams terms(x, y, scale=1), with ab = [a,b], ac = [a,c] and bc = [b,c]."""
+    return a.summed(terms(a, bc), terms(ab, c, scale=-1), terms(b, ac, scale=-1))
 
 
 def scalar_residual(terms, anchor, a, b, f, ab, *extra):
@@ -295,11 +295,12 @@ def _courant_residuals(e1, e2, e3, f):
     d_t = ext_d_terms(_cyclic_defect(e1, e2, e3, e12, e23, e31), -1)
     outer = courant_terms(e1, e23), courant_terms(e2, e31), courant_terms(e3, e12)
     yield (e1, e2, e3), e1.summed(*outer, ((), d_t))
-    correction = ((), wedge(d_scalar(f), pairing(e1, e2)).terms())
+    p12 = pairing(e1, e2)
+    correction = ((), wedge(d_scalar(f), p12).terms())
     yield (e1, e2, f), scalar_residual(courant_terms, anchor, e1, e2, f, e12, correction)
     yield (e1, e2), anchor_residual(anchor, e1, e2, e12)
     e13 = dorfman_bracket(e1, e3)  # [e1,e3] + d<e1,e3>, built as one bracket
-    yield (e1, e2, e3), _pairing_residual(e1, e2, e3, e12.add_form(ext_d(pairing(e1, e2))), e13)
+    yield (e1, e2, e3), _pairing_residual(e1, e2, e3, e12.add_form(ext_d(p12)), e13)
 
 
 def check_courant_axioms(ctx: Context, seed: int = 0, samples: int = 25) -> list[CheckResult]:
@@ -318,9 +319,8 @@ DORFMAN_AXIOMS = (
 
 
 def _dorfman_residuals(e1, e2, e3, f):
-    e12 = dorfman_bracket(e1, e2)
-    e13 = dorfman_bracket(e1, e3)
-    yield (e1, e2, e3), leibniz_residual(dorfman_terms, e1, e2, e3, e12, e13)
+    e12, e13, e23 = dorfman_bracket(e1, e2), dorfman_bracket(e1, e3), dorfman_bracket(e2, e3)
+    yield (e1, e2, e3), leibniz_residual(dorfman_terms, e1, e2, e3, e12, e13, e23)
     yield (e1, e2, f), scalar_residual(dorfman_terms, anchor, e1, e2, f, e12)
     # [f*e1, e2] - (f*[e1,e2] - rho(e2)(f)*e1 + df ^ 2<e1,e2>)
     df_pair = ((), wedge(d_scalar(f), pairing(e1, e2)).terms(-2))
@@ -341,9 +341,8 @@ DEFORMED_LEIBNIZ = (
 )
 
 
-def _leibniz_residuals(terms, e1, e2, e3):
-    ab, ac = e1.summed(terms(e1, e2)), e1.summed(terms(e1, e3))
-    yield (e1, e2, e3), leibniz_residual(terms, e1, e2, e3, ab, ac)
+def _leibniz_residuals(terms, e1, e2, e3, ab, ac, bc):
+    yield (e1, e2, e3), leibniz_residual(terms, e1, e2, e3, ab, ac, bc)
 
 
 def check_deformation(
@@ -353,14 +352,29 @@ def check_deformation(
 
     The Leibniz sweep always includes every triple of constant coordinate
     vector sections, which is what makes a non-closed theta fail
-    deterministically rather than by luck of the sampler.
+    deterministically rather than by luck of the sampler.  Each of the m^2
+    brackets of two coordinate sections is built once per sweep.
     """
     ctx.require_degree("deformation form", 2, theta)
-    coordinate = [Section.of_vec(ctx, MultiVec.basis(ctx.m, (i,))) for i in range(1, ctx.m + 1)]
-    sweep = cases(seed, samples, partial(_random_sections, ctx, 3), product(coordinate, repeat=3))
+    terms = partial(deformed_terms, theta=theta)
+
+    def bracket(x, y):
+        return x.summed(terms(x, y))
+
+    basis = [Section.of_vec(ctx, MultiVec.basis(ctx.m, (i,))) for i in range(1, ctx.m + 1)]
+    inner = {(i, j): bracket(basis[i], basis[j]) for i, j in product(range(ctx.m), repeat=2)}
+    coordinate = (
+        (basis[i], basis[j], basis[k], inner[i, j], inner[i, k], inner[j, k])
+        for i, j, k in product(range(ctx.m), repeat=3)
+    )
+
+    def draw(rng):
+        e1, e2, e3 = _random_sections(ctx, 3, rng)
+        return e1, e2, e3, bracket(e1, e2), bracket(e1, e3), bracket(e2, e3)
+
+    sweep = cases(seed, samples, draw, coordinate)
     closed = CheckResult("theta_closed", "d theta = 0")
     closed.record((theta,), ext_d(theta))
-    terms = partial(deformed_terms, theta=theta)
     [leibniz] = sweep_checks(DEFORMED_LEIBNIZ, sweep, partial(_leibniz_residuals, terms))
     agreement = CheckResult(
         "closed_iff_leibniz", "the twisted bracket obeys Leibniz iff d theta = 0"

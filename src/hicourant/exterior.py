@@ -34,8 +34,8 @@ from fractions import Fraction
 from functools import cache
 from itertools import chain, combinations
 
-from .scalar import ChartMismatchError, InputError, Poly, join_signed_terms, monomial_text
-from .scalar import monomials_up_to, sum_of_products
+from .scalar import ChartMismatchError, InputError, Poly, join_signed_terms, monomials_up_to
+from .scalar import sum_of_products, term_texts
 
 MultiIndex = tuple[int, ...]
 
@@ -218,12 +218,10 @@ class _Alternating:
         for idx in sorted(self.coeffs):
             poly = self.coeffs[idx]
             basis = "^".join(f"{self._symbol}{i}" for i in idx)
-            single = poly.single_term()
-            if single is None:
-                rendered.append((False, f"({poly})*{basis}" if basis else str(poly)))
+            if len(poly.terms) == 1:
+                rendered.extend(term_texts(poly, basis))
             else:
-                coeff, exps = single
-                rendered.append(monomial_text(coeff, exps, basis))
+                rendered.append((False, f"({poly})*{basis}" if basis else str(poly)))
         return join_signed_terms(rendered)
 
     def __repr__(self):

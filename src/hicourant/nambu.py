@@ -89,15 +89,16 @@ def graph_closure_check(c: NambuCandidate, seed: int = 0, samples: int = 25) -> 
     """Check that the graph of pi# is preserved by the Dorfman bracket.
 
     Sweeps every ordered pair of constant basis n-forms (which is what
-    finds failures deterministically) plus seeded random pairs, and
-    passes iff the bracket of two graph sections lands back on the
-    graph: vector part equal to pi# of the form part, exactly.
+    finds failures deterministically) plus seeded random pairs, building
+    each graph section pi#a + a once, and passes iff the bracket of two
+    graph sections lands back on the graph: vector part equal to pi# of
+    the form part, exactly.
     """
     ctx = c.ctx
-    basis = [Form.basis(ctx.m, idx) for idx in combinations(range(1, ctx.m + 1), ctx.n)]
+    basis = [_graph_section(c, Form.basis(ctx.m, idx)) for idx in combinations(range(1, ctx.m + 1), ctx.n)]
 
     def pair(rng):
-        return tuple(random_form(rng, ctx.m, ctx.n) for _ in range(2))
+        return tuple(_graph_section(c, random_form(rng, ctx.m, ctx.n)) for _ in range(2))
 
     table = (("graph_closure_dorfman", "[pi#a + a, pi#b + b] stays in the graph of pi# (dorfman bracket)"),)
     sweep = cases(seed, samples, pair, product(basis, repeat=2))
@@ -105,10 +106,11 @@ def graph_closure_check(c: NambuCandidate, seed: int = 0, samples: int = 25) -> 
     return check
 
 
-def _graph_residual(c: NambuCandidate, a: Form, b: Form):
-    ga = _graph_section(c, a)
-    vec, form = dorfman_terms(ga, _graph_section(c, b))
-    yield (a, b), ga.vec.summed(vec, contract_terms(a.summed(form), c.pi, -1))
+def _graph_residual(c: NambuCandidate, ga: Section, gb: Section):
+    """[ga, gb]'s vector part minus pi# of its form part, for graph sections ga = pi#a + a, gb."""
+    a = ga.form
+    vec, form = dorfman_terms(ga, gb)
+    yield (a, gb.form), ga.vec.summed(vec, contract_terms(a.summed(form), c.pi, -1))
 
 
 def _nambu_form_terms(c: NambuCandidate, a: Form, b: Form, scale=1):
@@ -181,10 +183,10 @@ def _algebroid_residuals(c: NambuCandidate, a, b, g, f, xi, eta, zeta):
     form_terms = partial(_nambu_form_terms, c)
     nm1_terms = partial(_nm1_terms, c)
     anchor = partial(pi_sharp, c)
-    ab = nambu_form_bracket(c, a, b)
-    yield (a, b, g), leibniz_residual(form_terms, a, b, g, ab, nambu_form_bracket(c, a, g))
+    ab, ag, bg = nambu_form_bracket(c, a, b), nambu_form_bracket(c, a, g), nambu_form_bracket(c, b, g)
+    yield (a, b, g), leibniz_residual(form_terms, a, b, g, ab, ag, bg)
     yield (a, b), anchor_residual(anchor, a, b, ab)
     yield (a, b, f), scalar_residual(form_terms, anchor, a, b, f, ab)
-    xy, xz = leibniz_nm1_bracket(c, xi, eta), leibniz_nm1_bracket(c, xi, zeta)
-    yield (xi, eta, zeta), leibniz_residual(nm1_terms, xi, eta, zeta, xy, xz)
+    xy, xz, yz = (leibniz_nm1_bracket(c, x, y) for x, y in ((xi, eta), (xi, zeta), (eta, zeta)))
+    yield (xi, eta, zeta), leibniz_residual(nm1_terms, xi, eta, zeta, xy, xz, yz)
     yield (a, b), pi_sharp(c, ab.summed(ab.terms(), _marrero_terms(c, a, b, -1)))

@@ -9,11 +9,12 @@ The kernel works on ints: a monomial is one packed key with a field of
 FIELD_BITS bits per exponent, so a product of monomials is an integer
 addition, and coefficients are int numerators over one denominator per
 polynomial.  `Fraction` and exponent tuples appear only at the boundary:
-the constructor, `const`, `coefficients`, `constant_term`,
-`single_term`, `eval_at` and printing.  Every sum and product (`+`, `-`,
-`*` and the tensor operators) runs through one fused multiply-accumulate,
-`sum_of_products`, which makes one Poly per sum, not one per product, and
-takes a whole residual's term stream at once.
+the constructor, `const`, `coefficients`, `constant_term` and `eval_at`;
+`term_texts` prints each term from its packed key and int numerator.
+Every sum and product (`+`, `-`, `*` and the tensor operators) runs
+through one fused multiply-accumulate, `sum_of_products`, which makes one
+Poly per sum, not one per product, and takes a whole residual's term
+stream at once.
 
 `partial(i)` keeps each derivative it builds in a private per-variable
 memo, so term streams that differentiate one coefficient again reuse it,
@@ -88,25 +89,34 @@ def monomials_up_to(m: int, max_degree: int) -> list[Exponents]:
     return out
 
 
-def monomial_text(coeff: Fraction, exps: Exponents, tail: str = "") -> tuple[bool, str]:
-    """Render ``|coeff| * x^exps * tail``; returns (is_negative, text).
-
-    Powers are spelled as repeated factors ("x1*x1") because the surface
-    grammar reserves "^" for the wedge product.
+def term_texts(p: Poly, tail: str = "") -> list[tuple[bool, str]]:
+    """(is_negative, text) of each term |c| * x^exps * tail of p, highest total degree
+    first, then exponents descending.  Each key is unpacked once and each coefficient
+    written from its numerator and p.den; the magnitude is left out when it is 1 and
+    the term has factors or a tail.  Powers are spelled as repeated factors ("x1*x1")
+    because the surface grammar reserves "^" for the wedge product.
     """
-    parts: list[str] = []
-    magnitude = abs(coeff)
-    has_factors = any(exps) or bool(tail)
-    if magnitude != 1 or not has_factors:
-        try:
-            parts.append(str(magnitude))
-        except ValueError:
-            raise InputError("a coefficient has more digits than Python's int-string limit") from None
-    for i, e in enumerate(exps):
-        parts.extend([f"x{i + 1}"] * e)
-    if tail:
-        parts.append(tail)
-    return coeff < 0, "*".join(parts)
+    shifts = range(0, FIELD_BITS * p.m, FIELD_BITS)
+    den = p.den
+    rows = []
+    for key, c in p.terms.items():
+        exps = [key >> s & _FIELD_MASK for s in shifts]
+        parts = []
+        for i, e in enumerate(exps, 1):
+            if e:
+                parts += [f"x{i}"] * e
+        if tail:
+            parts.append(tail)
+        g = gcd(c, den)
+        num, d = abs(c) // g, den // g
+        if num != 1 or d != 1 or not parts:
+            try:
+                parts.insert(0, f"{num}/{d}" if d != 1 else str(num))
+            except ValueError:
+                raise InputError("a coefficient has more digits than Python's int-string limit") from None
+        rows.append((sum(exps), exps, c < 0, "*".join(parts)))
+    rows.sort(reverse=True)
+    return [(negative, text) for _, _, negative, text in rows]
 
 
 def join_signed_terms(terms: list[tuple[bool, str]]) -> str:
@@ -287,15 +297,8 @@ class Poly:
     def __bool__(self):
         return not self.is_zero
 
-    def single_term(self) -> tuple[Fraction, Exponents] | None:
-        if len(self.terms) != 1:
-            return None
-        ((exps, coeff),) = self.coefficients().items()
-        return coeff, exps
-
     def __str__(self):
-        ordered = sorted(self.coefficients().items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
-        return join_signed_terms([monomial_text(c, e) for e, c in ordered])
+        return join_signed_terms(term_texts(self))
 
     def __repr__(self):
         return f"Poly({self.m}, {str(self)!r})"

@@ -7,7 +7,9 @@ The Cartan-route Lie derivative i_X d + d i_X and the textbook Dorfman
 and Courant brackets built on it are the second route for the package's
 component-formula Lie derivative and its one bracket kernel.
 `hamiltonian_pairs` is the exhaustive sweep of Hamiltonian pairs that
-the hemi- and semi-bracket tests share.
+the hemi- and semi-bracket tests share.  `oracle_text` prints a value by
+the `Fraction` route: `coefficients()`, one `monomial_text` per term, and
+the terms sorted by total degree, then exponents, descending.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from itertools import combinations, product
 from hicourant.courant import Section
 from hicourant.exterior import Form, MultiVec, ext_d, i_vec
 from hicourant.plectic import solve_hamiltonian
-from hicourant.scalar import Poly, monomials_up_to
+from hicourant.scalar import InputError, Poly, join_signed_terms, monomials_up_to
 
 
 def signed_lookup(tensor, seq) -> Poly:
@@ -233,3 +235,45 @@ def hamiltonian_pairs(c, count: int) -> list:
     pairs = list(product(solved, repeat=2))
     assert len(pairs) == count
     return pairs
+
+
+def monomial_text(coeff: Fraction, exps, tail: str = "") -> tuple[bool, str]:
+    """Render ``|coeff| * x^exps * tail``; returns (is_negative, text).
+
+    Powers are spelled as repeated factors ("x1*x1") because the surface
+    grammar reserves "^" for the wedge product.
+    """
+    parts: list[str] = []
+    magnitude = abs(coeff)
+    has_factors = any(exps) or bool(tail)
+    if magnitude != 1 or not has_factors:
+        try:
+            parts.append(str(magnitude))
+        except ValueError:
+            raise InputError("a coefficient has more digits than Python's int-string limit") from None
+    for i, e in enumerate(exps):
+        parts.extend([f"x{i + 1}"] * e)
+    if tail:
+        parts.append(tail)
+    return coeff < 0, "*".join(parts)
+
+
+def oracle_text(value) -> str:
+    """The canonical text of a Poly, Form, MultiVec or Section, printed from Fractions."""
+    if isinstance(value, Section):
+        return f"({oracle_text(value.vec)} ; {oracle_text(value.form)})"
+    if isinstance(value, Poly):
+        ordered = sorted(value.coefficients().items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+        return join_signed_terms([monomial_text(c, e) for e, c in ordered])
+    symbol = "dx" if isinstance(value, Form) else "@"
+    rendered = []
+    for idx in sorted(value.coeffs):
+        poly = value.coeffs[idx]
+        basis = "^".join(f"{symbol}{i}" for i in idx)
+        if len(poly.terms) == 1:
+            ((exps, coeff),) = poly.coefficients().items()
+            rendered.append(monomial_text(coeff, exps, basis))
+        else:
+            text = oracle_text(poly)
+            rendered.append((False, f"({text})*{basis}" if basis else text))
+    return join_signed_terms(rendered)

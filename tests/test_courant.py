@@ -6,6 +6,7 @@ from itertools import combinations, product
 
 import pytest
 
+from hicourant import courant
 from hicourant.courant import (
     CheckResult,
     Section,
@@ -356,6 +357,22 @@ def test_deformation_sweeps_every_coordinate_triple(ctx, theta, samples):
     coordinate = {f"(@{i} ; 0)" for i in range(1, ctx.m + 1)}
     assert any(set(f.inputs) <= coordinate for f in leibniz.failures) is not closed.passed
     assert agreement.passed
+
+
+@pytest.mark.parametrize("samples", [1, 3])
+@pytest.mark.parametrize("ctx,theta", [(Context(3, 1), dx(3, 1, 2, 3)), (Context(4, 1), X4 * dx(4, 1, 2, 3))])
+def test_deformation_builds_each_coordinate_inner_bracket_once(monkeypatch, ctx, theta, samples):
+    calls = []
+    real = courant.deformed_terms
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(courant, "deformed_terms", counted)
+    check_deformation(ctx, theta, seed=2, samples=samples)
+    # m^2 inner brackets, three outer ones per coordinate triple, and six per seeded draw
+    assert len(calls) == ctx.m**2 + 3 * ctx.m**3 + 6 * samples
 
 
 def _verdict(passed: bool) -> CheckResult:

@@ -1,6 +1,7 @@
 """Surface syntax: parsing, grading errors, canonical printing, round-trips."""
 
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hicourant import dsl, exterior, scalar
+from hicourant import courant, dsl, exterior, scalar
 from hicourant.courant import Section, random_section
 from hicourant.dsl import (
     MAX_PAREN_DEPTH,
@@ -26,7 +27,9 @@ from hicourant.dsl import (
     render,
 )
 from hicourant.exterior import Context, Form, MultiVec, random_form, random_multivec, random_poly
-from hicourant.scalar import MAX_EXPONENT, Poly
+from hicourant.scalar import MAX_EXPONENT, InputError, Poly
+
+from oracles import oracle_text
 
 CTX32 = Context(3, 2)
 CTX21 = Context(2, 1)
@@ -390,3 +393,101 @@ def test_print_deterministic():
     assert render(value) == render(value)
     clone = Form(3, 2, dict(value.coeffs))
     assert render(clone) == render(value)
+
+
+def _x(m, i):
+    return Poly.var(m, i)
+
+
+PRINTER_EDGES = [
+    Poly.zero(3),
+    Poly.const(3, 1),
+    Poly.const(3, -1),
+    Poly.const(3, Fraction(-1, 2)),
+    -_x(3, 2),
+    _x(3, 1) * _x(3, 1) * _x(3, 2) - Fraction(3, 4) * _x(3, 3) + Fraction(1, 6),
+    _x(12, 12) ** 3 - _x(12, 1),
+    Form.zero(3, 2),
+    MultiVec.zero(3, 0),
+    Form(3, 0, {(): Poly.const(3, -1)}),
+    Form(3, 0, {(): -_x(3, 1)}),
+    Form(3, 0, {(): _x(3, 1) + Fraction(1, 2)}),
+    MultiVec(3, 0, {(): Poly.const(3, Fraction(7, 3))}),
+    -Form.basis(3, (1, 2)),
+    Fraction(-1, 3) * Form.basis(3, (2,)) + Form.basis(3, (3,)) * -_x(3, 1),
+    MultiVec(3, 2, {(1, 3): _x(3, 2) - 1, (2, 3): Fraction(5, 4) * _x(3, 2) * _x(3, 2)}),
+    Section.zero(CTX21),
+    Section(CTX21, -MultiVec.basis(2, (1,)), Fraction(1, 2) * _x(2, 2) * Form.basis(2, (2,))),
+]
+
+
+def _scaled(rng, value):
+    """value times a random rational, so that coefficients get denominators."""
+    return Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3, 6))) * value
+
+
+def _seeded_values():
+    rng = random.Random(17)
+    for _ in range(200):
+        m = rng.randint(1, 5)
+        ctx = Context(m, rng.randint(1, m))
+        yield _scaled(rng, random_poly(rng, m))
+        yield _scaled(rng, random_form(rng, m, rng.randint(0, m)))
+        yield _scaled(rng, random_multivec(rng, m, rng.randint(0, m)))
+        yield _scaled(rng, random_section(rng, ctx))
+    for m, n, terms in ((5, 2, 12), (4, 1, 30), (4, 2, 18)):
+        yield _io_section(random.Random(terms), m, n, terms)
+
+
+def _io_section(rng, m, n, terms):
+    """A Section with coefficient chains like those of the io workload's operands."""
+    vec = _tensor(MultiVec, m, 1, _tensor_operand(rng, m, 1, "@", terms)[1])
+    return Section(Context(m, n), vec, _tensor(Form, m, n, _tensor_operand(rng, m, n, "dx", terms)[1]))
+
+
+@pytest.mark.parametrize("value", PRINTER_EDGES, ids=lambda v: oracle_text(v))
+def test_printer_edges_match_the_fraction_route(value):
+    assert str(value) == oracle_text(value)
+
+
+def test_printer_matches_the_fraction_route_on_seeded_values():
+    for value in _seeded_values():
+        assert str(value) == oracle_text(value)
+
+
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not INT_DIGITS, reason="no int-string limit")
+@pytest.mark.parametrize("coeff", [10**INT_DIGITS, Fraction(1, 10**INT_DIGITS)], ids=["numerator", "denominator"])
+def test_printer_refuses_a_coefficient_over_the_int_string_limit(coeff):
+    x1 = _x(2, 1)
+    wide = Poly(2, {(1, 0): coeff})
+    for value in (wide, wide + 1, wide * Form.basis(2, (2,)), (wide + x1) * Form.basis(2, (2,))):
+        for printer in (str, oracle_text):
+            with pytest.raises(InputError, match="int-string limit"):
+                printer(value)
+
+
+class CountedFraction(Fraction):
+    """A Fraction that counts its constructions."""
+
+    made = 0
+
+    def __new__(cls, *args, **kwargs):
+        CountedFraction.made += 1
+        return super().__new__(cls, *args, **kwargs)
+
+
+def test_printing_constructs_no_fraction(monkeypatch):
+    value = _io_section(random.Random(3), 4, 1, 14)
+    assert 50 <= sum(len(p.terms) for t in (value.vec, value.form) for p in t.coeffs.values()) <= 70
+    for module in (scalar, exterior, courant):  # every module of the print path that binds Fraction
+        monkeypatch.setattr(module, "Fraction", CountedFraction)
+    CountedFraction.made = 0
+    text = str(value)
+    assert CountedFraction.made == 0
+    value.form.coeffs[(1,)].coefficients()  # the wrapper sees a Fraction built at the boundary
+    assert CountedFraction.made > 0
+    monkeypatch.undo()
+    assert text == oracle_text(value)

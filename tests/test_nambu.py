@@ -7,6 +7,7 @@ from math import comb
 
 import pytest
 
+from hicourant import nambu
 from hicourant.courant import Section, courant_bracket, dorfman_bracket
 from hicourant.exterior import (
     Context,
@@ -101,6 +102,22 @@ def test_graph_closure_sweeps_every_basis_pair(label, candidate, expected, sampl
     assert check.passed is expected
     closure = check_nambu(candidate, seed=4, samples=samples)[1]
     assert (closure.name, closure.cases) == ("graph_closure_dorfman", check.cases)
+
+
+@pytest.mark.parametrize("samples", [1, 2])
+@pytest.mark.parametrize("candidate", [p[1] for p in SWEPT_PAIRS_PANEL], ids=[p[0] for p in SWEPT_PAIRS_PANEL])
+def test_graph_closure_builds_each_basis_section_once(monkeypatch, candidate, samples):
+    calls = []
+    real = nambu.pi_sharp
+
+    def counted(c, xi):
+        calls.append(xi)
+        return real(c, xi)
+
+    monkeypatch.setattr(nambu, "pi_sharp", counted)
+    graph_closure_check(candidate, seed=4, samples=samples)
+    # one pi# contraction per basis n-form, and two per seeded pair
+    assert len(calls) == comb(candidate.ctx.m, candidate.ctx.n) + 2 * samples
 
 
 def test_pi_sharp_examples():
