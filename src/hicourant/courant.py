@@ -357,10 +357,7 @@ def check_deformation(
     """
     ctx.require_degree("deformation form", 2, theta)
     terms = partial(deformed_terms, theta=theta)
-
-    def bracket(x, y):
-        return x.summed(terms(x, y))
-
+    bracket = partial(deformed_dorfman, theta=theta)
     basis = [Section.of_vec(ctx, MultiVec.basis(ctx.m, (i,))) for i in range(1, ctx.m + 1)]
     inner = {(i, j): bracket(basis[i], basis[j]) for i, j in product(range(ctx.m), repeat=2)}
     coordinate = (

@@ -6,6 +6,7 @@ nondegeneracy, graph closure under the plain and twisted brackets,
 solves for admissible n-forms and Hamiltonian (n-1)-forms over
 constant-coefficient omega, and implements the bracket of admissible
 forms together with the hemi- and semi-brackets of Hamiltonian forms.
+Rank probes and solves share one Gauss-Jordan pass over [omega-flat | rhs].
 """
 
 from __future__ import annotations
@@ -101,71 +102,65 @@ class HamiltonianPair:
 # -- exact linear algebra over the rationals ----------------------------------
 
 
-def _flat_matrix(c: PlecticCandidate, value) -> list[list[Fraction]]:
-    """Matrix of X -> i_X omega against the basis n-forms, entries value(coefficient):
-    value is Poly.constant_term for constant omega, or evaluation at a point."""
+def _flat_matrix(c: PlecticCandidate, value, rhs: Form | None = None) -> list[list]:
+    """Augmented matrix [omega-flat | rhs] against the basis n-forms: entries value(coefficient)
+    of X -> i_X omega, where value is Poly.constant_term for constant omega or evaluation at a
+    point, then a last column of rhs's coefficients, or of zeros without rhs."""
     ctx = c.ctx
     columns = [i_vec(MultiVec.basis(ctx.m, (j,)), c.omega) for j in range(1, ctx.m + 1)]
     return [
-        [value(col.coeff(idx)) for col in columns]
+        [*(value(col.coeff(idx)) for col in columns), rhs.coeff(idx) if rhs is not None else Fraction(0)]
         for idx in combinations(range(1, ctx.m + 1), ctx.n)
     ]
 
 
-def _rank_and_kernel(matrix: list[list[Fraction]], ncols: int, rhs: list[Poly] | None = None):
-    """Gauss-Jordan over the rationals: (kernel, solution).
+def _rank_and_kernel(matrix: list[list], ncols: int):
+    """Gauss-Jordan over the rationals of an augmented matrix, in place: (kernel, solution).
 
-    kernel is one nonzero kernel vector, or None if the kernel is trivial.
-    solution solves matrix * x = rhs with free variables set to zero (the
-    unique solution for a nondegenerate matrix), or is None when the system
-    is inconsistent; without rhs it is the zero vector.
+    Columns 0..ncols-1 hold the coefficients and column ncols the right-hand side.  kernel
+    is one nonzero kernel vector, read from the first free column, or None if the kernel is
+    trivial.  solution, read from column ncols, solves the system with free variables set
+    to zero (the unique solution for a nondegenerate matrix), or is None if it is inconsistent.
     """
-    rows = [row[:] for row in matrix]
-    b = list(rhs) if rhs is not None else [0] * len(rows)
     pivots: list[int] = []
-    r = 0
     for col in range(ncols):
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, len(matrix)) if matrix[i][col]), None)
         if pivot_row is None:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        b[r], b[pivot_row] = b[pivot_row], b[r]
-        inv = Fraction(1) / rows[r][col]
-        rows[r] = [v * inv for v in rows[r]]
-        b[r] = inv * b[r]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                factor = rows[i][col]
-                rows[i] = [a - factor * p for a, p in zip(rows[i], rows[r])]
-                b[i] = b[i] - factor * b[r]
+        matrix[r], matrix[pivot_row] = matrix[pivot_row], matrix[r]
+        inv = Fraction(1) / matrix[r][col]
+        matrix[r] = [v * inv for v in matrix[r]]
+        for i, row in enumerate(matrix):
+            if i != r and row[col]:
+                factor = row[col]
+                matrix[i] = [a - factor * p for a, p in zip(row, matrix[r])]
         pivots.append(col)
-        r += 1
-    kernel = None
-    if r < ncols:
-        free = next(col for col in range(ncols) if col not in pivots)
-        kernel = [Fraction(0)] * ncols
-        kernel[free] = Fraction(1)
-        for row_idx, col in enumerate(pivots):
-            kernel[col] = -rows[row_idx][free]
-    solution = None
-    if not any(b[r:]):
-        solution = [0] * ncols
-        for row_idx, col in enumerate(pivots):
-            solution[col] = b[row_idx]
+    free = next((col for col in range(ncols) if col not in pivots), None)
+    kernel = None if free is None else [Fraction(col == free) for col in range(ncols)]
+    solution = None if any(row[ncols] for row in matrix[len(pivots):]) else [0] * ncols
+    for row, col in zip(matrix, pivots):
+        if kernel is not None:
+            kernel[col] = -row[free]
+        if solution is not None:
+            solution[col] = row[ncols]
     return kernel, solution
 
 
 def nondegeneracy_check(c: PlecticCandidate, points) -> CheckResult:
-    """Rank test for X -> i_X omega.
+    """Rank test for X -> i_X omega: one elimination of [omega-flat | 0] per probe.
 
     Constant omega gets one exact global verdict; otherwise the rank is
     evaluated at each supplied rational point, which certifies
     degeneracy exactly but nondegeneracy only at the sampled points.
+    Every point is checked, constant omega or not, before any elimination.
     """
     points = list(points)
     if not points:
         raise InputError("at least one evaluation point is required")
     ctx = c.ctx
+    for point in points:
+        Poly.zero(ctx.m).eval_at(point)
     if c.is_constant:
         check = CheckResult("nondegeneracy_exact_rank", "i_X omega = 0 implies X = 0 (exact rank)")
         probes = [((c.omega,), "", Poly.constant_term)]
@@ -183,11 +178,8 @@ def nondegeneracy_check(c: PlecticCandidate, points) -> CheckResult:
         ]
     for inputs, label, value in probes:
         kernel, _ = _rank_and_kernel(_flat_matrix(c, value), ctx.m)
-        if kernel is None:
-            check.record_verdict(inputs, True, "")
-        else:
-            field = MultiVec(ctx.m, 1, {(j,): v for j, v in enumerate(kernel, 1)})
-            check.record_verdict(inputs, False, f"{label}{field}")
+        field = kernel and MultiVec(ctx.m, 1, {(j,): v for j, v in enumerate(kernel, 1)})
+        check.record_verdict(inputs, kernel is None, f"{label}{field}")
     return check
 
 
@@ -274,8 +266,7 @@ def solve_admissible(c: PlecticCandidate, alpha: Form) -> AdmissiblePair | None:
             "exact solving needs constant-coefficient omega; "
             "supply a candidate vector field and verify it instead"
         )
-    rhs = [alpha.coeff(idx) for idx in combinations(range(1, ctx.m + 1), ctx.n)]
-    _, solution = _rank_and_kernel(_flat_matrix(c, Poly.constant_term), ctx.m, rhs)
+    _, solution = _rank_and_kernel(_flat_matrix(c, Poly.constant_term, alpha), ctx.m)
     if solution is None:
         return None
     field = MultiVec(ctx.m, 1, {(j,): x for j, x in enumerate(solution, 1)})

@@ -6,6 +6,8 @@ package, so the two can be cross-checked against each other exactly.
 The Cartan-route Lie derivative i_X d + d i_X and the textbook Dorfman
 and Courant brackets built on it are the second route for the package's
 component-formula Lie derivative and its one bracket kernel.
+`oracle_flat_matrix` and `oracle_rank_consistent` are a dense `Fraction`
+Gauss-Jordan for the linear algebra of X -> i_X omega.
 `hamiltonian_pairs` is the exhaustive sweep of Hamiltonian pairs that
 the hemi- and semi-bracket tests share.  `oracle_text` prints a value by
 the `Fraction` route: `coefficients()`, one `monomial_text` per term, and
@@ -213,6 +215,39 @@ def oracle_courant(e1: Section, e2: Section) -> Section:
     form = oracle_lie_form(x, b) - oracle_lie_form(y, a)
     form = form + Fraction(1, 2) * (ext_d(i_vec(y, a)) - ext_d(i_vec(x, b)))
     return Section(e1.ctx, oracle_vec_bracket(x, y), form)
+
+
+def oracle_flat_matrix(omega: Form, n: int) -> list[list[Fraction]]:
+    """Constant terms of X -> i_X omega: row I (the basis n-forms in combinations order),
+    column j holds the dx^I component of oracle_i_vec(d/dx_j, omega)."""
+    m = omega.m
+    columns = [oracle_i_vec(MultiVec.basis(m, (j,)), omega) for j in range(1, m + 1)]
+    return [
+        [signed_lookup(col, idx).constant_term() for col in columns]
+        for idx in combinations(range(1, m + 1), n)
+    ]
+
+
+def _dense_rank(rows: list[list[Fraction]]) -> int:
+    rows = [[Fraction(v) for v in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col] != 0:
+                factor = rows[i][col] / rows[rank][col]
+                rows[i] = [a - factor * p for a, p in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def oracle_rank_consistent(matrix: list[list[Fraction]], rhs: list[Fraction]) -> tuple[int, bool]:
+    """Rank of A and whether A x = b has a solution, i.e. rank [A | b] = rank A."""
+    rank = _dense_rank(matrix)
+    return rank, _dense_rank([row + [b] for row, b in zip(matrix, rhs)]) == rank
 
 
 def hamiltonian_pairs(c, count: int) -> list:

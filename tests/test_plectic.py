@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, combinations
 
 import pytest
 
@@ -40,7 +40,16 @@ from hicourant.plectic import (
 )
 from hicourant.scalar import InputError, Poly
 
-from oracles import hamiltonian_pairs, oracle_lie_form, oracle_vec_bracket
+from hicourant.dsl import parse_multivec
+from oracles import (
+    hamiltonian_pairs,
+    oracle_flat_matrix,
+    oracle_i_vec,
+    oracle_lie_form,
+    oracle_rank_consistent,
+    oracle_vec_bracket,
+    signed_lookup,
+)
 
 
 def dx(m, *idx):
@@ -80,7 +89,7 @@ ORIGIN4 = [(Fraction(0), Fraction(0), Fraction(0), Fraction(0))]
 
 def test_nondegeneracy_constant_cases():
     # constant omega gets one exact global rank verdict; the points are
-    # still required by contract but do not enter the computation
+    # still required and checked, but the rank does not depend on them
     assert nondegeneracy_check(VOLUME32, ORIGIN3).passed
     result = nondegeneracy_check(DEGENERATE31, ORIGIN3)
     assert not result.passed
@@ -96,6 +105,67 @@ def test_nondegeneracy_pointwise():
     for candidate in (NONCLOSED31, VOLUME32):
         with pytest.raises(InputError, match="^at least one evaluation point is required$"):
             nondegeneracy_check(candidate, [])
+
+
+POINTWISE41 = PlecticCandidate(Context(4, 1), var(4, 1) * dx(4, 1, 2) + dx(4, 3, 4))
+
+
+@pytest.mark.parametrize("candidate", [SYMPLECTIC41, POINTWISE41], ids=["constant", "pointwise"])
+def test_nondegeneracy_refuses_malformed_points_before_any_elimination(monkeypatch, candidate):
+    def no_elimination(matrix, ncols):
+        raise AssertionError("eliminated before every point was checked")
+
+    monkeypatch.setattr(plectic, "_rank_and_kernel", no_elimination)
+    with pytest.raises(ValueError, match=r"^point has length 1, expected 4$"):
+        nondegeneracy_check(candidate, [ORIGIN4[0], (1,)])
+    with pytest.raises(TypeError, match="^expected int or Fraction, got str$"):
+        nondegeneracy_check(candidate, [ORIGIN4[0], ["junk"]])
+
+
+def _constant_structures(rng, m, n):
+    """The zero (n+1)-form, dx1^...^dx(n+1) (degenerate when n+1 < m) and three seeded
+    constant (n+1)-forms with small rational coefficients."""
+    yield Form.zero(m, n + 1)
+    yield dx(m, *range(1, n + 2))
+    slots = list(combinations(range(1, m + 1), n + 1))
+    for _ in range(3):
+        yield sum((_seeded_rational(rng) * Form.basis(m, idx) for idx in slots), Form.zero(m, n + 1))
+
+
+def _seeded_rational(rng):
+    return Fraction(rng.choice((-3, -2, -1, 0, 0, 1, 2, 3)), rng.choice((1, 2, 3)))
+
+
+@pytest.mark.parametrize("m,n", [(m, n) for m in range(2, 6) for n in range(1, m)])
+def test_flat_elimination_agrees_with_a_dense_oracle(m, n):
+    rng = random.Random(100 * m + n)
+    ctx = Context(m, n)
+    rows = list(combinations(range(1, m + 1), n))
+    targets = [Form.basis(m, idx) for idx in rows]
+    verdicts, solvable = set(), set()
+    for omega in _constant_structures(rng, m, n):
+        c = PlecticCandidate(ctx, omega)
+        matrix = oracle_flat_matrix(omega, n)
+        rank, _ = oracle_rank_consistent(matrix, [Fraction(0)] * len(rows))
+        check = nondegeneracy_check(c, [random_point(rng, m)])
+        assert check.passed == (rank == m)
+        for failure in check.failures:
+            field = parse_multivec(failure.residual, ctx, 1)
+            assert not field.is_zero and oracle_i_vec(field, omega).is_zero
+        verdicts.add(check.passed)
+        seeded = [sum((_seeded_rational(rng) * a for a in targets), Form.zero(m, n)) for _ in range(3)]
+        for alpha in targets + seeded:
+            rhs = [signed_lookup(alpha, idx).constant_term() for idx in rows]
+            _, consistent = oracle_rank_consistent(matrix, rhs)
+            pair = solve_admissible(c, alpha)
+            assert (pair is not None) == consistent, (omega, alpha)
+            if pair is not None:
+                assert oracle_i_vec(pair.x_alpha, omega) == alpha
+            solvable.add(consistent)
+    # an (m-1)-form is i_v of the volume form, so v is in its kernel, and a 2-form has
+    # an odd antisymmetric matrix on an odd chart; every other chart sees both verdicts
+    assert verdicts == ({False} if n + 2 == m or (n == 1 and m % 2) else {False, True})
+    assert solvable == {False, True}
 
 
 def graph_checks(candidate, seed, samples, theta=None):
