@@ -123,13 +123,13 @@ BRACKETS = {
 
 @dataclass
 class SuiteReport:
-    """One suite run: context, parameters, per-check outcomes, overall verdict."""
+    """One suite run.  Its fields, in order and then `passed`, are its JSON report's keys."""
 
     suite: str
     m: int
     n: int
     seed: int
-    samples: int
+    params: dict
     quantifier_scope: str
     checks: list[CheckResult]
 
@@ -137,27 +137,16 @@ class SuiteReport:
     def passed(self) -> bool:
         return all(check.passed for check in self.checks)
 
-    def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "m": self.m,
-            "n": self.n,
-            "seed": self.seed,
-            "params": {"samples": self.samples},
-            "quantifier_scope": self.quantifier_scope,
-            "checks": [
-                {**vars(check), "failures": [vars(f) for f in check.failures], "passed": check.passed}
-                for check in self.checks
-            ],
-            "passed": self.passed,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        checks = [
+            {**vars(check), "failures": [vars(f) for f in check.failures], "passed": check.passed}
+            for check in self.checks
+        ]
+        return json.dumps({**vars(self), "checks": checks, "passed": self.passed}, indent=2)
 
     def to_text(self) -> str:
         lines = [
-            f"suite: {self.suite} (m={self.m}, n={self.n}) seed={self.seed} samples={self.samples}",
+            f"suite: {self.suite} (m={self.m}, n={self.n}) seed={self.seed} samples={self.params['samples']}",
             f"scope: {self.quantifier_scope}",
         ]
         for check in self.checks:
@@ -224,31 +213,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_check(args) -> SuiteReport:
-    ctx = Context(args.dim, args.order)
+def _run_check(args, ctx: Context) -> SuiteReport:
     target = CHECK_TARGETS[args.target]
     tensors = _structures(args, ctx, f"target={args.target}", target.flags, target.flags[:1])
     checks = target.suite(ctx, args, **tensors)
     scope = target.scope(ctx, args, **tensors)
-    return SuiteReport(args.target, ctx.m, ctx.n, args.seed, args.samples, scope, checks)
+    return SuiteReport(args.target, ctx.m, ctx.n, args.seed, {"samples": args.samples}, scope, checks)
 
 
-def _cmd_bracket(args) -> int:
-    ctx = Context(args.dim, args.order)
+def _cmd_bracket(args, ctx: Context) -> int:
     flags, bracket = BRACKETS[args.kind]
     tensors = _structures(args, ctx, f"kind={args.kind}", flags, flags)
     print(bracket(parse_section(args.e1, ctx), parse_section(args.e2, ctx), **tensors))
     return 0
 
 
-def _cmd_check(args) -> int:
-    report = _run_check(args)
+def _cmd_check(args, ctx: Context) -> int:
+    report = _run_check(args, ctx)
     print(report.to_json() if args.json else report.to_text())
     return 0 if report.passed else 1
 
 
-def _cmd_solve(args) -> int:
-    ctx = Context(args.dim, args.order)
+def _cmd_solve(args, ctx: Context) -> int:
     # argparse requires --omega, so an empty one is a parse error
     omega = _structures(args, ctx, "solve-hamiltonian", ("omega",))["omega"]
     candidate = plectic.PlecticCandidate(ctx, omega)
@@ -275,11 +261,9 @@ def _cmd_solve(args) -> int:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        if args.command == "bracket":
-            return _cmd_bracket(args)
-        if args.command == "check":
-            return _cmd_check(args)
-        return _cmd_solve(args)
+        ctx = Context(args.dim, args.order)
+        run = {"bracket": _cmd_bracket, "check": _cmd_check, "solve-hamiltonian": _cmd_solve}[args.command]
+        return run(args, ctx)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -325,16 +325,3 @@ def parse_section(text: str, ctx: Context) -> Section:
 def render(value) -> str:
     """Canonical text for any value; parse(render(v)) returns v exactly."""
     return str(value)
-
-
-def kind_of(value):
-    """The `expected` descriptor matching a value, for round-tripping."""
-    if isinstance(value, Poly):
-        return "scalar"
-    if isinstance(value, Form):
-        return ("form", value.degree)
-    if isinstance(value, MultiVec):
-        return ("multivec", value.degree)
-    if isinstance(value, Section):
-        return "section"
-    raise TypeError(f"no surface syntax for {type(value).__name__}")

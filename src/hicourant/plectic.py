@@ -231,8 +231,7 @@ def check_plectic(
     if theta is not None:
         c.ctx.require_degree("deformation form", 2, theta)
     sweep = cases(seed, samples, partial(_random_graph_sections, c, 2), _coordinate_graph_pairs(c))
-    rng = random.Random(seed)
-    checks = [nondegeneracy_check(c, [random_point(rng, c.ctx.m) for _ in range(RANK_POINTS)])]
+    checks = [nondegeneracy_check(c, cases(seed, RANK_POINTS, partial(random_point, m=c.ctx.m)))]
     d_omega = ext_d(c.omega)
     closed = CheckResult("omega_closed", "d omega = 0")
     closed.record((c.omega,), d_omega)

@@ -12,6 +12,8 @@ Gauss-Jordan for the linear algebra of X -> i_X omega.
 the hemi- and semi-bracket tests share.  `oracle_text` prints a value by
 the `Fraction` route: `coefficients()`, one `monomial_text` per term, and
 the terms sorted by total degree, then exponents, descending.
+`kind_of` gives the `expected` descriptor that round-trips a value
+through `dsl.parse`.
 """
 
 from __future__ import annotations
@@ -312,3 +314,16 @@ def oracle_text(value) -> str:
             text = oracle_text(poly)
             rendered.append((False, f"({text})*{basis}" if basis else text))
     return join_signed_terms(rendered)
+
+
+def kind_of(value):
+    """The `expected` descriptor of dsl.parse that matches a value, for round-tripping."""
+    if isinstance(value, Poly):
+        return "scalar"
+    if isinstance(value, Form):
+        return ("form", value.degree)
+    if isinstance(value, MultiVec):
+        return ("multivec", value.degree)
+    if isinstance(value, Section):
+        return "section"
+    raise TypeError(f"no surface syntax for {type(value).__name__}")

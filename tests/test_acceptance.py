@@ -22,7 +22,7 @@ from hicourant.courant import (
     random_section,
     t_map,
 )
-from hicourant.dsl import kind_of, parse, render
+from hicourant.dsl import parse, render
 from hicourant.exterior import (
     Context,
     Form,
@@ -53,7 +53,7 @@ from hicourant.plectic import (
 )
 from hicourant.scalar import Poly
 
-from oracles import hamiltonian_pairs, oracle_lie_form
+from oracles import hamiltonian_pairs, kind_of, oracle_lie_form
 
 CONTEXTS = [Context(2, 1), Context(3, 1), Context(3, 2), Context(4, 3)]
 

@@ -18,7 +18,6 @@ from hicourant.dsl import (
     GradingError,
     LexError,
     ParseError,
-    kind_of,
     parse,
     parse_form,
     parse_multivec,
@@ -29,7 +28,7 @@ from hicourant.dsl import (
 from hicourant.exterior import Context, Form, MultiVec, random_form, random_multivec, random_poly
 from hicourant.scalar import MAX_EXPONENT, InputError, Poly
 
-from oracles import oracle_text
+from oracles import kind_of, oracle_text
 
 CTX32 = Context(3, 2)
 CTX21 = Context(2, 1)

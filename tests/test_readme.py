@@ -1,17 +1,22 @@
 """README's "Command line" block, run line by line through `cli.main`,
-and its "Library quick start" block, run as one program.
+its "Library quick start" block, run as one program, and its report
+"Schema" block, read as JSON.
 
 Every `hicourant ...` line must exit 1 where its comment says `fails`
 and 0 otherwise.  Where the next line is `#   -> X`, stdout must be X.
-Each `print(...)  # X` line of the quick start must print X.
+Each `print(...)  # X` line of the quick start must print X.  The schema
+must list a real report's keys in the report's order at every level.
 """
 
+import dataclasses
+import json
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
+from hicourant.cli import SuiteReport
 from test_golden import run_main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -65,3 +70,21 @@ def test_library_quick_start_prints_what_its_comments_say(capsys):
     assert len(expected) >= 3
     exec(compile(block, "README.md", "exec"), {})
     assert capsys.readouterr().out.splitlines() == expected
+
+
+def test_the_schema_block_lists_a_real_reports_keys_in_order():
+    text = README.read_text(encoding="utf-8")
+    schema = json.loads(re.search(r"Schema:\n\n```json\n(.*?)```", text, re.S).group(1))
+    # a non-closed omega, so that the report holds failures
+    argv = ["check", "plectic", "-m", "3", "-n", "1", "--omega", "x1*dx2^dx3", "--samples", "1", "--json"]
+    result = run_main(argv)
+    assert result["exit"] == 1, result["stderr"]
+    report = json.loads(result["stdout"])
+    assert list(schema) == list(report) == [f.name for f in dataclasses.fields(SuiteReport)] + ["passed"]
+    assert list(schema["params"]) == list(report["params"])
+    (check_schema,) = schema["checks"]
+    (failure_schema,) = check_schema["failures"]
+    failures = [failure for check in report["checks"] for failure in check["failures"]]
+    assert failures
+    assert all(list(check) == list(check_schema) for check in report["checks"])
+    assert all(list(failure) == list(failure_schema) for failure in failures)
