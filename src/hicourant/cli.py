@@ -8,14 +8,15 @@ count out of range, a tensor of the wrong degree, a DSL error, an exponent
 above scalar.MAX_EXPONENT, a non-closed omega given to the admissible
 suite) or here (an argparse error, a structure flag the command does not
 read, or a required one missing).  Any other exception is a program fault
-and escapes; `--help` exits 0.  Identical invocations produce
-byte-identical output.
+and escapes; `--help` exits 0.  A closed stdout exits 141 (128 + SIGPIPE)
+with nothing on stderr.  Identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -171,6 +172,10 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise InputError(message)
 
+    def print_help(self, file=None):
+        # argparse's own printer swallows an OSError, so `--help` into a closed stdout would exit 0
+        print(self.format_help(), end="", file=file or sys.stdout, flush=True)
+
 
 @cache
 def _build_parser() -> argparse.ArgumentParser:
@@ -263,10 +268,17 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         ctx = Context(args.dim, args.order)
         run = {"bracket": _cmd_bracket, "check": _cmd_check, "solve-hamiltonian": _cmd_solve}[args.command]
-        return run(args, ctx)
+        code = run(args, ctx)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # 128 + SIGPIPE, as a shell reports a writer that a closed pipe killed; fd 1 on devnull
+        # makes the flush at exit quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -35,7 +35,7 @@ from .exterior import (
     vec_apply,
     wedge,
 )
-from .scalar import ChartMismatchError, InputError
+from .scalar import ChartMismatchError, InputError, same_chart
 
 HALF = Fraction(1, 2)
 
@@ -51,9 +51,8 @@ class Section:
     def __post_init__(self):
         if self.vec.degree != 1:
             raise InputError("vector part must have degree 1")
+        same_chart(self.ctx, self.vec)
         self.ctx.require_degree("form part", 0, self.form)
-        if self.vec.m != self.ctx.m or self.form.m != self.ctx.m:
-            raise ChartMismatchError("section parts live on a different chart than the context")
 
     @classmethod
     def zero(cls, ctx: Context) -> "Section":

@@ -266,8 +266,6 @@ def _coerce(value, ctx: Context, expected, position: int = 0):
     if expected == "scalar":
         if isinstance(value, Poly):
             return value
-        if isinstance(value, Form) and value.degree == 0:
-            return value.coeff(())
         raise GradingError(position, f"expected a scalar, got {_kind_name(value)}")
     kind, degree = expected
     cls = Form if kind == "form" else MultiVec

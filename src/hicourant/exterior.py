@@ -14,12 +14,14 @@ Index signs come only from _merge_indices (dx^I ^ dx^J: wedge, ext_d and
 the index moves of lie_terms) and _split_sign (dx^I ^ dx^rest = s dx^J:
 every contraction and the pairing).  Both are pure functions of their
 index tuples and cached, so each sign is computed once per index pair.
-_same_chart is the one chart check on operands.  Each operator is a term
-stream of (index, scale, p, q), that is scale * p * q at that index:
-lie_terms (lie_form, lie_multivec and so vec_bracket), contract_terms
-(i_vec, both contractions and full_pair) and ext_d_terms.  Each public
-operator is one collect over its stream, one scalar.sum_of_products per
-output index.  A caller that adds operators (a bracket, or an identity's
+scalar.same_chart is the one chart check, of operands and in
+Context.require_degree, which admits a structure tensor only on its
+context's chart.  Each operator is a term stream of
+(index, scale, p, q), that is scale * p * q at that index: lie_terms
+(lie_form, lie_multivec and so vec_bracket), contract_terms (i_vec, both
+contractions and full_pair) and ext_d_terms.  Each public operator is
+one collect over its stream, one scalar.sum_of_products per output
+index.  A caller that adds operators (a bracket, or an identity's
 residual) chains their streams into one collect, so only values that are
 differentiated or contracted again get built.  Derivatives come from
 Poly.partial, which builds each once per polynomial, and lie_terms and
@@ -34,7 +36,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import chain, combinations
 
-from .scalar import ChartMismatchError, InputError, Poly, join_signed_terms, monomials_up_to
+from .scalar import InputError, Poly, join_signed_terms, monomials_up_to, same_chart
 from .scalar import sum_of_products, term_texts
 
 MultiIndex = tuple[int, ...]
@@ -54,9 +56,10 @@ class Context:
             raise InputError(f"bracket order n={self.n} must satisfy 1 <= n <= m={self.m}")
 
     def require_degree(self, what: str, offset: int, *tensors) -> None:
-        """The one refusal of a tensor whose degree is not n + offset: an InputError
-        naming the expected degree and that of the first tensor that misses it."""
+        """Admit tensors on this chart at degree n + offset: same_chart refuses another chart,
+        then an InputError names the expected degree and that of the first tensor that misses it."""
         for tensor in tensors:
+            same_chart(self, tensor)
             if tensor.degree != self.n + offset:
                 formula = f"n{offset:+d}" if offset else "n"
                 raise InputError(f"{what} must have degree {formula}={self.n + offset}, got {tensor.degree}")
@@ -97,12 +100,6 @@ def _split_sign(sub: MultiIndex, full: MultiIndex) -> tuple[int, MultiIndex] | N
     return -1 if inversions % 2 else 1, rest
 
 
-def _same_chart(a, b) -> None:
-    """The one chart check on operands: tensors and Polys of one chart dimension."""
-    if a.m != b.m:
-        raise ChartMismatchError(f"chart dimension mismatch: {a.m} vs {b.m}")
-
-
 class _Alternating:
     """Shared storage and ring operations for forms and multivector fields."""
 
@@ -114,25 +111,20 @@ class _Alternating:
             raise ValueError("chart dimension must be positive")
         if degree < 0:
             raise ValueError("tensor degree must be nonnegative")
-        clean: dict[MultiIndex, Poly] = {}
-        if coeffs:
-            for idx, poly in coeffs.items():
-                idx = tuple(idx)
-                if len(idx) != degree:
-                    raise ValueError(f"index {idx} does not have degree {degree}")
-                if any(not 1 <= v <= m for v in idx) or any(
-                    idx[t] >= idx[t + 1] for t in range(len(idx) - 1)
-                ):
-                    raise ValueError(f"index {idx} is not strictly increasing within 1..{m}")
-                if not isinstance(poly, Poly):
-                    poly = Poly.const(m, poly)
-                if poly.m != m:
-                    raise ChartMismatchError(f"coefficient chart {poly.m} != {m}")
-                if not poly.is_zero:
-                    clean[idx] = poly
         self.m = m
         self.degree = degree
-        self.coeffs = clean
+        self.coeffs = {}
+        for idx, poly in (coeffs or {}).items():
+            idx = tuple(idx)
+            if len(idx) != degree:
+                raise ValueError(f"index {idx} does not have degree {degree}")
+            if any(not 1 <= v <= m for v in idx) or any(idx[t] >= idx[t + 1] for t in range(len(idx) - 1)):
+                raise ValueError(f"index {idx} is not strictly increasing within 1..{m}")
+            if not isinstance(poly, Poly):
+                poly = Poly.const(m, poly)
+            same_chart(self, poly)
+            if not poly.is_zero:
+                self.coeffs[idx] = poly
 
     @classmethod
     def _raw(cls, m: int, degree: int, coeffs: dict[MultiIndex, Poly]):
@@ -159,13 +151,6 @@ class _Alternating:
     def coeff(self, idx: MultiIndex) -> Poly:
         return self.coeffs.get(tuple(idx), Poly.zero(self.m))
 
-    def _check_compatible(self, other):
-        if type(self) is not type(other):
-            raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
-        _same_chart(self, other)
-        if self.degree != other.degree:
-            raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
-
     def terms(self, scale=1, q: Poly | None = None):
         """The (index, scale, p, q) stream of scale * q * self, or of scale * self when q is None."""
         return ((idx, scale, p, q) for idx, p in self.coeffs.items())
@@ -175,7 +160,8 @@ class _Alternating:
         return collect(type(self), self.m, self.degree, chain(*streams))
 
     def __add__(self, other, sign: int = 1):
-        self._check_compatible(other)
+        _require(other, type(self), self.degree, "summand")
+        same_chart(self, other)
         return self.summed(self.terms(), other.terms(sign))
 
     def __neg__(self):
@@ -189,15 +175,14 @@ class _Alternating:
             return self.summed(self.terms(scalar))
         if not isinstance(scalar, Poly):
             return NotImplemented
-        _same_chart(self, scalar)
+        same_chart(self, scalar)
         return self.summed(self.terms(1, scalar))
 
     __rmul__ = __mul__
 
     def wedge(self, other):
         """Alternating product of two same-variance tensors."""
-        if type(self) is not type(other):
-            raise TypeError("wedge requires both factors of the same variance")
+        _require(other, type(self), label="wedge factor")
         terms = _bilinear_terms(self, other, _merge_indices)
         return collect(type(self), self.m, self.degree + other.degree, terms)
 
@@ -254,7 +239,7 @@ def _require(value, kind, degree=None, label="argument"):
 def _bilinear_terms(a, b, rule, scale=1):
     """The stream of scale * sign * a_I * b_J at index K over coefficient pairs,
     where rule(I, J) gives (sign, K), or None when the pair does not combine."""
-    _same_chart(a, b)
+    same_chart(a, b)
     for I, p in a.coeffs.items():
         for J, q in b.coeffs.items():
             hit = rule(I, J)
@@ -296,9 +281,7 @@ def contract_vec_into_form(P: MultiVec, a: Form) -> Form:
 def full_pair(P: MultiVec, a: Form) -> Poly:
     """Full basis pairing <P, a> of a multivector and a form of equal degree."""
     _require(P, MultiVec, label="multivector")
-    _require(a, Form, label="form")
-    if P.degree != a.degree:
-        raise ValueError(f"degree mismatch: {P.degree} vs {a.degree}")
+    _require(a, Form, P.degree, "form")
     return collect(Form, a.m, 0, contract_terms(P, a)).coeff(())
 
 
@@ -333,7 +316,7 @@ def lie_terms(X: MultiVec, T, scale=1):
     T_J A_{i, J_t} at the sorted index of J[t -> i], with sign (-1)^t times
     that of dx^i ^ dx^(J without J_t).
     """
-    _same_chart(X, T)
+    same_chart(X, T)
     covariant = isinstance(T, Form)
     columns: dict[int, list[tuple[int, int, Poly]]] = {}  # j -> (i, s, d) with scale * A_{ij} = s * d
     for (k,), xk in X.coeffs.items():
@@ -377,7 +360,7 @@ def vec_bracket(X: MultiVec, Y: MultiVec) -> MultiVec:
 def vec_apply(X: MultiVec, f: Poly) -> Poly:
     """Directional derivative X(f) = sum_j X^j d_j f."""
     _require(X, MultiVec, 1, "vector field")
-    _same_chart(X, f)
+    same_chart(X, f)
     return sum_of_products(f.m, ((1, xj, f.partial(j)) for (j,), xj in X.coeffs.items()))
 
 

@@ -31,7 +31,7 @@ from .exterior import (
     random_form,
     random_poly,
 )
-from .scalar import ChartMismatchError, Poly, monomials_up_to
+from .scalar import Poly, monomials_up_to
 
 
 @dataclass(frozen=True)
@@ -43,8 +43,6 @@ class NambuCandidate:
 
     def __post_init__(self):
         self.ctx.require_degree("tensor", 1, self.pi)
-        if self.pi.m != self.ctx.m:
-            raise ChartMismatchError("tensor lives on a different chart than the context")
 
 
 def pi_sharp(c: NambuCandidate, xi: Form) -> MultiVec:

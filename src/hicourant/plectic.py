@@ -31,7 +31,7 @@ from .exterior import (
     random_point,
     random_poly,
 )
-from .scalar import ChartMismatchError, InputError, Poly
+from .scalar import InputError, Poly
 
 
 class NotClosedError(InputError):
@@ -55,8 +55,6 @@ class PlecticCandidate:
 
     def __post_init__(self):
         self.ctx.require_degree("structure form", 1, self.omega)
-        if self.omega.m != self.ctx.m:
-            raise ChartMismatchError("form lives on a different chart than the context")
 
     @property
     def is_constant(self) -> bool:

@@ -42,6 +42,12 @@ class ChartMismatchError(ValueError):
     """Raised when operands live over charts of different dimension."""
 
 
+def same_chart(a, b) -> None:
+    """The one chart check: Polys, tensors and contexts on one chart dimension m."""
+    if a.m != b.m:
+        raise ChartMismatchError(f"chart dimension mismatch: {a.m} vs {b.m}")
+
+
 class InputError(ValueError):
     """Raised when the caller's input breaks a documented condition or range."""
 
@@ -207,8 +213,7 @@ class Poly:
 
     def _lift(self, other):
         if isinstance(other, Poly):
-            if self.m != other.m:
-                raise ChartMismatchError(f"chart dimension mismatch: {self.m} vs {other.m}")
+            same_chart(self, other)
             return other
         if isinstance(other, (int, Fraction)):
             return Poly.const(self.m, other)

@@ -2,7 +2,9 @@
 
 import argparse
 import dataclasses
+import io
 import json
+import os
 import subprocess
 import sys
 
@@ -575,3 +577,49 @@ def test_every_structure_option_is_in_the_structure_table():
         assert set(spec.flags) <= set(cli.STRUCTURES), target
     for kind, (flags, _bracket) in cli.BRACKETS.items():
         assert set(flags) <= set(cli.STRUCTURES), kind
+
+
+# one command of each kind, run with its stdout the write end of a pipe whose read end is closed
+CLOSED_STDOUT_COMMANDS = {
+    "check": ["check", "dorfman-axioms", "-m2", "-n1", "--samples", "2", "--json"],
+    "bracket": ["bracket", "dorfman", "-m2", "-n1", "(@1 ; x2*dx1)", "(@2 ; 0)"],
+    "help": ["--help"],
+}
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", CLOSED_STDOUT_COMMANDS.values(), ids=CLOSED_STDOUT_COMMANDS)
+def test_a_closed_stdout_exits_141_with_nothing_on_stderr(argv, buffered):
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "hicourant.cli", *argv], stdout=write_end, stderr=subprocess.PIPE, env=env
+        )
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (141, b"")
+
+
+class _ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone: every write raises, as a pipe's does after its read end closes."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("argv", CLOSED_STDOUT_COMMANDS.values(), ids=CLOSED_STDOUT_COMMANDS)
+def test_a_broken_pipe_returns_141_and_points_stdout_at_devnull(argv, monkeypatch, tmp_path):
+    with open(tmp_path / "stdout", "w") as target:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(target.fileno()))
+        assert cli.main(argv) == 141
+        assert os.path.samestat(os.fstat(target.fileno()), os.stat(os.devnull))

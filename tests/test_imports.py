@@ -7,6 +7,10 @@ re-exports.  No module imports or reads another module's `_private`
 name, so shared helpers such as the one case sweep `courant.cases`
 stay public and cannot be bypassed by a private copy.
 
+Only the chart checks raise ChartMismatchError: `scalar.same_chart`, which
+compares chart dimensions, and `courant.Section._check_ctx`, which compares
+whole contexts.  Every other chart comparison calls `same_chart`.
+
 The benchmark under `bench/` drives the package by name, so every
 hicourant name it imports or reads off a hicourant module must exist;
 a rename would otherwise show only as failed benchmark operations.
@@ -143,6 +147,49 @@ def test_private_import_checker_flags_private_names():
         "line 6: reads nb._graph_section",
         "line 6: reads ext._bilinear",
     ]
+
+
+def chart_refusals(source: str) -> list[tuple[int, str]]:
+    """(line, qualified name of the enclosing function or class) of each `raise ChartMismatchError`."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                name = exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None)
+                if name == "ChartMismatchError":
+                    found.append((child.lineno, scope or "<module>"))
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_chart_mismatch_is_raised_only_by_the_chart_checks():
+    raisers = [
+        f"{path.stem}.{scope}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for _line, scope in chart_refusals(path.read_text(encoding="utf-8"))
+    ]
+    assert raisers == ["courant.Section._check_ctx", "scalar.same_chart"]
+
+
+def test_chart_refusal_finder_names_each_raise_by_its_scope():
+    source = (
+        "def same_chart(a, b):\n"
+        "    raise ChartMismatchError('chart')\n"
+        "class Section:\n"
+        "    def add(self, other):\n"
+        "        if other.m:\n"
+        "            raise scalar.ChartMismatchError\n"
+        "raise ChartMismatchError\n"
+        "raise ValueError('not a chart refusal')\n"
+    )
+    assert chart_refusals(source) == [(2, "same_chart"), (6, "Section.add"), (7, "<module>")]
 
 
 def _hicourant_attr(owner: ModuleType, name: str):
