@@ -148,6 +148,7 @@ def test_exponent_bound_is_a_positioned_error():
 
 
 _AT_BOUND = "*".join(["x1"] * MAX_EXPONENT)
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 _EXPONENT_MESSAGE = f"exponent of a variable exceeds the bound {MAX_EXPONENT}"
 
 # (text, expected kind, error class, position, message): every refusal of the
@@ -198,6 +199,44 @@ def test_error_parity(text, expected, error, position, message):
     assert type(err.value) is error
     assert err.value.position == position
     assert str(err.value) == f"at position {position}: {message}"
+
+
+# (text, chart m, expected kind, error class, position, message): refusals that
+# arise inside a run of factors joined by "*", where the run cannot be one monomial
+RUN_ERRORS = [
+    ("2*x9*x1", 5, "scalar", GradingError, 2, "coordinate index 9 out of range 1..5"),
+    ("x1*3/0", 3, "scalar", LexError, 3, "rational literal with zero denominator"),
+    ("x1*3/*x2", 3, "scalar", LexError, 4, "expected digits after '/' in a rational literal"),
+    ("x1 2*x3", 3, "scalar", ParseError, 3, "unexpected trailing input '2'"),
+    ("(@1 ; 2*x1*x2 3*x3)", 3, "section", ParseError, 14, "expected ')', found '3'"),
+    # a run after "*" multiplies a value that may already sit at the bound
+    ("(" + "*".join(["x1"] * (MAX_EXPONENT - 1)) + ")*x1*x1", 3, "scalar", DslError, 3 * MAX_EXPONENT + 1,
+     _EXPONENT_MESSAGE),
+    (f"({_AT_BOUND})*x1*0", 3, "scalar", DslError, 3 * MAX_EXPONENT + 1, _EXPONENT_MESSAGE),
+    (f"({_AT_BOUND})*-x1*0", 3, "scalar", DslError, 3 * MAX_EXPONENT + 1, _EXPONENT_MESSAGE),
+    *(
+        [("x1*" + "1" * (INT_DIGITS + 1) + "*x2", 3, "scalar", LexError, 3,
+          f"{INT_DIGITS + 1} digits exceed Python's int-string limit")]
+        if INT_DIGITS else []
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "text,m,expected,error,position,message",
+    RUN_ERRORS,
+    ids=[repr(text if len(text) <= 24 else f"{text[:10]}...{text[-10:]}") for text, *_ in RUN_ERRORS],
+)
+def test_errors_inside_a_run_of_factors(text, m, expected, error, position, message):
+    with pytest.raises(DslError) as err:
+        parse(text, Context(m, 1), expected)
+    assert type(err.value) is error
+    assert err.value.position == position
+    assert str(err.value) == f"at position {position}: {message}"
+
+
+def test_a_zero_run_past_the_exponent_bound_is_zero():
+    assert parse_scalar("0*" + "*".join(["x1"] * (MAX_EXPONENT + 1)), CTX32) == Poly.zero(3)
 
 
 @pytest.mark.parametrize(
@@ -452,9 +491,6 @@ def test_printer_edges_match_the_fraction_route(value):
 def test_printer_matches_the_fraction_route_on_seeded_values():
     for value in _seeded_values():
         assert str(value) == oracle_text(value)
-
-
-INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 @pytest.mark.skipif(not INT_DIGITS, reason="no int-string limit")
