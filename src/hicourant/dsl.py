@@ -17,19 +17,20 @@ back through str() in a canonical order, and parsing that text returns
 an equal value.
 
 One compiled regex scans the tokens, as (kind, text, position, value)
-tuples; one recursive descent evaluates as it reads.  A "+"/"-" chain
-grades each term as it arrives and is summed once, through
-scalar.sum_of_products or one tensor `summed`, so the cost of a parse is
-linear in the length of its input.
+tuples, a run of factors joined by "*" as one MONO monomial.  One
+recursive descent evaluates as it reads.  A "+"/"-" chain grades each
+term as it arrives and is summed once, its bare monomials straight from
+their tokens, so the cost of a parse is linear in the length of its input.
 """
 
 from __future__ import annotations
 
 import re
+from math import lcm
 
 from .courant import Section
 from .exterior import Context, Form, MultiVec
-from .scalar import FIELD_BITS, ExponentBoundError, InputError, Poly, exponent_guard, sum_of_products
+from .scalar import FIELD_BITS, MAX_EXPONENT, ExponentBoundError, InputError, Poly, exponent_guard
 
 
 class DslError(InputError):
@@ -54,12 +55,15 @@ class GradingError(DslError):
 
 # -- lexer ---------------------------------------------------------------
 
-# Whitespace (str.isspace), then one token; BAD, any other character, starts
-# an anomaly that _lex_error names.  Digits are ASCII only.
+# Whitespace (str.isspace), then one token; BAD, any other character, starts an anomaly that
+# _lex_error names.  Digits are ASCII only.  MONO: 2+ factors joined by "*"; TAIL: factors after "*".
+_FACTOR = r"(?:[0-9]+(?:/[0-9]*)?|x[0-9]+)"
+_MORE = rf"(?:\s*\*\s*{_FACTOR})"
+_SINGLE = r"(?P<RATIONAL>[0-9]+(?:/[0-9]*)?)|(?P<VAR>x[0-9]+)|(?P<COVEC>dx[0-9]+)|(?P<VEC>@[0-9]+)|(?P<BAD>\S)"
 _TOKEN = re.compile(
-    r"\s*(?:(?P<OP>[-+*^();])|(?P<RATIONAL>[0-9]+(?:/[0-9]*)?)|(?P<VAR>x[0-9]+)"
-    r"|(?P<COVEC>dx[0-9]+)|(?P<VEC>@[0-9]+)|(?P<BAD>\S))"
+    rf"\s*(?:(?P<TAIL>\*[\s-]*{_FACTOR}{_MORE}*)|(?P<OP>[-+*^();])|(?P<MONO>(?P<HEAD>{_FACTOR}){_MORE}+)|{_SINGLE})"
 )
+_FACTOR_TOKEN = re.compile(rf"\s*(?:(?P<OP>[-+*^();])|{_SINGLE})")
 
 
 def _lex_error(text: str, start: int) -> LexError:
@@ -84,17 +88,46 @@ def _int(digits: str, position: int) -> int:
         raise LexError(position, f"{len(digits)} digits exceed Python's int-string limit") from None
 
 
-def tokenize(text: str) -> list[tuple]:
-    """(kind, text, position, value) tuples ending in EOF; kind is OP, RATIONAL
-    (value: int numerator and denominator), VAR, COVEC or VEC (value: the index)."""
+def _fold(run: str, m: int) -> tuple | None:
+    """(num, den, key) of a run of factors; None, for one token each, where a factor
+    would be refused or an exponent could pass MAX_EXPONENT."""
+    factors = run.split("*")
+    num, den, key = 1, 1, 0
+    try:
+        for factor in factors:
+            numerator, slash, denominator = factor.strip().partition("/")
+            if numerator[0] != "x":
+                num, den = num * int(numerator), den * (int(denominator) if slash else 1)
+            elif 0 < (index := int(numerator[1:])) <= m:
+                key += 1 << FIELD_BITS * (index - 1)
+            else:
+                return None
+    except ValueError:  # more digits than int() converts, or "/" without digits
+        return None
+    return (num, den, key) if den and len(factors) <= MAX_EXPONENT else None
+
+
+def tokenize(text: str, m: int) -> list[tuple]:
+    """(kind, text, position, value) tuples ending in EOF; kind is OP, MONO or RATIONAL (value:
+    num, den, packed key on chart m; MONO's text is its first factor), VAR, COVEC or VEC (index)."""
     tokens = []
+    _scan(text, _TOKEN.finditer(text), m, tokens)
+    tokens.append(("EOF", "", len(text), None))
+    return tokens
+
+
+def _scan(text: str, matches, m: int, tokens: list) -> None:
     append = tokens.append
-    for match in _TOKEN.finditer(text):
+    for match in matches:
         kind = match.lastgroup
         token = match[kind]
         start = match.end() - len(token)
         if kind == "OP":
             append((kind, token, start, None))
+        elif kind == "MONO" and (value := _fold(token, m)):
+            append((kind, match["HEAD"], start, value))
+        elif kind in ("MONO", "TAIL"):
+            _scan(text, _FACTOR_TOKEN.finditer(text, start, match.end()), m, tokens)
         elif kind == "RATIONAL":
             numerator, slash, denominator = token.partition("/")
             numerator = _int(numerator, start)
@@ -103,13 +136,11 @@ def tokenize(text: str) -> list[tuple]:
             denominator = _int(denominator, start) if slash else 1
             if not denominator:
                 raise LexError(start, "rational literal with zero denominator")
-            append((kind, token, start, (numerator, denominator)))
+            append((kind, token, start, (numerator, denominator, 0)))
         elif kind == "BAD":
             raise _lex_error(text, start)
         else:
             append((kind, token, start, _int(token[2 if kind == "COVEC" else 1 :], start)))
-    append(("EOF", "", len(text), None))
-    return tokens
 
 
 # -- one-pass parser with grading checks -------------------------------------
@@ -120,11 +151,11 @@ MAX_PAREN_DEPTH = 100
 
 
 def _kind_name(value) -> str:
-    if isinstance(value, Poly):
-        return "scalar"
     if isinstance(value, Form):
         return f"form of degree {value.degree}"
-    return f"multivector of degree {value.degree}"
+    if isinstance(value, MultiVec):
+        return f"multivector of degree {value.degree}"
+    return "scalar"
 
 
 def _combine(op: str, position: int, left, right):
@@ -138,13 +169,13 @@ def _combine(op: str, position: int, left, right):
     return left.wedge(right)
 
 
-def _sum(m: int, lead, terms: list):
-    """The sum of the signed (sign, value) terms, all of the kind of `lead`."""
-    if len(terms) == 1 and terms[0][0] > 0:
-        return terms[0][1]
-    if isinstance(lead, Poly):
-        return sum_of_products(m, [(sign, p, None) for sign, p in terms])
-    return lead.summed(*(t.terms(sign) for sign, t in terms))
+def _poly(m: int, sums: dict[int, dict[int, int]]) -> Poly:
+    """One Poly from int numerators per denominator, merged once over their lcm."""
+    den, total = lcm(*sums), {}
+    for d, acc in sums.items():
+        for key, c in acc.items():
+            total[key] = total.get(key, 0) + c * (den // d)
+    return Poly._raw(m, {key: c for key, c in total.items() if c}, den)
 
 
 class _Parser:
@@ -179,28 +210,46 @@ class _Parser:
         except ExponentBoundError as exc:
             raise DslError(op[2], str(exc)) from None
 
+    def bare_monomial(self) -> tuple | None:
+        """(den, ((key, num),)) of a RATIONAL, in-range VAR or MONO term after any unary
+        "-" and not followed by "*" or "^", which it consumes; None for any other term."""
+        tokens, pos = self.tokens, self.pos
+        while tokens[pos][1] == "-":
+            pos += 1
+        kind, _, _, value = tokens[pos]
+        if kind == "VAR" and 1 <= value <= self.m:
+            value = (1, 1, 1 << FIELD_BITS * (value - 1))
+        if not isinstance(value, tuple) or tokens[pos + 1][1] in ("*", "^"):
+            return None
+        num, den, key = value
+        negated, self.pos = (pos - self.pos) % 2, pos + 1
+        return den, ((key, -num if negated else num),)
+
     def parse_expr(self):
-        """A "+"/"-" chain, graded term by term at each operator and summed once.
-        Until a tensor arrives the chain is scalar; a tensor after a scalar prefix
-        that sums to zero sets the chain's kind, and a later scalar term must be zero."""
-        lead = self.parse_wedge()
-        terms = [(1, lead)]
-        while self.tokens[self.pos][1] in ("+", "-"):
+        """A "+"/"-" chain, graded at each operator and summed once, its scalar terms as
+        int numerators per denominator.  It is scalar until a tensor arrives after a prefix
+        that sums to zero; that tensor sets its kind, and later scalar terms must be zero."""
+        sums, lead, terms, sign, op, position = {}, None, [], 1, "+", 0
+        while True:
+            bare = self.bare_monomial()
+            right = None if bare else self.parse_wedge()
+            scalar = bare or isinstance(right, Poly) and (right.den, right.terms.items())
+            if scalar and lead is None:
+                acc = sums.setdefault(scalar[0], {})
+                for key, c in scalar[1]:
+                    acc[key] = acc.get(key, 0) + sign * c
+            elif lead is None and not (sums and _poly(self.m, sums).terms):
+                lead, terms = right, [(sign, right)]
+            elif type(right) is type(lead) and right.degree == lead.degree:
+                terms.append((sign, right))
+            elif not scalar or any(c for _, c in scalar[1]):  # a zero scalar leaves the chain as it is
+                verb = "add" if op == "+" else "subtract"
+                raise GradingError(position, f"cannot {verb} {_kind_name(right)} and {_kind_name(lead)}")
+            if self.tokens[self.pos][1] not in ("+", "-"):
+                break
             _, op, position, _ = self.advance()
             sign = 1 if op == "+" else -1
-            right = self.parse_wedge()
-            if type(right) is type(lead) and getattr(right, "degree", None) == getattr(lead, "degree", None):
-                terms.append((sign, right))
-            elif isinstance(right, Poly) and not right.terms:
-                continue
-            elif isinstance(lead, Poly) and not _sum(self.m, lead, terms).terms:
-                lead, terms = right, [(sign, right)]
-            else:
-                raise GradingError(
-                    position,
-                    f"cannot {'add' if op == '+' else 'subtract'} {_kind_name(right)} and {_kind_name(lead)}",
-                )
-        return _sum(self.m, lead, terms)
+        return _poly(self.m, sums) if lead is None else lead.summed(*(t.terms(s) for s, t in terms))
 
     def parse_wedge(self):
         value = self.parse_product()
@@ -210,17 +259,18 @@ class _Parser:
         return value
 
     def parse_product(self):
-        """Left-associative "*" chain.  Its leading RATIONAL and in-range VAR
+        """Left-associative "*" chain.  Its leading MONO, RATIONAL and in-range VAR
         factors fold into one pending monomial num/den * x^key, made a Poly when
         another operand appears; values, errors and positions stay the same."""
         tokens, m = self.tokens, self.m
         num, den, key, op, value = 1, 1, 0, None, None
         while True:
             kind, _, _, token_value = tokens[self.pos]
-            if value is None and kind == "RATIONAL":
+            if value is None and kind in ("RATIONAL", "MONO"):
                 self.pos += 1
                 num *= token_value[0]
                 den *= token_value[1]
+                key += token_value[2]
             elif value is None and kind == "VAR" and 1 <= token_value <= m:
                 self.pos += 1
                 key += 1 << FIELD_BITS * (token_value - 1)
@@ -241,8 +291,8 @@ class _Parser:
             self.pos += 1
             negations += 1
         kind, text, position, token_value = self.advance()
-        if kind == "RATIONAL":
-            value = Poly.monomial(self.m, *token_value, 0)
+        if kind in ("RATIONAL", "MONO"):
+            value = Poly.monomial(self.m, *token_value)
         elif kind in ("VAR", "COVEC", "VEC"):
             if not 1 <= token_value <= self.m:
                 raise GradingError(position, f"coordinate index {token_value} out of range 1..{self.m}")
@@ -285,7 +335,7 @@ def parse(text: str, ctx: Context, expected):
 
     expected is "scalar", "section", ("form", k), or ("multivec", k).
     """
-    parser = _Parser(tokenize(text), ctx)
+    parser = _Parser(tokenize(text, ctx.m), ctx)
     if expected == "section":
         parser.expect("(")
         vec_start = parser.tokens[parser.pos][2]

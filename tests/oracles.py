@@ -13,18 +13,35 @@ the hemi- and semi-bracket tests share.  `oracle_text` prints a value by
 the `Fraction` route: `coefficients()`, one `monomial_text` per term, and
 the terms sorted by total degree, then exponents, descending.
 `kind_of` gives the `expected` descriptor that round-trips a value
-through `dsl.parse`.
+through `dsl.parse`, and `io_section_text` writes sections in the shape of
+the io workload's bracket operands.  `oracle_parse` is the one-token-per-factor parser
+that `dsl.parse` replaced: every factor of a "*" run is its own token,
+and a "+"/"-" chain sums the Polys of its terms through
+`sum_of_products`; values and refusals (class, position, message) are
+the reference for the folding lexer and the direct chain sum.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import combinations, product
+from random import Random
 
 from hicourant.courant import Section
+from hicourant.dsl import DslError, GradingError, LexError, ParseError
 from hicourant.exterior import Form, MultiVec, ext_d, i_vec
 from hicourant.plectic import solve_hamiltonian
-from hicourant.scalar import InputError, Poly, join_signed_terms, monomials_up_to
+from hicourant.scalar import (
+    FIELD_BITS,
+    ExponentBoundError,
+    InputError,
+    Poly,
+    exponent_guard,
+    join_signed_terms,
+    monomials_up_to,
+    sum_of_products,
+)
 
 
 def signed_lookup(tensor, seq) -> Poly:
@@ -327,3 +344,247 @@ def kind_of(value):
     if isinstance(value, Section):
         return "section"
     raise TypeError(f"no surface syntax for {type(value).__name__}")
+
+
+def io_section_text(rng: Random, m: int, n: int, terms: int) -> str:
+    """A section like the io workload's bracket operands: dense rational coefficients of
+    degree <= 3, printed in a non-canonical order with repeated monomials."""
+
+    def poly_text() -> str:
+        pieces = []
+        for t in range(terms):
+            coeff = Fraction(rng.randint(1, 9), rng.choice((1, 1, 2, 3, 4, 5)))
+            text = "*".join([str(coeff)] + [f"x{rng.randint(1, m)}" for _ in range(rng.randint(0, 3))])
+            sign = rng.choice("+-")
+            pieces.append((f"-{text}" if sign == "-" else text) if t == 0 else f" {sign} {text}")
+        return "".join(pieces)
+
+    vec = " + ".join(f"({poly_text()})*@{i}" for i in range(1, m + 1))
+    form = " + ".join(f"({poly_text()})*" + "^".join(f"dx{i}" for i in idx) for idx in combinations(range(1, m + 1), n))
+    return f"({vec} ; {form})"
+
+
+# -- the one-token-per-factor parser ------------------------------------------
+
+_ORACLE_TOKEN = re.compile(
+    r"\s*(?:(?P<OP>[-+*^();])|(?P<RATIONAL>[0-9]+(?:/[0-9]*)?)|(?P<VAR>x[0-9]+)"
+    r"|(?P<COVEC>dx[0-9]+)|(?P<VEC>@[0-9]+)|(?P<BAD>\S))"
+)
+ORACLE_MAX_PAREN_DEPTH = 100
+
+
+def _oracle_lex_error(text: str, start: int) -> LexError:
+    if text[start] == "@":
+        return LexError(start, "expected a coordinate index after '@'")
+    if not text[start].isalpha():
+        return LexError(start, f"unexpected character {text[start]!r}")
+    end = start
+    while end < len(text) and text[end].isalpha():
+        end += 1
+    while end < len(text) and "0" <= text[end] <= "9":
+        end += 1
+    return LexError(start, f"unrecognized name {text[start:end]!r}")
+
+
+def _oracle_int(digits: str, position: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:
+        raise LexError(position, f"{len(digits)} digits exceed Python's int-string limit") from None
+
+
+def oracle_tokenize(text: str) -> list[tuple]:
+    """(kind, text, position, value) tuples ending in EOF, one per factor."""
+    tokens = []
+    for match in _ORACLE_TOKEN.finditer(text):
+        kind = match.lastgroup
+        token = match[kind]
+        start = match.end() - len(token)
+        if kind == "OP":
+            tokens.append((kind, token, start, None))
+        elif kind == "RATIONAL":
+            numerator, slash, denominator = token.partition("/")
+            numerator = _oracle_int(numerator, start)
+            if slash and not denominator:
+                raise LexError(start + len(token) - 1, "expected digits after '/' in a rational literal")
+            denominator = _oracle_int(denominator, start) if slash else 1
+            if not denominator:
+                raise LexError(start, "rational literal with zero denominator")
+            tokens.append((kind, token, start, (numerator, denominator)))
+        elif kind == "BAD":
+            raise _oracle_lex_error(text, start)
+        else:
+            tokens.append((kind, token, start, _oracle_int(token[2 if kind == "COVEC" else 1 :], start)))
+    tokens.append(("EOF", "", len(text), None))
+    return tokens
+
+
+def _oracle_kind_name(value) -> str:
+    if isinstance(value, Poly):
+        return "scalar"
+    if isinstance(value, Form):
+        return f"form of degree {value.degree}"
+    return f"multivector of degree {value.degree}"
+
+
+def _oracle_combine(op: str, position: int, left, right):
+    if isinstance(left, Poly) or isinstance(right, Poly):
+        return left * right
+    if op == "*":
+        raise GradingError(position, "'*' needs at least one scalar operand; use '^' on tensors")
+    if type(left) is not type(right):
+        raise GradingError(position, f"cannot wedge {_oracle_kind_name(left)} with {_oracle_kind_name(right)}")
+    return left.wedge(right)
+
+
+def _oracle_sum(m: int, lead, terms: list):
+    if len(terms) == 1 and terms[0][0] > 0:
+        return terms[0][1]
+    if isinstance(lead, Poly):
+        return sum_of_products(m, [(sign, p, None) for sign, p in terms])
+    return lead.summed(*(t.terms(sign) for sign, t in terms))
+
+
+class _OracleParser:
+    def __init__(self, tokens: list[tuple], m: int):
+        self.tokens = tokens
+        self.pos = 0
+        self.m = m
+        self.guard = exponent_guard(m)
+        self.depth = 0
+
+    def advance(self) -> tuple:
+        token = self.tokens[self.pos]
+        self.pos += 1
+        return token
+
+    def expect(self, text: str) -> tuple:
+        token = self.tokens[self.pos]
+        if token[1] != text:
+            raise ParseError(token[2], f"expected {text!r}, found {token[1] or 'end of input'!r}")
+        return self.advance()
+
+    def expect_end(self) -> None:
+        _, text, position, _ = self.tokens[self.pos]
+        if text:
+            raise ParseError(position, f"unexpected trailing input {text!r}")
+
+    def combine(self, op: tuple, left, right):
+        try:
+            return _oracle_combine(op[1], op[2], left, right)
+        except ExponentBoundError as exc:
+            raise DslError(op[2], str(exc)) from None
+
+    def parse_expr(self):
+        lead = self.parse_wedge()
+        terms = [(1, lead)]
+        while self.tokens[self.pos][1] in ("+", "-"):
+            _, op, position, _ = self.advance()
+            sign = 1 if op == "+" else -1
+            right = self.parse_wedge()
+            if type(right) is type(lead) and getattr(right, "degree", None) == getattr(lead, "degree", None):
+                terms.append((sign, right))
+            elif isinstance(right, Poly) and not right.terms:
+                continue
+            elif isinstance(lead, Poly) and not _oracle_sum(self.m, lead, terms).terms:
+                lead, terms = right, [(sign, right)]
+            else:
+                raise GradingError(
+                    position,
+                    f"cannot {'add' if op == '+' else 'subtract'} {_oracle_kind_name(right)} "
+                    f"and {_oracle_kind_name(lead)}",
+                )
+        return _oracle_sum(self.m, lead, terms)
+
+    def parse_wedge(self):
+        value = self.parse_product()
+        while self.tokens[self.pos][1] == "^":
+            op = self.advance()
+            value = self.combine(op, value, self.parse_product())
+        return value
+
+    def parse_product(self):
+        tokens, m = self.tokens, self.m
+        num, den, key, op, value = 1, 1, 0, None, None
+        while True:
+            kind, _, _, token_value = tokens[self.pos]
+            if value is None and kind == "RATIONAL":
+                self.pos += 1
+                num *= token_value[0]
+                den *= token_value[1]
+            elif value is None and kind == "VAR" and 1 <= token_value <= m:
+                self.pos += 1
+                key += 1 << FIELD_BITS * (token_value - 1)
+                if num and key & self.guard:
+                    raise DslError(op[2], str(ExponentBoundError()))
+            elif op is None:
+                value = self.parse_atom()
+            else:
+                left = Poly.monomial(m, num, den, key) if value is None else value
+                value = self.combine(op, left, self.parse_atom())
+            if tokens[self.pos][1] != "*":
+                return Poly.monomial(m, num, den, key) if value is None else value
+            op = self.advance()
+
+    def parse_atom(self):
+        negations = 0
+        while self.tokens[self.pos][1] == "-":
+            self.pos += 1
+            negations += 1
+        kind, text, position, token_value = self.advance()
+        if kind == "RATIONAL":
+            value = Poly.monomial(self.m, *token_value, 0)
+        elif kind in ("VAR", "COVEC", "VEC"):
+            if not 1 <= token_value <= self.m:
+                raise GradingError(position, f"coordinate index {token_value} out of range 1..{self.m}")
+            if kind == "VAR":
+                value = Poly.var(self.m, token_value)
+            else:
+                value = (Form if kind == "COVEC" else MultiVec).basis(self.m, (token_value,))
+        elif text == "(":
+            if self.depth == ORACLE_MAX_PAREN_DEPTH:
+                raise ParseError(position, f"parentheses nested deeper than {ORACLE_MAX_PAREN_DEPTH} levels")
+            self.depth += 1
+            value = self.parse_expr()
+            self.depth -= 1
+            self.expect(")")
+        else:
+            raise ParseError(position, f"expected a value, found {text or 'end of input'!r}")
+        return -value if negations % 2 else value
+
+
+def _oracle_coerce(value, ctx, expected, position: int = 0):
+    if expected == "scalar":
+        if isinstance(value, Poly):
+            return value
+        raise GradingError(position, f"expected a scalar, got {_oracle_kind_name(value)}")
+    kind, degree = expected
+    cls = Form if kind == "form" else MultiVec
+    if isinstance(value, cls) and value.degree == degree:
+        return value
+    if isinstance(value, Poly) and value.is_zero:
+        return cls.zero(ctx.m, degree)
+    if isinstance(value, Poly) and degree == 0:
+        return cls(ctx.m, 0, {(): value})
+    raise GradingError(position, f"expected a {kind} of degree {degree}, got {_oracle_kind_name(value)}")
+
+
+def oracle_parse(text: str, ctx, expected):
+    """dsl.parse by one token per factor and one Poly per chain term."""
+    parser = _OracleParser(oracle_tokenize(text), ctx.m)
+    if expected == "section":
+        parser.expect("(")
+        vec_start = parser.tokens[parser.pos][2]
+        vec_value = parser.parse_expr()
+        parser.expect(";")
+        form_start = parser.tokens[parser.pos][2]
+        form_value = parser.parse_expr()
+        parser.expect(")")
+        parser.expect_end()
+        vec_value = _oracle_coerce(vec_value, ctx, ("multivec", 1), vec_start)
+        form_value = _oracle_coerce(form_value, ctx, ("form", ctx.n), form_start)
+        return Section(ctx, vec_value, form_value)
+    start = parser.tokens[parser.pos][2]
+    value = parser.parse_expr()
+    parser.expect_end()
+    return _oracle_coerce(value, ctx, expected, start)

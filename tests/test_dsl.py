@@ -28,7 +28,7 @@ from hicourant.dsl import (
 from hicourant.exterior import Context, Form, MultiVec, random_form, random_multivec, random_poly
 from hicourant.scalar import MAX_EXPONENT, InputError, Poly
 
-from oracles import kind_of, oracle_text
+from oracles import io_section_text, kind_of, oracle_parse, oracle_text
 
 CTX32 = Context(3, 2)
 CTX21 = Context(2, 1)
@@ -374,6 +374,100 @@ def test_chain_work_per_term_is_flat(monkeypatch, expected, tail):
         assert len(value.terms if expected == "scalar" else value.coeffs[(1, 2)].terms) == terms
         per_term[terms] = work["entries"] / terms
     assert max(per_term.values()) <= 1.01 * min(per_term.values()), per_term
+
+
+# -- the parser against the one-token-per-factor oracle --------------------------
+
+# fragments of fuzz inputs: factors, a few of them refused (index out of range,
+# zero or missing denominator), joins, and characters or names that no token
+# takes, spliced in at random
+_REFUSED = ("x9", "x0", "1/0", "5/", "dx9", "@0")
+_JOINS = (" + ", " - ", "+", "-", "*", "*", " * ", "^", " ^ ", " ")
+_STARS = ("*", "*", " * ", "*\u3000")
+_SPLICES = ("*", "-", "(", ")", ";", "/", "x", "$", "y1", "dx", "@", " ", "\u3000", "1/0", "x7")
+
+
+def _outcome(parser, text, ctx, expected):
+    """The rendered value, or the error as (class, position, message)."""
+    try:
+        return str(parser(text, ctx, expected))
+    except Exception as exc:  # every refusal must match, whatever its class
+        return type(exc).__name__, getattr(exc, "position", None), str(exc)
+
+
+def _pick(rng, seq):
+    return seq[int(rng.random() * len(seq))]
+
+
+def _fuzz_expr(rng, factors, tensors, depth=0):
+    """One to three joined terms, each after zero to two "-": a run of one to four
+    factors, a tensor, or a parenthesized expression."""
+    parts = []
+    for i in range(1 + int(rng.random() * 3)):
+        parts.append((_pick(rng, _JOINS) if i else "") + _pick(rng, ("", "", "", "-", "--")))
+        pick = rng.random()
+        if pick < 0.6:
+            for _ in range(int(rng.random() * 4)):
+                parts += (_pick(rng, factors), _pick(rng, _STARS))
+            parts.append(_pick(rng, factors) if rng.random() < 0.98 else _pick(rng, _REFUSED))
+        elif pick < 0.85 or depth:
+            parts.append(_pick(rng, tensors))
+        else:
+            parts.append(f"({_fuzz_expr(rng, factors, tensors, depth + 1)})")
+    return "".join(parts)
+
+
+def _fuzz_case(rng, m):
+    """(text, expected kind) on chart m: a section, or an expression with tensors of one
+    variance read as a scalar or as a tensor of that variance and degree 0 to 2."""
+    factors, vecs, covecs = _FUZZ_ATOMS[m]
+    pick = rng.random()
+    if pick < 0.3:
+        text, expected = f"({_fuzz_expr(rng, factors, vecs)} ; {_fuzz_expr(rng, factors, covecs)})", "section"
+    else:
+        kind, tensors = ("form", covecs) if pick < 0.65 else ("multivec", vecs)
+        text = _fuzz_expr(rng, factors, tensors)
+        expected = _pick(rng, ("scalar", (kind, 0), (kind, 1), (kind, 1), (kind, 2)))
+    if rng.random() < 0.2:  # splice a fragment in, in place of nothing or of one character
+        at = int(rng.random() * (len(text) + 1))
+        text = text[:at] + _pick(rng, _SPLICES) + text[at + _pick(rng, (0, 0, 1)) :]
+    return text, expected
+
+
+_FUZZ_ATOMS = {
+    m: (
+        ("0", "1", "2", "12", "3/4", "6/2", "00", *(f"x{i}" for i in range(1, m + 1))),
+        tuple(f"@{i}" for i in range(1, m + 1)),
+        tuple(f"dx{i}" for i in range(1, m + 1)),
+    )
+    for m in (2, 3, 5)
+}
+
+
+def test_parser_matches_the_one_token_per_factor_oracle_on_fuzz():
+    rng = random.Random(2024)
+    contexts = [Context(m, n) for m in (2, 3, 5) for n in (1, 2)]
+    differ = []
+    for _ in range(50_000):
+        ctx = contexts[int(rng.random() * len(contexts))]
+        text, expected = _fuzz_case(rng, ctx.m)
+        if _outcome(parse, text, ctx, expected) != _outcome(oracle_parse, text, ctx, expected):
+            differ.append((text, ctx.m, ctx.n, expected))
+    assert differ == []
+
+
+def test_parser_matches_the_oracle_on_io_sections_and_their_mutants():
+    rng = random.Random(711)
+    for m, n, terms in ((5, 2, 12), (4, 1, 30), (4, 2, 18)) * 2:
+        ctx = Context(m, n)
+        text = io_section_text(rng, m, n, terms)
+        assert 1_500 <= len(text) <= 2_600
+        assert _outcome(parse, text, ctx, "section") == _outcome(oracle_parse, text, ctx, "section")
+        for _ in range(25):  # one character dropped, doubled or replaced
+            at = rng.randrange(len(text))
+            edit = rng.choice(("", text[at] * 2, rng.choice("*+-^()/;0x9 ")))
+            mutant = text[:at] + edit + text[at + 1 :]
+            assert _outcome(parse, mutant, ctx, "section") == _outcome(oracle_parse, mutant, ctx, "section"), at
 
 
 def test_round_trip_seeded_values():

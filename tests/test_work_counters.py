@@ -22,15 +22,21 @@ object it returns that the suite has not seen before is one derivative
 computation; the counter keeps them alive so that no id is reused.  The
 limits are the distinct (polynomial, variable) pairs the suites
 differentiated while every call built its derivative again.
+
+The lexer writes a run of factors joined by "*" (`9/5*x1*x3`) as one
+token, so the token count of a seeded io-style operand is pinned here:
+a return to one token per factor shows as a number.
 """
 
+import random
 import sys
 from collections import Counter
 
 import pytest
 
-from hicourant import courant, scalar
+from hicourant import courant, dsl, scalar
 from hicourant.exterior import Context, Form
+from oracles import io_section_text, oracle_tokenize
 
 SEED, SAMPLES = 13, 4
 
@@ -51,6 +57,12 @@ COURANT_PRODUCTS = {"products": 17_480, "nonconstant_products": 16_782}
 # derivative computations, one per Poly.partial call before it kept its results
 PARTIAL_CALLS_BEFORE = {"dorfman": 855, "courant": 1_120}
 DISTINCT_DERIVATIVES = {"dorfman": 336, "courant": 582}
+
+
+# tokens of the seed-1 io-style (5,2) operand of 12 terms per coefficient, with each
+# run of factors as one token and with one token per factor
+IO_SECTION_TOKENS = 449
+IO_SECTION_FACTOR_TOKENS = 951
 
 
 def install_counter(monkeypatch) -> Counter:
@@ -141,3 +153,10 @@ def test_each_derivative_is_built_once_per_polynomial(monkeypatch, suite):
 @pytest.mark.parametrize("suite", sorted(SUITES))
 def test_counts_repeat_exactly(monkeypatch, suite):
     assert count_work(monkeypatch, SUITES[suite]) == count_work(monkeypatch, SUITES[suite])
+
+
+def test_an_io_section_lexes_each_run_of_factors_as_one_token():
+    text = io_section_text(random.Random(1), 5, 2, 12)
+    assert len(text) == 1_784
+    assert len(oracle_tokenize(text)) == IO_SECTION_FACTOR_TOKENS
+    assert len(dsl.tokenize(text, 5)) == IO_SECTION_TOKENS
