@@ -333,9 +333,14 @@ def test_io_shaped_sections_match_values_built_without_the_parser(m, n, terms):
 
 def _counted_entries(monkeypatch) -> Counter:
     """Counter whose "entries" grows by the coefficient entries that each sum_of_products reads
-    (|p| * |q| per product, |p| for a lone p) and by both operands' entries per Poly.__add__."""
+    (|p| * |q| per product, |p| for a lone p), by both operands' entries per Poly.__add__, and
+    by the numerators that each scalar chain's one Poly is made from."""
     work = Counter()
-    real_sum, real_add = scalar.sum_of_products, Poly.__add__
+    real_sum, real_add, real_poly = scalar.sum_of_products, Poly.__add__, dsl._poly
+
+    def counted_poly(m, sums):
+        work["entries"] += sum(len(acc) for acc in sums.values())
+        return real_poly(m, sums)
 
     def counted_sum(m, products):
         products = list(products)
@@ -350,6 +355,7 @@ def _counted_entries(monkeypatch) -> Counter:
         if hasattr(module, "sum_of_products"):
             monkeypatch.setattr(module, "sum_of_products", counted_sum)
     monkeypatch.setattr(Poly, "__add__", counted_add)
+    monkeypatch.setattr(dsl, "_poly", counted_poly)
     return work
 
 
@@ -396,6 +402,7 @@ def _outcome(parser, text, ctx, expected):
 
 
 def _pick(rng, seq):
+    """An element of seq from one rng.random() draw, cheaper than rng.choice."""
     return seq[int(rng.random() * len(seq))]
 
 
