@@ -16,9 +16,10 @@ variance, scalars acting as scale factors on either side.  Values print
 back through str() in a canonical order, and parsing that text returns
 an equal value.
 
-One compiled regex scans the tokens, as (kind, text, position, value)
-tuples, a run of factors joined by "*" as one MONO monomial.  One
-recursive descent evaluates as it reads.  A "+"/"-" chain grades each
+One compiled regex scans (kind, text, position, value) tuples of kind OP,
+MONO, VAR, COVEC, VEC or EOF: a valid factor or run of factors is one MONO
+monomial, any other run one token per factor, and "*" multiplies left to right.
+One recursive descent evaluates as it reads.  A "+"/"-" chain grades each
 term as it arrives and is summed once, its bare monomials straight from
 their tokens, so the cost of a parse is linear in the length of its input.
 """
@@ -26,11 +27,10 @@ their tokens, so the cost of a parse is linear in the length of its input.
 from __future__ import annotations
 
 import re
-from math import lcm
 
 from .courant import Section
 from .exterior import Context, Form, MultiVec
-from .scalar import FIELD_BITS, MAX_EXPONENT, ExponentBoundError, InputError, Poly, exponent_guard
+from .scalar import FIELD_BITS, MAX_EXPONENT, ExponentBoundError, InputError, Poly, merge_sums
 
 
 class DslError(InputError):
@@ -89,8 +89,8 @@ def _int(digits: str, position: int) -> int:
 
 
 def _fold(run: str, m: int) -> tuple | None:
-    """(num, den, key) of a run of factors; None, for one token each, where a factor
-    would be refused or an exponent could pass MAX_EXPONENT."""
+    """(num, den, key) of one factor or a run of them; None, for one token each, where a
+    factor would be refused or an exponent could pass MAX_EXPONENT."""
     factors = run.split("*")
     num, den, key = 1, 1, 0
     try:
@@ -108,8 +108,9 @@ def _fold(run: str, m: int) -> tuple | None:
 
 
 def tokenize(text: str, m: int) -> list[tuple]:
-    """(kind, text, position, value) tuples ending in EOF; kind is OP, MONO or RATIONAL (value:
-    num, den, packed key on chart m; MONO's text is its first factor), VAR, COVEC or VEC (index)."""
+    """(kind, text, position, value) tuples ending in EOF.  MONO is a valid factor or run of
+    factors (value: num, den, packed key on chart m; text: its first factor); VAR is an x
+    with an index outside 1..m, COVEC and VEC hold their index, and OP holds None."""
     tokens = []
     _scan(text, _TOKEN.finditer(text), m, tokens)
     tokens.append(("EOF", "", len(text), None))
@@ -124,19 +125,17 @@ def _scan(text: str, matches, m: int, tokens: list) -> None:
         start = match.end() - len(token)
         if kind == "OP":
             append((kind, token, start, None))
-        elif kind == "MONO" and (value := _fold(token, m)):
-            append((kind, match["HEAD"], start, value))
+        elif kind in ("MONO", "RATIONAL", "VAR") and (value := _fold(token, m)):
+            append(("MONO", match["HEAD"] if kind == "MONO" else token, start, value))
         elif kind in ("MONO", "TAIL"):
             _scan(text, _FACTOR_TOKEN.finditer(text, start, match.end()), m, tokens)
-        elif kind == "RATIONAL":
-            numerator, slash, denominator = token.partition("/")
-            numerator = _int(numerator, start)
-            if slash and not denominator:
-                raise LexError(start + len(token) - 1, "expected digits after '/' in a rational literal")
-            denominator = _int(denominator, start) if slash else 1
+        elif kind == "RATIONAL":  # a literal _fold refused: too many digits, no digits after "/", or zero
+            numerator, _, denominator = token.partition("/")
+            _int(numerator, start)
             if not denominator:
-                raise LexError(start, "rational literal with zero denominator")
-            append((kind, token, start, (numerator, denominator, 0)))
+                raise LexError(start + len(token) - 1, "expected digits after '/' in a rational literal")
+            _int(denominator, start)
+            raise LexError(start, "rational literal with zero denominator")
         elif kind == "BAD":
             raise _lex_error(text, start)
         else:
@@ -169,15 +168,6 @@ def _combine(op: str, position: int, left, right):
     return left.wedge(right)
 
 
-def _poly(m: int, sums: dict[int, dict[int, int]]) -> Poly:
-    """One Poly from int numerators per denominator, merged once over their lcm."""
-    den, total = lcm(*sums), {}
-    for d, acc in sums.items():
-        for key, c in acc.items():
-            total[key] = total.get(key, 0) + c * (den // d)
-    return Poly._raw(m, {key: c for key, c in total.items() if c}, den)
-
-
 class _Parser:
     """Recursive descent over the token tuples that evaluates each value as it is parsed."""
 
@@ -185,7 +175,6 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.m = ctx.m
-        self.guard = exponent_guard(ctx.m)
         self.depth = 0
 
     def advance(self) -> tuple:
@@ -211,15 +200,13 @@ class _Parser:
             raise DslError(op[2], str(exc)) from None
 
     def bare_monomial(self) -> tuple | None:
-        """(den, ((key, num),)) of a RATIONAL, in-range VAR or MONO term after any unary
-        "-" and not followed by "*" or "^", which it consumes; None for any other term."""
+        """(den, ((key, num),)) of a MONO term after any unary "-" and not followed
+        by "*" or "^", which it consumes; None for any other term."""
         tokens, pos = self.tokens, self.pos
         while tokens[pos][1] == "-":
             pos += 1
         kind, _, _, value = tokens[pos]
-        if kind == "VAR" and 1 <= value <= self.m:
-            value = (1, 1, 1 << FIELD_BITS * (value - 1))
-        if not isinstance(value, tuple) or tokens[pos + 1][1] in ("*", "^"):
+        if kind != "MONO" or tokens[pos + 1][1] in ("*", "^"):
             return None
         num, den, key = value
         negated, self.pos = (pos - self.pos) % 2, pos + 1
@@ -238,7 +225,7 @@ class _Parser:
                 acc = sums.setdefault(scalar[0], {})
                 for key, c in scalar[1]:
                     acc[key] = acc.get(key, 0) + sign * c
-            elif lead is None and not (sums and _poly(self.m, sums).terms):
+            elif lead is None and not (sums and merge_sums(self.m, sums).terms):  # consumes sums, not used again
                 lead, terms = right, [(sign, right)]
             elif type(right) is type(lead) and right.degree == lead.degree:
                 terms.append((sign, right))
@@ -249,7 +236,7 @@ class _Parser:
                 break
             _, op, position, _ = self.advance()
             sign = 1 if op == "+" else -1
-        return _poly(self.m, sums) if lead is None else lead.summed(*(t.terms(s) for s, t in terms))
+        return merge_sums(self.m, sums) if lead is None else lead.summed(*(t.terms(s) for s, t in terms))
 
     def parse_wedge(self):
         value = self.parse_product()
@@ -259,31 +246,11 @@ class _Parser:
         return value
 
     def parse_product(self):
-        """Left-associative "*" chain.  Its leading MONO, RATIONAL and in-range VAR
-        factors fold into one pending monomial num/den * x^key, made a Poly when
-        another operand appears; values, errors and positions stay the same."""
-        tokens, m = self.tokens, self.m
-        num, den, key, op, value = 1, 1, 0, None, None
-        while True:
-            kind, _, _, token_value = tokens[self.pos]
-            if value is None and kind in ("RATIONAL", "MONO"):
-                self.pos += 1
-                num *= token_value[0]
-                den *= token_value[1]
-                key += token_value[2]
-            elif value is None and kind == "VAR" and 1 <= token_value <= m:
-                self.pos += 1
-                key += 1 << FIELD_BITS * (token_value - 1)
-                if num and key & self.guard:
-                    raise DslError(op[2], str(ExponentBoundError()))
-            elif op is None:
-                value = self.parse_atom()
-            else:
-                left = Poly.monomial(m, num, den, key) if value is None else value
-                value = self.combine(op, left, self.parse_atom())
-            if tokens[self.pos][1] != "*":
-                return Poly.monomial(m, num, den, key) if value is None else value
+        value = self.parse_atom()
+        while self.tokens[self.pos][1] == "*":
             op = self.advance()
+            value = self.combine(op, value, self.parse_atom())
+        return value
 
     def parse_atom(self):
         negations = 0
@@ -291,15 +258,12 @@ class _Parser:
             self.pos += 1
             negations += 1
         kind, text, position, token_value = self.advance()
-        if kind in ("RATIONAL", "MONO"):
+        if kind == "MONO":
             value = Poly.monomial(self.m, *token_value)
         elif kind in ("VAR", "COVEC", "VEC"):
             if not 1 <= token_value <= self.m:
                 raise GradingError(position, f"coordinate index {token_value} out of range 1..{self.m}")
-            if kind == "VAR":
-                value = Poly.var(self.m, token_value)
-            else:
-                value = (Form if kind == "COVEC" else MultiVec).basis(self.m, (token_value,))
+            value = (Form if kind == "COVEC" else MultiVec).basis(self.m, (token_value,))
         elif text == "(":
             if self.depth == MAX_PAREN_DEPTH:
                 raise ParseError(position, f"parentheses nested deeper than {MAX_PAREN_DEPTH} levels")

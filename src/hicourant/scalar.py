@@ -336,6 +336,12 @@ def sum_of_products(m: int, products) -> Poly:
     for acc in sums.values():
         if reduce(or_, acc, 0) & exponent_guard(m):
             raise ExponentBoundError()
+    return merge_sums(m, sums)
+
+
+def merge_sums(m: int, sums: dict[int, dict[int, int]]) -> Poly:
+    """One Poly from int numerators per denominator, merged once over their lcm.  It consumes
+    `sums`: it pops the lcm's dict, adds the others into it and keeps it as the terms."""
     den = lcm(*sums)
     total = sums.pop(den, {})
     get = total.get

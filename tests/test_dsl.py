@@ -336,11 +336,11 @@ def _counted_entries(monkeypatch) -> Counter:
     (|p| * |q| per product, |p| for a lone p), by both operands' entries per Poly.__add__, and
     by the numerators that each scalar chain's one Poly is made from."""
     work = Counter()
-    real_sum, real_add, real_poly = scalar.sum_of_products, Poly.__add__, dsl._poly
+    real_sum, real_add, real_merge = scalar.sum_of_products, Poly.__add__, dsl.merge_sums
 
-    def counted_poly(m, sums):
+    def counted_merge(m, sums):
         work["entries"] += sum(len(acc) for acc in sums.values())
-        return real_poly(m, sums)
+        return real_merge(m, sums)
 
     def counted_sum(m, products):
         products = list(products)
@@ -355,7 +355,7 @@ def _counted_entries(monkeypatch) -> Counter:
         if hasattr(module, "sum_of_products"):
             monkeypatch.setattr(module, "sum_of_products", counted_sum)
     monkeypatch.setattr(Poly, "__add__", counted_add)
-    monkeypatch.setattr(dsl, "_poly", counted_poly)
+    monkeypatch.setattr(dsl, "merge_sums", counted_merge)
     return work
 
 

@@ -159,4 +159,8 @@ def test_an_io_section_lexes_each_run_of_factors_as_one_token():
     text = io_section_text(random.Random(1), 5, 2, 12)
     assert len(text) == 1_784
     assert len(oracle_tokenize(text)) == IO_SECTION_FACTOR_TOKENS
-    assert len(dsl.tokenize(text, 5)) == IO_SECTION_TOKENS
+    tokens = dsl.tokenize(text, 5)
+    assert len(tokens) == IO_SECTION_TOKENS
+    # every factor is in range, so each is folded into a MONO token, alone or in its run
+    assert {kind for kind, *_ in tokens} == {"OP", "MONO", "COVEC", "VEC", "EOF"}
+    assert [word for kind, word, *_ in dsl.tokenize("x1*x9 + x9", 5) if kind == "VAR"] == ["x9", "x9"]
