@@ -234,17 +234,31 @@ def sparse_tensors(rng, cls, m, k):
     yield reduce(wedge, factors, cls(m, 0, {(): Fraction(rng.choice((-1, 1, 2)))}))
 
 
+def sparse_fields(rng, m):
+    """The zero field, fields of one to three one-term coefficients, and a field along one
+    coordinate: the shapes in which X^(J_t) is absent or X^k has no x_(J_t)."""
+    monomials = monomials_up_to(m, 2)
+    yield MultiVec.zero(m, 1)
+    for count in range(1, min(m, 3) + 1):
+        picks = rng.sample(range(1, m + 1), count)
+        yield MultiVec(m, 1, {(k,): Poly(m, {rng.choice(monomials): rng.choice((-2, 1, Fraction(3, 2)))}) for k in picks})
+    yield MultiVec(m, 1, {(rng.randint(1, m),): random_poly(rng, m) or Poly.var(m, m)})
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_lie_derivatives_match_oracles_on_sparse_tensors(m):
-    # the Lie derivative scatters from T's nonzero coefficients, which the dense draws above rarely isolate
-    rng = random.Random(9500 + m)
+    # the Lie derivative scatters from T's nonzero coefficients, which the dense draws above rarely
+    # isolate, and reads X's Jacobian at T's slots, which sparse fields leave mostly empty
+    rng, field_rng = random.Random(9500 + m), random.Random(9550 + m)
     for k in range(m + 1):
         for _ in range(3):
-            X = random_multivec(rng, m, 1)
+            fields = [random_multivec(rng, m, 1), *sparse_fields(field_rng, m)]
             for a in sparse_tensors(rng, Form, m, k):
-                assert lie_form(X, a) == oracle_lie_form(X, a)
+                for X in fields:
+                    assert lie_form(X, a) == oracle_lie_form(X, a)
             for P in sparse_tensors(rng, MultiVec, m, k):
-                assert lie_multivec(X, P) == oracle_lie_multivec(X, P)
+                for X in fields:
+                    assert lie_multivec(X, P) == oracle_lie_multivec(X, P)
 
 
 def test_tensor_operators_refuse_exponents_past_the_bound():

@@ -23,6 +23,12 @@ computation; the counter keeps them alive so that no id is reused.  The
 limits are the distinct (polynomial, variable) pairs the suites
 differentiated while every call built its derivative again.
 
+`lie_terms` takes an entry d_l X^k of the field's Jacobian only where it
+meets a slot of the tensor, so the Nambu fundamental sweep, which takes
+one Lie derivative per tuple of monomials, is pinned to the derivatives
+it builds that way (252 at (4,3); 840 when the whole Jacobian was built
+for each tuple).
+
 The lexer writes a run of factors joined by "*" (`9/5*x1*x3`) as one
 token, so the token count of a seeded io-style operand is pinned here:
 a return to one token per factor shows as a number.
@@ -36,6 +42,7 @@ import pytest
 
 from hicourant import courant, dsl, scalar
 from hicourant.exterior import Context, Form
+from hicourant.nambu import NambuCandidate, np_fundamental_check
 from oracles import io_section_text, oracle_tokenize
 
 SEED, SAMPLES = 13, 4
@@ -57,6 +64,9 @@ COURANT_PRODUCTS = {"products": 17_480, "nonconstant_products": 16_782}
 # derivative computations, one per Poly.partial call before it kept its results
 PARTIAL_CALLS_BEFORE = {"dorfman": 855, "courant": 1_120}
 DISTINCT_DERIVATIVES = {"dorfman": 336, "courant": 582}
+
+# derivatives of the (4,3) fundamental sweep of @1^@2^@3^@4, over its 364 tuples
+SWEEP_DERIVATIVES = 252
 
 
 # tokens of the seed-1 io-style (5,2) operand of 12 terms per coefficient, with each
@@ -148,6 +158,15 @@ def test_counter_sees_each_derivative_built_once(monkeypatch):
 def test_each_derivative_is_built_once_per_polynomial(monkeypatch, suite):
     counts = count_work(monkeypatch, SUITES[suite])
     assert counts["derivatives"] <= DISTINCT_DERIVATIVES[suite] < PARTIAL_CALLS_BEFORE[suite]
+
+
+def test_the_fundamental_sweep_differentiates_only_where_a_slot_meets_the_field(monkeypatch):
+    ctx = Context(4, 3)
+    candidate = NambuCandidate(ctx, dsl.parse_multivec("@1^@2^@3^@4", ctx, 4))
+    counts = install_counter(monkeypatch)
+    check = np_fundamental_check(candidate)
+    assert check.passed and check.cases == 364
+    assert counts["derivatives"] <= SWEEP_DERIVATIVES
 
 
 @pytest.mark.parametrize("suite", sorted(SUITES))
