@@ -217,11 +217,8 @@ class _Parser:
         int numerators per denominator.  It is scalar until a tensor arrives after a prefix
         that sums to zero; that tensor sets its kind, and later scalar terms must be zero."""
         sums, lead, terms, sign, op, position = {}, None, [], 1, "+", 0
-        bare = self.bare_monomial()
-        if bare and self.tokens[self.pos][1] not in ("+", "-"):  # a chain of one bare monomial
-            den, ((key, num),) = bare
-            return Poly.monomial(self.m, num, den, key)
         while True:
+            bare = self.bare_monomial()
             right = None if bare else self.parse_wedge()
             scalar = bare or isinstance(right, Poly) and (right.den, right.terms.items())
             if scalar and lead is None:
@@ -239,7 +236,6 @@ class _Parser:
                 break
             _, op, position, _ = self.advance()
             sign = 1 if op == "+" else -1
-            bare = self.bare_monomial()
         return merge_sums(self.m, sums) if lead is None else lead.summed(*(t.terms(s) for s, t in terms))
 
     def parse_wedge(self):

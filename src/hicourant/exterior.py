@@ -33,11 +33,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache
 from itertools import chain, combinations
-from operator import or_
 
-from .scalar import FIELD_BITS, FIELD_MASK, InputError, Poly, join_signed_terms, monomials_up_to, same_chart
+from .scalar import InputError, Poly, join_signed_terms, monomials_up_to, same_chart
 from .scalar import sum_of_products, term_texts
 
 MultiIndex = tuple[int, ...]
@@ -308,42 +307,36 @@ def d_scalar(f: Poly) -> Form:
 
 def lie_terms(X: MultiVec, T, scale=1):
     """The stream of scale * L_X T for a vector field X and a form or multivector T, by
-    the component formula (L_X T)_I = X(T_I) + sum_t sum_j T_{I[t -> j]} A_{i_t j},
-    with A_{ij} = d_i X^j on forms and A_{ij} = -d_j X^i on multivectors.
+    the component formula (L_X T)_I = X(T_I) + sum_t sum_j T_{I[t -> j]} A_{i_t j}.
 
-    The sum is scattered from T's nonzero coefficients: T_J adds X^k d_k T_J at J
+    A's nonzero entries are listed per column j from the variables that occur in each
+    X^k: A_{ij} = d_i X^j on forms and A_{ij} = -d_j X^i on multivectors.  The
+    sum is scattered from T's nonzero coefficients: T_J adds X^k d_k T_J at J
     for each x_k in T_J, and for each slot t and each entry A_{i, J_t} it adds
-    T_J A_{i, J_t} at the sorted index of J[t -> i], with sign (-1)^t times that
-    of dx^i ^ dx^(J without J_t).  Column J_t is read at the slot: d_i X^(J_t) for the
-    x_i in X^(J_t) on forms, d_(J_t) X^k for the X^k with x_(J_t) in their keys' OR on
-    multivectors, each differentiated only when J[t -> i] has no repeated index.
+    T_J A_{i, J_t} at the sorted index of J[t -> i], with sign (-1)^t times
+    that of dx^i ^ dx^(J without J_t).  An entry is differentiated only there, when
+    J[t -> i] has no repeated index, and a zero field streams nothing.
     """
     same_chart(X, T)
     if not X.coeffs:
         return
     covariant = isinstance(T, Form)
-    fields = [(k, xk, reduce(or_, xk.terms, 0)) for (k,), xk in X.coeffs.items()]
+    columns: dict[int, list[tuple[int, int, Poly, int]]] = {}  # j -> (i, s, X^k, l): scale * A_{ij} = s * d_l X^k
+    for (k,), xk in X.coeffs.items():
+        for l in xk.variables():
+            i, j, sign = (l, k, scale) if covariant else (k, l, -scale)
+            columns.setdefault(j, []).append((i, sign, xk, l))
     for J, p in T.coeffs.items():
-        occurs = reduce(or_, p.terms, 0)
-        for k, xk, _ in fields:
-            if occurs >> FIELD_BITS * (k - 1) & FIELD_MASK:
+        occurs = p.variables()
+        for (k,), xk in X.coeffs.items():
+            if k in occurs:
                 yield J, scale, xk, p.partial(k)
         for t, jt in enumerate(J):
             rest = J[:t] + J[t + 1 :]
-            sign = -scale if t % 2 else scale
-            if covariant:  # A_{i, jt} = d_i X^jt for the x_i in X^jt
-                xj = X.coeffs.get((jt,))
-                for i in xj.variables() if xj else ():
-                    hit = _merge_indices((i,), rest)
-                    if hit is not None:
-                        yield hit[1], sign * hit[0], p, xj.partial(i)
-                continue
-            shift = FIELD_BITS * (jt - 1)
-            for k, xk, occurs_k in fields:  # A_{k, jt} = -d_jt X^k for the X^k in which x_jt occurs
-                if occurs_k >> shift & FIELD_MASK:
-                    hit = _merge_indices((k,), rest)
-                    if hit is not None:
-                        yield hit[1], -sign * hit[0], p, xk.partial(jt)
+            for i, sign, xk, l in columns.get(jt, ()):
+                hit = _merge_indices((i,), rest)
+                if hit is not None:
+                    yield hit[1], -sign * hit[0] if t % 2 else sign * hit[0], p, xk.partial(l)
 
 
 def lie_form(X: MultiVec, a: Form) -> Form:

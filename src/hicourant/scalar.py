@@ -14,7 +14,7 @@ the constructor, `const`, `coefficients`, `constant_term` and `eval_at`;
 Every sum and product (`+`, `-`, `*` and the tensor operators) runs
 through one fused multiply-accumulate, `sum_of_products`, which makes one
 Poly per sum, not one per product, and takes a whole residual's term
-stream at once; a lone product by a one-term polynomial is a key shift.
+stream at once.
 
 `partial(i)` keeps each derivative it builds in a private per-variable
 memo, so term streams that differentiate one coefficient again reuse it,
@@ -35,7 +35,7 @@ FIELD_BITS = 16
 # The top bit of each field stays clear, so adding two keys never carries
 # into the next field and an exponent past the bound shows as that bit.
 MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
-FIELD_MASK = (1 << FIELD_BITS) - 1
+_FIELD_MASK = (1 << FIELD_BITS) - 1
 
 
 class ChartMismatchError(ValueError):
@@ -74,13 +74,13 @@ def _pack(exps: Exponents) -> int:
 
 
 def _unpack(key: int, m: int) -> Exponents:
-    return tuple((key >> (FIELD_BITS * i)) & FIELD_MASK for i in range(m))
+    return tuple((key >> (FIELD_BITS * i)) & _FIELD_MASK for i in range(m))
 
 
 @cache
 def exponent_guard(m: int) -> int:
     """The top bit of each of m fields: a packed key has an exponent past MAX_EXPONENT iff key & guard."""
-    return ((1 << FIELD_BITS * m) - 1) // FIELD_MASK << (FIELD_BITS - 1)
+    return ((1 << FIELD_BITS * m) - 1) // _FIELD_MASK << (FIELD_BITS - 1)
 
 
 def monomials_up_to(m: int, max_degree: int) -> list[Exponents]:
@@ -106,7 +106,7 @@ def term_texts(p: Poly, tail: str = "") -> list[tuple[bool, str]]:
     den = p.den
     rows = []
     for key, c in p.terms.items():
-        exps = [key >> s & FIELD_MASK for s in shifts]
+        exps = [key >> s & _FIELD_MASK for s in shifts]
         parts = []
         for i, e in enumerate(exps, 1):
             if e:
@@ -255,7 +255,7 @@ class Poly:
     def variables(self) -> list[int]:
         """The 1-based indices of the variables that occur, exactly the i with partial(i) nonzero."""
         occurs = reduce(or_, self.terms, 0)
-        return [i for i in range(1, self.m + 1) if occurs >> (FIELD_BITS * (i - 1)) & FIELD_MASK]
+        return [i for i in range(1, self.m + 1) if occurs >> (FIELD_BITS * (i - 1)) & _FIELD_MASK]
 
     def partial(self, i: int) -> "Poly":
         """Formal partial derivative with respect to x_i (1-based), built once per variable."""
@@ -272,7 +272,7 @@ class Poly:
         unit = 1 << shift
         out: dict[int, int] = {}
         for key, c in self.terms.items():
-            e = (key >> shift) & FIELD_MASK
+            e = (key >> shift) & _FIELD_MASK
             if e:
                 out[key - unit] = c * e
         self._partials[i] = derivative = Poly._raw(self.m, out, self.den)
@@ -313,19 +313,10 @@ def sum_of_products(m: int, products) -> Poly:
     """Sum of scale * p * q over (scale, p, q) triples of chart m, where q is None for a lone
     p and scale is an int or a Fraction, whose denominator joins the product's den.
 
-    Int numerators accumulate per denominator and merge once over their lcm, so one call
-    sums a whole term stream; a list of one product by a one-term q at a nonzero int scale
-    is a key shift of p.  Every key a product made is checked against MAX_EXPONENT before
-    cancellation, so the sum refuses whatever one of its products would.
+    Int numerators accumulate per denominator and merge once over their lcm, so one
+    call sums a whole term stream.  Every key a product made is checked against
+    MAX_EXPONENT before cancellation, so the sum refuses whatever one of its products would.
     """
-    if products.__class__ is list and len(products) == 1:
-        scale, p, q = products[0]
-        if q is not None and len(q.terms) == 1 and scale.__class__ is int and scale:
-            ((shift, c),) = q.terms.items()  # p's keys move by q's key, its numerators scale by c
-            terms = {key + shift: c1 * c * scale for key, c1 in p.terms.items()}
-            if reduce(or_, terms, 0) & exponent_guard(m):
-                raise ExponentBoundError()
-            return Poly._raw(m, terms, p.den * q.den)
     sums: dict[int, dict[int, int]] = {}
     for scale, p, q in products:
         den = p.den
