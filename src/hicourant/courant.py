@@ -89,9 +89,6 @@ class Section:
 
     __rmul__ = __mul__
 
-    def add_form(self, a: Form) -> "Section":
-        return Section(self.ctx, self.vec, self.form + a)
-
     def terms(self, scale=1, q=None):
         """The (vector terms, form terms) streams of scale * q * self, or of scale * self."""
         return self.vec.terms(scale, q), self.form.terms(scale, q)
@@ -216,11 +213,13 @@ class CheckResult:
         if not agree:
             self.failures.append(Failure(tuple(str(v) for v in inputs), str(note)))
 
-    def record_iff(self, inputs, left: tuple[str, CheckResult], right: tuple[str, CheckResult]):
-        """One case that passes iff the two (label, check) pairs both pass or both fail."""
-        (left_label, left_check), (right_label, right_check) = left, right
-        note = f"{left_label}={left_check.passed} {right_label}={right_check.passed}"
-        self.record_verdict(inputs, left_check.passed == right_check.passed, note)
+    @classmethod
+    def iff(cls, name, identity, inputs, left: tuple[str, CheckResult], right: tuple[str, CheckResult]):
+        """The one-case check that passes iff the two (label, check) pairs both pass or both fail."""
+        agreement = cls(name, identity)
+        note = " ".join(f"{label}={check.passed}" for label, check in (left, right))
+        agreement.record_verdict(inputs, left[1].passed == right[1].passed, note)
+        return agreement
 
 
 def cases(seed: int, samples: int, draw, exhaustive=()):
@@ -299,7 +298,7 @@ def _courant_residuals(e1, e2, e3, f):
     yield (e1, e2, f), scalar_residual(courant_terms, anchor, e1, e2, f, e12, correction)
     yield (e1, e2), anchor_residual(anchor, e1, e2, e12)
     e13 = dorfman_bracket(e1, e3)  # [e1,e3] + d<e1,e3>, built as one bracket
-    yield (e1, e2, e3), _pairing_residual(e1, e2, e3, e12.add_form(ext_d(p12)), e13)
+    yield (e1, e2, e3), _pairing_residual(e1, e2, e3, Section(e1.ctx, e12.vec, e12.form + ext_d(p12)), e13)
 
 
 def check_courant_axioms(ctx: Context, seed: int = 0, samples: int = 25) -> list[CheckResult]:
@@ -357,26 +356,24 @@ def check_deformation(
     ctx.require_degree("deformation form", 2, theta)
     terms = partial(deformed_terms, theta=theta)
     bracket = partial(deformed_dorfman, theta=theta)
-    basis = [Section.of_vec(ctx, MultiVec.basis(ctx.m, (i,))) for i in range(1, ctx.m + 1)]
-    inner = {(i, j): bracket(basis[i], basis[j]) for i, j in product(range(ctx.m), repeat=2)}
-    coordinate = (
-        (basis[i], basis[j], basis[k], inner[i, j], inner[i, k], inner[j, k])
-        for i, j, k in product(range(ctx.m), repeat=3)
-    )
+
+    def coordinate():
+        basis = [Section.of_vec(ctx, MultiVec.basis(ctx.m, (i,))) for i in range(1, ctx.m + 1)]
+        inner = {(i, j): bracket(basis[i], basis[j]) for i, j in product(range(ctx.m), repeat=2)}
+        for i, j, k in product(range(ctx.m), repeat=3):
+            yield basis[i], basis[j], basis[k], inner[i, j], inner[i, k], inner[j, k]
 
     def draw(rng):
         e1, e2, e3 = _random_sections(ctx, 3, rng)
         return e1, e2, e3, bracket(e1, e2), bracket(e1, e3), bracket(e2, e3)
 
-    sweep = cases(seed, samples, draw, coordinate)
+    sweep = cases(seed, samples, draw, coordinate())
     closed = CheckResult("theta_closed", "d theta = 0")
     closed.record((theta,), ext_d(theta))
     [leibniz] = sweep_checks(DEFORMED_LEIBNIZ, sweep, partial(_leibniz_residuals, terms))
-    agreement = CheckResult(
-        "closed_iff_leibniz", "the twisted bracket obeys Leibniz iff d theta = 0"
-    )
-    agreement.record_iff((theta,), ("d-closed", closed), ("leibniz", leibniz))
-    return [closed, leibniz, agreement]
+    identity = "the twisted bracket obeys Leibniz iff d theta = 0"
+    verdicts = ("d-closed", closed), ("leibniz", leibniz)
+    return [closed, leibniz, CheckResult.iff("closed_iff_leibniz", identity, (theta,), *verdicts)]
 
 
 GAUGE = (

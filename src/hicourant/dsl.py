@@ -157,17 +157,6 @@ def _kind_name(value) -> str:
     return "scalar"
 
 
-def _combine(op: str, position: int, left, right):
-    """Apply "*" or "^" after checking the grading of its operands."""
-    if isinstance(left, Poly) or isinstance(right, Poly):
-        return left * right
-    if op == "*":
-        raise GradingError(position, "'*' needs at least one scalar operand; use '^' on tensors")
-    if type(left) is not type(right):
-        raise GradingError(position, f"cannot wedge {_kind_name(left)} with {_kind_name(right)}")
-    return left.wedge(right)
-
-
 class _Parser:
     """Recursive descent over the token tuples that evaluates each value as it is parsed."""
 
@@ -194,10 +183,18 @@ class _Parser:
             raise ParseError(position, f"unexpected trailing input {text!r}")
 
     def combine(self, op: tuple, left, right):
+        """Apply the "*" or "^" token op after checking the grading of its operands."""
+        _, text, position, _ = op
         try:
-            return _combine(op[1], op[2], left, right)
+            if isinstance(left, Poly) or isinstance(right, Poly):
+                return left * right
+            if text == "*":
+                raise GradingError(position, "'*' needs at least one scalar operand; use '^' on tensors")
+            if type(left) is not type(right):
+                raise GradingError(position, f"cannot wedge {_kind_name(left)} with {_kind_name(right)}")
+            return left.wedge(right)
         except ExponentBoundError as exc:
-            raise DslError(op[2], str(exc)) from None
+            raise DslError(position, str(exc)) from None
 
     def bare_monomial(self) -> tuple | None:
         """(den, ((key, num),)) of a MONO term after any unary "-" and not followed
@@ -241,15 +238,13 @@ class _Parser:
     def parse_wedge(self):
         value = self.parse_product()
         while self.tokens[self.pos][1] == "^":
-            op = self.advance()
-            value = self.combine(op, value, self.parse_product())
+            value = self.combine(self.advance(), value, self.parse_product())
         return value
 
     def parse_product(self):
         value = self.parse_atom()
         while self.tokens[self.pos][1] == "*":
-            op = self.advance()
-            value = self.combine(op, value, self.parse_atom())
+            value = self.combine(self.advance(), value, self.parse_atom())
         return value
 
     def parse_atom(self):

@@ -197,8 +197,6 @@ class _Alternating:
         return hash((type(self).__name__, self.m, self.degree, frozenset(self.coeffs.items())))
 
     def __str__(self):
-        if self.is_zero:
-            return "0"
         rendered = []
         for idx in sorted(self.coeffs):
             poly = self.coeffs[idx]
@@ -392,9 +390,7 @@ def _random_tensor(cls, rng, m, degree):
     coeffs = {}
     for idx in combinations(range(1, m + 1), degree):
         if rng.random() < 0.75:
-            p = random_poly(rng, m)
-            if not p.is_zero:
-                coeffs[idx] = p
+            coeffs[idx] = random_poly(rng, m)  # the constructor drops a zero one
     return cls(m, degree, coeffs)
 
 

@@ -93,13 +93,16 @@ def graph_closure_check(c: NambuCandidate, seed: int = 0, samples: int = 25) -> 
     the form part, exactly.
     """
     ctx = c.ctx
-    basis = [_graph_section(c, Form.basis(ctx.m, idx)) for idx in combinations(range(1, ctx.m + 1), ctx.n)]
+
+    def basis_pairs():
+        basis = [_graph_section(c, Form.basis(ctx.m, idx)) for idx in combinations(range(1, ctx.m + 1), ctx.n)]
+        yield from product(basis, repeat=2)
 
     def pair(rng):
         return tuple(_graph_section(c, random_form(rng, ctx.m, ctx.n)) for _ in range(2))
 
     table = (("graph_closure_dorfman", "[pi#a + a, pi#b + b] stays in the graph of pi# (dorfman bracket)"),)
-    sweep = cases(seed, samples, pair, product(basis, repeat=2))
+    sweep = cases(seed, samples, pair, basis_pairs())
     (check,) = sweep_checks(table, sweep, partial(_graph_residual, c))
     return check
 
@@ -151,11 +154,9 @@ def check_nambu(c: NambuCandidate, seed: int = 0, samples: int = 25) -> list[Che
     sweep = cases(seed, samples, partial(_algebroid_case, c.ctx))
     fundamental = np_fundamental_check(c)
     closure = graph_closure_check(c, seed, samples)
-    agreement = CheckResult(
-        "closure_iff_fundamental", "graph closure holds iff the fundamental identity holds"
-    )
-    agreement.record_iff((c.pi,), ("fundamental", fundamental), ("closure", closure))
-    checks = [fundamental, closure, agreement]
+    identity = "graph closure holds iff the fundamental identity holds"
+    verdicts = ("fundamental", fundamental), ("closure", closure)
+    checks = [fundamental, closure, CheckResult.iff("closure_iff_fundamental", identity, (c.pi,), *verdicts)]
     if fundamental.passed:
         checks.extend(sweep_checks(LEIBNIZ_ALGEBROID, sweep, partial(_algebroid_residuals, c)))
     return checks

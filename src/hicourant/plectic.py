@@ -235,16 +235,15 @@ def check_plectic(
     closed.record((c.omega,), d_omega)
     table = GRAPH_CLOSURE if theta is not None else GRAPH_CLOSURE[:2]
     closure, isotropy, *twisted = sweep_checks(table, sweep, partial(_graph_residuals, c, theta))
-    agreement = CheckResult("closure_iff_closed", "the graph is closed iff d omega = 0")
-    agreement.record_iff((c.omega,), ("d-closed", closed), ("graph-closed", closure))
-    checks += [closed, closure, isotropy, agreement]
+    identity = "the graph is closed iff d omega = 0"
+    verdicts = ("d-closed", closed), ("graph-closed", closure)
+    checks += [closed, closure, isotropy, CheckResult.iff("closure_iff_closed", identity, (c.omega,), *verdicts)]
     if theta is not None:
         matched = CheckResult("omega_theta_matched", "d omega + theta = 0")
         matched.record((c.omega, theta), d_omega + theta)
-        agreement = CheckResult(
-            "deformed_closure_iff_matched", "the graph is closed under [.,.]_theta iff d omega + theta = 0"
-        )
-        agreement.record_iff((c.omega, theta), ("matched", matched), ("graph-closed", twisted[0]))
+        identity = "the graph is closed under [.,.]_theta iff d omega + theta = 0"
+        verdicts = ("matched", matched), ("graph-closed", twisted[0])
+        agreement = CheckResult.iff("deformed_closure_iff_matched", identity, (c.omega, theta), *verdicts)
         checks += [matched, *twisted, agreement]
     return checks
 

@@ -383,8 +383,8 @@ def _verdict(passed: bool) -> CheckResult:
 
 @pytest.mark.parametrize("left,right", product((True, False), repeat=2))
 def test_record_iff_fails_exactly_when_the_two_checks_disagree(left, right):
-    agreement = CheckResult("iff", "left iff right")
-    agreement.record_iff(("input",), ("left", _verdict(left)), ("right", _verdict(right)))
+    verdicts = ("left", _verdict(left)), ("right", _verdict(right))
+    agreement = CheckResult.iff("iff", "left iff right", ("input",), *verdicts)
     assert agreement.cases == 1
     assert agreement.passed is (left == right)
     if left != right:

@@ -70,10 +70,12 @@ def _one_rank_point(monkeypatch):
 
 
 def _iff_always_agrees(monkeypatch):
-    def agreeing(self, inputs, left, right):
-        self.record_verdict(inputs, True, "")
+    def agreeing(cls, name, identity, inputs, left, right):
+        agreement = cls(name, identity)
+        agreement.record_verdict(inputs, True, "")
+        return agreement
 
-    monkeypatch.setattr(CheckResult, "record_iff", agreeing)
+    monkeypatch.setattr(CheckResult, "iff", classmethod(agreeing))
 
 
 def _exhaustive_cases_dropped(module):

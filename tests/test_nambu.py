@@ -9,6 +9,7 @@ import pytest
 
 from hicourant import nambu
 from hicourant.courant import Section, courant_bracket, dorfman_bracket
+from hicourant.dsl import parse_multivec
 from hicourant.exterior import (
     Context,
     Form,
@@ -318,6 +319,20 @@ def test_degree_two_sweep_fails_where_degree_one_passes():
     fundamental = np_fundamental_check(NOT_DECOMPOSABLE_52)
     assert (fundamental.cases, len(fundamental.failures)) == (190, 76)
     assert [r.name for r in check_nambu(NOT_DECOMPOSABLE_52, seed=0, samples=1)] == NAMBU_ROWS
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="graph closure passes unproved: constant basis n-forms bracket to zero under a constant pi and the one "
+    "seeded pair misses; ROADMAP direction 3 makes the row a proof over basis pairs of coefficient degree <= 1",
+)
+def test_closure_iff_fundamental_holds_when_the_seeded_pair_misses():
+    # `check nambu -m5 -n2 --pi "@1^@2^@3 + @3^@4^@5" --samples 1 --seed 823340`; seed 105053 misses too
+    ctx = Context(5, 2)
+    candidate = NambuCandidate(ctx, parse_multivec("@1^@2^@3 + @3^@4^@5", ctx, 3))
+    rows = {r.name: r for r in check_nambu(candidate, seed=823340, samples=1)}
+    assert rows["closure_iff_fundamental"].passed
 
 
 DEGREE_THREE_PANEL = [(label, c) for label, c, _ in PANEL] + [

@@ -1,15 +1,16 @@
 """Library refusals that the command line cannot reach, each with its exact type and message,
-and the chart admission of every structure entry point, made before any work."""
+and the chart admission of every structure entry point and the samples refusal of the
+deformation and Nambu-graph sweeps, made before any work."""
 
 import pytest
 
-from hicourant import courant, plectic
+from hicourant import courant, nambu, plectic
 from hicourant.courant import Section
 from hicourant.dsl import GradingError, parse
 from hicourant.exterior import Context, Form, MultiVec, full_pair, i_vec
 from hicourant.nambu import NambuCandidate
 from hicourant.plectic import PlecticCandidate
-from hicourant.scalar import ChartMismatchError, Poly
+from hicourant.scalar import ChartMismatchError, InputError, Poly
 
 C31 = Context(3, 1)
 C32 = Context(3, 2)
@@ -100,14 +101,42 @@ OFF_CHART_ENTRIES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(OFF_CHART_ENTRIES))
-def test_off_chart_structure_is_refused_before_any_work(case, monkeypatch):
-    refuse, module, workers = OFF_CHART_ENTRIES[case]
+# a sweep given samples=0, and the names of its module that build its exhaustive cases and draws
+NO_SAMPLES_ENTRIES = {
+    "check_deformation": (
+        lambda: courant.check_deformation(C31, dx(3, 1, 2, 3), samples=0),
+        courant,
+        ("random_section", "deformed_terms", "deformed_dorfman", "ext_d"),
+    ),
+    "graph_closure_check": (
+        lambda: nambu.graph_closure_check(NambuCandidate(C32, dd(3, 1, 2, 3)), samples=0),
+        nambu,
+        ("pi_sharp", "random_form", "dorfman_terms", "contract_terms"),
+    ),
+}
 
+
+def _forbid(monkeypatch, module, workers, refusal):
     def no_call(*args, **kwargs):
-        raise AssertionError("work ran before the chart check")
+        raise AssertionError(f"work ran before the {refusal}")
 
     for name in workers:
         monkeypatch.setattr(module, name, no_call)
+
+
+@pytest.mark.parametrize("case", sorted(OFF_CHART_ENTRIES))
+def test_off_chart_structure_is_refused_before_any_work(case, monkeypatch):
+    refuse, module, workers = OFF_CHART_ENTRIES[case]
+    _forbid(monkeypatch, module, workers, "chart check")
     with pytest.raises(ChartMismatchError, match="^chart dimension mismatch: 3 vs 4$"):
         refuse()
+
+
+@pytest.mark.parametrize("case", sorted(NO_SAMPLES_ENTRIES))
+def test_samples_below_one_are_refused_before_any_work(case, monkeypatch):
+    refuse, module, workers = NO_SAMPLES_ENTRIES[case]
+    _forbid(monkeypatch, module, workers, "samples check")
+    with pytest.raises(InputError) as refusal:
+        refuse()
+    assert type(refusal.value) is InputError
+    assert str(refusal.value) == "samples must be at least 1"
