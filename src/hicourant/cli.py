@@ -58,7 +58,7 @@ def _plectic_scope(ctx: Context, args, omega: Form, **_) -> str:
     if plectic.PlecticCandidate(ctx, omega).is_constant:
         rank = "exact global rank test"
     else:
-        rank = f"rank certified only at {plectic.RANK_POINTS} seeded rational points"
+        rank = f"rank certified only at {len(plectic.RANK_POINTS)} fixed rational points"
     return f"{rank}; closure over all coordinate-vector pairs plus {args.samples} seeded random pairs"
 
 

@@ -50,6 +50,9 @@ class Context:
     n: int
 
     def __post_init__(self):
+        for what, value in (("chart dimension m", self.m), ("bracket order n", self.n)):
+            if type(value) is not int:
+                raise InputError(f"{what} must be an integer, got {type(value).__name__}")
         if self.m < 1:
             raise InputError("chart dimension m must be positive")
         if not 1 <= self.n <= self.m:
@@ -400,7 +403,3 @@ def random_form(rng: random.Random, m: int, degree: int) -> Form:
 
 def random_multivec(rng: random.Random, m: int, degree: int) -> MultiVec:
     return _random_tensor(MultiVec, rng, m, degree)
-
-
-def random_point(rng: random.Random, m: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3))) for _ in range(m))

@@ -28,7 +28,6 @@ from .exterior import (
     i_vec,
     lie_form,
     random_multivec,
-    random_point,
     random_poly,
 )
 from .scalar import InputError, Poly
@@ -100,14 +99,14 @@ class HamiltonianPair:
 # -- exact linear algebra over the rationals ----------------------------------
 
 
-def _flat_matrix(c: PlecticCandidate, value, rhs: Form | None = None) -> list[list]:
-    """Augmented matrix [omega-flat | rhs] against the basis n-forms: entries value(coefficient)
-    of X -> i_X omega, where value is Poly.constant_term for constant omega or evaluation at a
-    point, then a last column of rhs's coefficients, or of zeros without rhs."""
+def _flat_matrix(c: PlecticCandidate, point, rhs: Form | None = None) -> list[list]:
+    """Augmented matrix [omega-flat | rhs] against the basis n-forms: the entries of
+    X -> i_X omega evaluated at point (a constant omega is read at the origin), then a last
+    column of rhs's coefficients, or of zeros without rhs."""
     ctx = c.ctx
     columns = [i_vec(MultiVec.basis(ctx.m, (j,)), c.omega) for j in range(1, ctx.m + 1)]
     return [
-        [*(value(col.coeff(idx)) for col in columns), rhs.coeff(idx) if rhs is not None else Fraction(0)]
+        [*(col.coeff(idx).eval_at(point) for col in columns), rhs.coeff(idx) if rhs is not None else Fraction(0)]
         for idx in combinations(range(1, ctx.m + 1), ctx.n)
     ]
 
@@ -150,7 +149,7 @@ def nondegeneracy_check(c: PlecticCandidate, points) -> CheckResult:
 
     Constant omega gets one exact global verdict; otherwise the rank is
     evaluated at each supplied rational point, which certifies
-    degeneracy exactly but nondegeneracy only at the sampled points.
+    degeneracy exactly but nondegeneracy only at those points.
     Every point is checked, constant omega or not, before any elimination.
     """
     points = list(points)
@@ -161,21 +160,12 @@ def nondegeneracy_check(c: PlecticCandidate, points) -> CheckResult:
         Poly.zero(ctx.m).eval_at(point)
     if c.is_constant:
         check = CheckResult("nondegeneracy_exact_rank", "i_X omega = 0 implies X = 0 (exact rank)")
-        probes = [((c.omega,), "", Poly.constant_term)]
+        probes = [((c.omega,), "", (0,) * ctx.m)]
     else:
-        check = CheckResult(
-            "nondegeneracy_at_points", "i_X omega = 0 implies X = 0 (rank at sampled points)"
-        )
-        probes = [
-            (
-                (c.omega, "(" + ", ".join(str(v) for v in point) + ")"),
-                "kernel field ",
-                lambda p, point=point: p.eval_at(point),
-            )
-            for point in points
-        ]
-    for inputs, label, value in probes:
-        kernel, _ = _rank_and_kernel(_flat_matrix(c, value), ctx.m)
+        check = CheckResult("nondegeneracy_at_points", "i_X omega = 0 implies X = 0 (rank at the given points)")
+        probes = [((c.omega, "(" + ", ".join(map(str, point)) + ")"), "kernel field ", point) for point in points]
+    for inputs, label, point in probes:
+        kernel, _ = _rank_and_kernel(_flat_matrix(c, point), ctx.m)
         field = kernel and MultiVec(ctx.m, 1, {(j,): v for j, v in enumerate(kernel, 1)})
         check.record_verdict(inputs, kernel is None, f"{label}{field}")
     return check
@@ -203,8 +193,9 @@ def _coordinate_graph_pairs(c: PlecticCandidate):
     yield from product(fields, repeat=2)
 
 
-# The seeded rational points at which check_plectic certifies the rank of a non-constant omega.
-RANK_POINTS = 5
+# check_plectic certifies the rank of a non-constant omega at the points (t, t^2, ..., t^m) for
+# these t: pairwise distinct on every chart, and the origin first.
+RANK_POINTS = (0, 1, -1, 2, Fraction(1, 2))
 
 GRAPH_CLOSURE = (
     ("graph_closure", "[X + i_X omega, Y + i_Y omega] has form part i_{[X,Y]} omega"),
@@ -223,13 +214,13 @@ def _graph_residuals(c: PlecticCandidate, theta: Form | None, e1: Section, e2: S
 def check_plectic(
     c: PlecticCandidate, seed: int = 0, samples: int = 25, theta: Form | None = None
 ) -> list[CheckResult]:
-    """Rank of omega-flat (exact for constant omega, else at RANK_POINTS seeded points), then
+    """Rank of omega-flat (exact for constant omega, else at the RANK_POINTS curve points), then
     one sweep of graph pairs X + i_X omega for the two graph theorems: closed under the Dorfman
     bracket iff d omega = 0 and, given theta, under [.,.]_theta iff d omega + theta = 0."""
     if theta is not None:
         c.ctx.require_degree("deformation form", 2, theta)
     sweep = cases(seed, samples, partial(_random_graph_sections, c, 2), _coordinate_graph_pairs(c))
-    checks = [nondegeneracy_check(c, cases(seed, RANK_POINTS, partial(random_point, m=c.ctx.m)))]
+    checks = [nondegeneracy_check(c, [tuple(t**k for k in range(1, c.ctx.m + 1)) for t in RANK_POINTS])]
     d_omega = ext_d(c.omega)
     closed = CheckResult("omega_closed", "d omega = 0")
     closed.record((c.omega,), d_omega)
@@ -262,7 +253,7 @@ def solve_admissible(c: PlecticCandidate, alpha: Form) -> AdmissiblePair | None:
             "exact solving needs constant-coefficient omega; "
             "supply a candidate vector field and verify it instead"
         )
-    _, solution = _rank_and_kernel(_flat_matrix(c, Poly.constant_term, alpha), ctx.m)
+    _, solution = _rank_and_kernel(_flat_matrix(c, (0,) * ctx.m, alpha), ctx.m)
     if solution is None:
         return None
     field = MultiVec(ctx.m, 1, {(j,): x for j, x in enumerate(solution, 1)})

@@ -7,7 +7,8 @@ The Cartan-route Lie derivative i_X d + d i_X and the textbook Dorfman
 and Courant brackets built on it are the second route for the package's
 component-formula Lie derivative and its one bracket kernel.
 `oracle_flat_matrix` and `oracle_rank_consistent` are a dense `Fraction`
-Gauss-Jordan for the linear algebra of X -> i_X omega.
+Gauss-Jordan for the linear algebra of X -> i_X omega, and `random_point`
+draws the seeded rational points that the rank tests probe.
 `hamiltonian_pairs` is the exhaustive sweep of Hamiltonian pairs that
 the hemi- and semi-bracket tests share.  `oracle_text` prints a value by
 the `Fraction` route: `coefficients()`, one `monomial_text` per term, and
@@ -267,6 +268,10 @@ def oracle_rank_consistent(matrix: list[list[Fraction]], rhs: list[Fraction]) ->
     """Rank of A and whether A x = b has a solution, i.e. rank [A | b] = rank A."""
     rank = _dense_rank(matrix)
     return rank, _dense_rank([row + [b] for row, b in zip(matrix, rhs)]) == rank
+
+
+def random_point(rng: Random, m: int) -> tuple[Fraction, ...]:
+    return tuple(Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3))) for _ in range(m))
 
 
 def hamiltonian_pairs(c, count: int) -> list:

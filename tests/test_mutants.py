@@ -66,7 +66,7 @@ def _augmented_column_ignored(monkeypatch):
 
 
 def _one_rank_point(monkeypatch):
-    monkeypatch.setattr(plectic, "RANK_POINTS", 1)
+    monkeypatch.setattr(plectic, "RANK_POINTS", (0,))
 
 
 def _iff_always_agrees(monkeypatch):

@@ -18,7 +18,6 @@ from hicourant.exterior import (
     lie_form,
     lie_terms,
     random_multivec,
-    random_point,
 )
 from hicourant.plectic import (
     AdmissiblePair,
@@ -48,6 +47,7 @@ from oracles import (
     oracle_lie_form,
     oracle_rank_consistent,
     oracle_vec_bracket,
+    random_point,
     signed_lookup,
 )
 
@@ -236,14 +236,13 @@ def test_deformed_graph_closure_sweeps_the_same_pairs_as_graph_closure():
         assert checks["deformed_graph_closure"].cases == checks["graph_closure"].cases == 9 + samples
 
 
-def test_check_plectic_rank_is_nondegeneracy_at_the_seeded_rank_points():
+def test_check_plectic_rank_is_nondegeneracy_at_the_fixed_rank_points():
+    points = [(t, t**2, t**3) for t in RANK_POINTS]
     for seed in (0, 7):
-        rng = random.Random(seed)
-        points = [random_point(rng, 3) for _ in range(RANK_POINTS)]
         rank = check_plectic(NONCLOSED31, seed=seed, samples=1)[0]
         assert rank.name == "nondegeneracy_at_points"
         assert rank == nondegeneracy_check(NONCLOSED31, points)
-        assert rank.cases == RANK_POINTS
+        assert rank.cases == len(RANK_POINTS)
 
 
 def test_check_plectic_certifies_a_nonconstant_rank_at_five_distinct_points():
@@ -251,9 +250,18 @@ def test_check_plectic_certifies_a_nonconstant_rank_at_five_distinct_points():
     for seed in (0, 7):
         rank = check_plectic(NONCLOSED31, seed=seed, samples=1)[0]
         assert rank.name == "nondegeneracy_at_points"
-        assert rank.cases == RANK_POINTS == 5
+        assert rank.cases == len(RANK_POINTS) == 5
         points = [failure.inputs[1] for failure in rank.failures]
-        assert len(set(points)) == len(points) == RANK_POINTS
+        assert len(set(points)) == len(points) == len(RANK_POINTS)
+
+
+def test_check_plectic_rank_verdict_does_not_depend_on_the_seed():
+    # x1 dx1^dx2^dx3 degenerates on x1 = 0, which the origin, the first rank point, lies on
+    c = PlecticCandidate(Context(3, 2), var(3, 1) * dx(3, 1, 2, 3))
+    ranks = [check_plectic(c, seed=seed, samples=1)[0] for seed in range(8)]
+    assert all(rank == ranks[0] for rank in ranks)
+    assert not ranks[0].passed
+    assert "(0, 0, 0)" in [failure.inputs[1] for failure in ranks[0].failures]
 
 
 def test_gauge_untwists_matched_deformation():

@@ -31,6 +31,9 @@ OFF_CHART = (ChartMismatchError, "chart dimension mismatch: 3 vs 4")
 REFUSALS = {
     "Section-vec-off-chart": (lambda: Section(C31, MultiVec.zero(4, 1), Form.zero(3, 1)), *OFF_CHART),
     "Section-form-off-chart": (lambda: Section(C31, MultiVec.zero(3, 1), Form.zero(4, 1)), *OFF_CHART),
+    "Context-m-float": (lambda: Context(2.5, 1), InputError, "chart dimension m must be an integer, got float"),
+    "Context-n-float": (lambda: Context(3, 1.0), InputError, "bracket order n must be an integer, got float"),
+    "Context-m-bool": (lambda: Context(True, True), InputError, "chart dimension m must be an integer, got bool"),
     "tensor-m-zero": (lambda: Form(0, 0), ValueError, "chart dimension must be positive"),
     "tensor-degree-negative": (lambda: MultiVec(3, -1), ValueError, "tensor degree must be nonnegative"),
     "tensor-index-length": (lambda: Form(3, 2, {(1,): 1}), ValueError, "index (1,) does not have degree 2"),
@@ -78,7 +81,7 @@ OFF_CHART_ENTRIES = {
     "check_plectic-theta": (
         lambda: plectic.check_plectic(OMEGA, theta=dx(4, 1, 2, 3)),
         plectic,
-        ("_rank_and_kernel", "cases", "random_multivec", "random_point", "dorfman_terms", "deformed_terms"),
+        ("_rank_and_kernel", "cases", "random_multivec", "dorfman_terms", "deformed_terms"),
     ),
     "check_gauge_isomorphism-phi": (
         lambda: courant.check_gauge_isomorphism(C31, dx(4, 1, 2)),
