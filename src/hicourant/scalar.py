@@ -12,9 +12,10 @@ polynomial.  `Fraction` and exponent tuples appear only at the boundary:
 the constructor, `const`, `coefficients`, `constant_term` and `eval_at`;
 `term_texts` prints each term from its packed key and int numerator.
 Every sum and product (`+`, `-`, `*` and the tensor operators) runs
-through one fused multiply-accumulate, `sum_of_products`, which makes one
-Poly per sum, not one per product, and takes a whole residual's term
-stream at once.
+through one fused multiply-accumulate, `sum_of_products`, which adds every
+product into one dict of int numerators over a running lcm of the sum's
+denominators and makes one Poly per sum, not one per product, so it takes
+a whole residual's term stream at once.
 
 `partial(i)` keeps each derivative it builds in a private per-variable
 memo, so term streams that differentiate one coefficient again reuse it,
@@ -313,35 +314,50 @@ def sum_of_products(m: int, products) -> Poly:
     """Sum of scale * p * q over (scale, p, q) triples of chart m, where q is None for a lone
     p and scale is an int or a Fraction, whose denominator joins the product's den.
 
-    Int numerators accumulate per denominator and merge once over their lcm, so one
-    call sums a whole term stream.  Every key a product made is checked against
-    MAX_EXPONENT before cancellation, so the sum refuses whatever one of its products would.
+    Each product adds its int numerators, the shorter factor outermost, into one dict over
+    a running lcm of the denominators, which rises at most log2(lcm) times and rescales the
+    dict once per rise; so one call sums a whole term stream and holds none of it.  Every key
+    a product made is checked against MAX_EXPONENT before cancellation, so the sum refuses
+    whatever one of its products would.
     """
-    sums: dict[int, dict[int, int]] = {}
+    den = 1
+    acc: dict[int, int] = {}
+    get = acc.get
     for scale, p, q in products:
-        den = p.den
+        d = p.den if q is None else p.den * q.den
         if scale.__class__ is Fraction:
-            scale, den = scale.numerator, den * scale.denominator
-        if q is None and scale == 1 and den not in sums:
-            sums[den] = dict(p.terms)  # one dict copy, so a long sum plus a short one stays cheap
-            continue
-        right, den = (((0, 1),), den) if q is None else (q.terms.items(), den * q.den)
-        acc = sums.setdefault(den, {})
-        get = acc.get
-        for k1, c1 in p.terms.items():
+            scale, d = scale.numerator, d * scale.denominator
+        if den % d:
+            rise = d // gcd(den, d)
+            for key in acc:
+                acc[key] *= rise
+            den *= rise
+        scale *= den // d
+        if q is None:
+            if scale == 1 and not acc:
+                acc.update(p.terms)  # one dict copy, so a long sum plus a short one stays cheap
+                continue
+            outer, right = p.terms, ((0, 1),)
+        elif len(q.terms) < len(p.terms):
+            outer, right = q.terms, p.terms.items()
+        else:
+            outer, right = p.terms, q.terms.items()
+        for k1, c1 in outer.items():
             c1 *= scale
             for k2, c2 in right:
                 key = k1 + k2
                 acc[key] = get(key, 0) + c1 * c2
-    for acc in sums.values():
-        if reduce(or_, acc, 0) & exponent_guard(m):
-            raise ExponentBoundError()
-    return merge_sums(m, sums)
+    if reduce(or_, acc, 0) & exponent_guard(m):
+        raise ExponentBoundError()
+    if 0 in acc.values():
+        acc = {key: c for key, c in acc.items() if c}
+    return Poly._raw(m, acc, den)
 
 
 def merge_sums(m: int, sums: dict[int, dict[int, int]]) -> Poly:
-    """One Poly from int numerators per denominator, merged once over their lcm.  It consumes
-    `sums`: it pops the lcm's dict, adds the others into it and keeps it as the terms."""
+    """One Poly from the int numerators per denominator of a DSL `+`/`-` chain, merged once
+    over their lcm.  It consumes `sums`: it pops the lcm's dict, adds the others into it and
+    keeps it as the terms."""
     den = lcm(*sums)
     total = sums.pop(den, {})
     get = total.get

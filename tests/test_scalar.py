@@ -322,10 +322,16 @@ def scaled_products(m):
 @settings(max_examples=120, deadline=None)
 def test_sum_of_products_folds_int_and_fraction_scales(case):
     m, products = case
+    operands = [p for _, *pair in products for p in pair if p is not None]
+    before = [(p.den, dict(p.terms)) for p in operands]
     total = sum_of_products(m, products)
     assert total == naive_sum_of_products(m, products)
     assert Poly(m, total.coefficients()).den == total.den
     assert 0 not in total.terms.values()
+    # the sum reads its operands and never writes them, and its order does not matter
+    assert [(p.den, p.terms) for p in operands] == before
+    reversed_total = sum_of_products(m, products[::-1])
+    assert reversed_total == total and reversed_total.den == total.den
 
 
 def test_sum_of_products_scales_known_answer():
@@ -334,6 +340,14 @@ def test_sum_of_products_scales_known_answer():
     assert total == Poly(2, {(1, 1): Fraction(1, 2), (0, 1): Fraction(-1, 3), (1, 0): 2})
     assert total.den == 6
     assert sum_of_products(2, [(Fraction(1, 2), x1, None), (Fraction(-1, 2), x1, None)]).is_zero
+    # a lone scale-1 operand opens the sum and is copied, so raising the lcm 2 -> 6 -> 210 leaves it as it was
+    opening = Poly(2, {(1, 0): Fraction(1, 2), (0, 0): 1})
+    terms = dict(opening.terms)
+    total = sum_of_products(2, [(1, opening, None), (Fraction(1, 3), x2, x1), (Fraction(2, 35), x1, x1)])
+    expected = {(1, 0): Fraction(1, 2), (0, 0): 1, (1, 1): Fraction(1, 3), (2, 0): Fraction(2, 35)}
+    assert total == Poly(2, expected)
+    assert total.den == 210
+    assert opening.terms == terms and opening.den == 2
 
 
 def test_sum_of_products_refuses_a_bound_crossing_that_cancels():
@@ -353,6 +367,7 @@ def test_seeded_cross_check_against_sympy():
     from sympy import QQ
 
     rng = random.Random(2024)
+    scales = (1, -1, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 6), Fraction(1, 35))
 
     def draw(m):
         terms = {}
@@ -378,3 +393,12 @@ def test_seeded_cross_check_against_sympy():
         assert (a * b).coefficients() == as_dict(lift(a) * lift(b))
         for i in range(m):
             assert a.partial(i + 1).coefficients() == as_dict(lift(a).diff(gens[i]))
+        # multi-triple sums: lone operands and products, int and Fraction scales
+        triples = [
+            (rng.choice(scales), draw(m), draw(m) if rng.random() < 0.5 else None) for _ in range(rng.randint(3, 6))
+        ]
+        expected = ring.zero
+        for scale, p, q in triples:
+            scale = Fraction(scale)
+            expected += QQ(scale.numerator, scale.denominator) * lift(p) * (ring.one if q is None else lift(q))
+        assert sum_of_products(m, triples).coefficients() == as_dict(expected)
