@@ -101,17 +101,11 @@ def graph_closure_check(c: NambuCandidate, seed: int = 0, samples: int = 25) -> 
     def pair(rng):
         return tuple(_graph_section(c, random_form(rng, ctx.m, ctx.n)) for _ in range(2))
 
-    table = (("graph_closure_dorfman", "[pi#a + a, pi#b + b] stays in the graph of pi# (dorfman bracket)"),)
-    sweep = cases(seed, samples, pair, basis_pairs())
-    (check,) = sweep_checks(table, sweep, partial(_graph_residual, c))
+    check = CheckResult("graph_closure_dorfman", "[pi#a + a, pi#b + b] stays in the graph of pi# (dorfman bracket)")
+    for ga, gb in cases(seed, samples, pair, basis_pairs()):
+        vec, form = dorfman_terms(ga, gb)  # [ga, gb]'s vector part minus pi# of its form part
+        check.record((ga.form, gb.form), ga.vec.summed(vec, contract_terms(ga.form.summed(form), c.pi, -1)))
     return check
-
-
-def _graph_residual(c: NambuCandidate, ga: Section, gb: Section):
-    """[ga, gb]'s vector part minus pi# of its form part, for graph sections ga = pi#a + a, gb."""
-    a = ga.form
-    vec, form = dorfman_terms(ga, gb)
-    yield (a, gb.form), ga.vec.summed(vec, contract_terms(a.summed(form), c.pi, -1))
 
 
 def _nambu_form_terms(c: NambuCandidate, a: Form, b: Form, scale=1):

@@ -405,3 +405,18 @@ def test_gauge_isomorphism_fixtures():
             assert result.passed, (str(phi), result.name)
         closed = ext_d(phi).is_zero
         assert (len(results) == 2) is closed
+
+
+def test_gauge_automorphism_restates_a_failing_intertwiner(monkeypatch):
+    plain = courant.dorfman_terms
+    # drop the form part of every Dorfman bracket, so the intertwiner fails on some pairs
+    monkeypatch.setattr(courant, "dorfman_terms", lambda e1, e2, scale=1: (plain(e1, e2, scale)[0], ()))
+    ctx = Context(3, 1)
+    intertwiner, automorphism = check_gauge_isomorphism(ctx, dx(3, 1, 2), seed=0, samples=4)
+    assert (intertwiner.name, automorphism.name) == ("gauge_intertwiner", "gauge_automorphism")
+    assert intertwiner.cases == automorphism.cases == 4
+    assert len(intertwiner.failures) == 2
+    assert automorphism.failures == intertwiner.failures
+    assert automorphism.failures is not intertwiner.failures
+    not_closed = check_gauge_isomorphism(ctx, var(3, 3) * dx(3, 1, 2), seed=0, samples=4)
+    assert [r.name for r in not_closed] == ["gauge_intertwiner"]

@@ -325,7 +325,7 @@ def test_degree_two_sweep_fails_where_degree_one_passes():
     strict=True,
     raises=AssertionError,
     reason="graph closure passes unproved: constant basis n-forms bracket to zero under a constant pi and the one "
-    "seeded pair misses; ROADMAP direction 3 makes the row a proof over basis pairs of coefficient degree <= 1",
+    "seeded pair misses; ROADMAP direction 1 makes the row a proof over basis pairs of coefficient degree <= 1",
 )
 def test_closure_iff_fundamental_holds_when_the_seeded_pair_misses():
     # `check nambu -m5 -n2 --pi "@1^@2^@3 + @3^@4^@5" --samples 1 --seed 823340`; seed 105053 misses too
