@@ -9,6 +9,9 @@ exact verification suites for the identities those operations satisfy.
 Each bracket and the pairing is a term stream (see `exterior`) that its public
 function collects once; a residual builds only its inner brackets and sums its
 outer brackets, pairings and products f*e as streams, one collect per part.
+Suites look their brackets and term streams up when they run, so rebinding `dorfman_terms` in
+every module reaches every bracket; rebinding a public bracket (as bench/tracer.py does) reaches
+only the inner brackets a residual builds.
 """
 
 from __future__ import annotations
@@ -193,8 +196,8 @@ class Failure:
 
 @dataclass
 class CheckResult:
-    """Outcome of one seeded identity check with counterexample witnesses.  The field
-    order here and in Failure is the key order of a check in the JSON report."""
+    """Outcome of one identity check (a sweep, a rank probe or an iff verdict) with counterexample
+    witnesses.  The field order here and in Failure is the key order of a check in the JSON report."""
 
     name: str
     identity: str
@@ -231,20 +234,6 @@ def cases(seed: int, samples: int, draw, exhaustive=()):
     return chain(exhaustive, (draw(rng) for _ in range(samples)))
 
 
-def sweep_checks(table, sweep, residuals) -> list[CheckResult]:
-    """One CheckResult per (name, identity) row of table.  For each case of sweep,
-    residuals(*case) yields one (inputs, residual) pair per row, in table order;
-    a generator that yields more or fewer pairs than table has rows raises ValueError.
-    Tables hold only strings and generators look their term streams up when they run, so
-    rebinding `dorfman_terms` in every module reaches every bracket; rebinding a public
-    bracket (as bench/tracer.py does) reaches only the inner brackets a residual builds."""
-    checks = [CheckResult(name, identity) for name, identity in table]
-    for case in sweep:
-        for check, (inputs, residual) in zip(checks, residuals(*case), strict=True):
-            check.record(inputs, residual)
-    return checks
-
-
 def leibniz_residual(terms, a, b, c, ab, ac, bc):
     """[a,[b,c]] - ([[a,b],c] + [b,[a,c]]) for any bracket on Sections or forms, given as
     its term streams terms(x, y, scale=1), with ab = [a,b], ac = [a,c] and bc = [b,c]."""
@@ -277,61 +266,47 @@ def _axiom_case(ctx: Context, rng: random.Random):
     return (*_random_sections(ctx, 3, rng), random_poly(rng, ctx.m))
 
 
-COURANT_AXIOMS = (
-    ("jacobiator_exact_term", "[e1,[e2,e3]] + cyclic = d T(e1,e2,e3)"),
-    ("scalar_rule", "[e1, f*e2] = f*[e1,e2] + rho(e1)(f)*e2 - df ^ <e1,e2>"),
-    ("anchor_morphism", "rho([e1,e2]) = [rho(e1), rho(e2)]"),
-    (
-        "pairing_compat",
-        "L_rho(e1)<e2,e3> = <[e1,e2] + d<e1,e2>, e3> + <e2, [e1,e3] + d<e1,e3>>",
-    ),
-)
-
-
-def _courant_residuals(e1, e2, e3, f):
-    e12, e23, e31 = courant_bracket(e1, e2), courant_bracket(e2, e3), courant_bracket(e3, e1)
-    d_t = ext_d_terms(_cyclic_defect(e1, e2, e3, e12, e23, e31), -1)
-    outer = courant_terms(e1, e23), courant_terms(e2, e31), courant_terms(e3, e12)
-    yield (e1, e2, e3), e1.summed(*outer, ((), d_t))
-    p12 = pairing(e1, e2)
-    correction = ((), wedge(d_scalar(f), p12).terms())
-    yield (e1, e2, f), scalar_residual(courant_terms, anchor, e1, e2, f, e12, correction)
-    yield (e1, e2), anchor_residual(anchor, e1, e2, e12)
-    e13 = dorfman_bracket(e1, e3)  # [e1,e3] + d<e1,e3>, built as one bracket
-    yield (e1, e2, e3), _pairing_residual(e1, e2, e3, Section(e1.ctx, e12.vec, e12.form + ext_d(p12)), e13)
-
-
 def check_courant_axioms(ctx: Context, seed: int = 0, samples: int = 25) -> list[CheckResult]:
     """Exact residual checks for the Courant-bracket identities on seeded sections."""
     sweep = cases(seed, samples, partial(_axiom_case, ctx))
-    return sweep_checks(COURANT_AXIOMS, sweep, _courant_residuals)
-
-
-DORFMAN_AXIOMS = (
-    ("leibniz_identity", "[e1,[e2,e3]] = [[e1,e2],e3] + [e2,[e1,e3]]"),
-    ("scalar_rule_left", "[e1, f*e2] = f*[e1,e2] + rho(e1)(f)*e2"),
-    ("scalar_rule_right", "[f*e1, e2] = f*[e1,e2] - rho(e2)(f)*e1 + df ^ 2<e1,e2>"),
-    ("pairing_compat", "L_rho(e1)<e2,e3> = <[e1,e2], e3> + <e2, [e1,e3]>"),
-    ("anchor_morphism", "rho([e1,e2]) = [rho(e1), rho(e2)]"),
-)
-
-
-def _dorfman_residuals(e1, e2, e3, f):
-    e12, e13, e23 = dorfman_bracket(e1, e2), dorfman_bracket(e1, e3), dorfman_bracket(e2, e3)
-    yield (e1, e2, e3), leibniz_residual(dorfman_terms, e1, e2, e3, e12, e13, e23)
-    yield (e1, e2, f), scalar_residual(dorfman_terms, anchor, e1, e2, f, e12)
-    # [f*e1, e2] - (f*[e1,e2] - rho(e2)(f)*e1 + df ^ 2<e1,e2>)
-    df_pair = ((), wedge(d_scalar(f), pairing(e1, e2)).terms(-2))
-    rhs = e12.terms(-1, f), e1.terms(1, vec_apply(e2.vec, f)), df_pair
-    yield (e1, e2, f), e1.summed(dorfman_terms(f * e1, e2), *rhs)
-    yield (e1, e2, e3), _pairing_residual(e1, e2, e3, e12, e13)
-    yield (e1, e2), anchor_residual(anchor, e1, e2, e12)
+    jacobi = CheckResult("jacobiator_exact_term", "[e1,[e2,e3]] + cyclic = d T(e1,e2,e3)")
+    scalar_rule = CheckResult("scalar_rule", "[e1, f*e2] = f*[e1,e2] + rho(e1)(f)*e2 - df ^ <e1,e2>")
+    morphism = CheckResult("anchor_morphism", "rho([e1,e2]) = [rho(e1), rho(e2)]")
+    compat = CheckResult("pairing_compat", "L_rho(e1)<e2,e3> = <[e1,e2] + d<e1,e2>, e3> + <e2, [e1,e3] + d<e1,e3>>")
+    for e1, e2, e3, f in sweep:
+        e12, e23, e31 = courant_bracket(e1, e2), courant_bracket(e2, e3), courant_bracket(e3, e1)
+        d_t = ext_d_terms(_cyclic_defect(e1, e2, e3, e12, e23, e31), -1)
+        outer = courant_terms(e1, e23), courant_terms(e2, e31), courant_terms(e3, e12)
+        jacobi.record((e1, e2, e3), e1.summed(*outer, ((), d_t)))
+        p12 = pairing(e1, e2)
+        correction = ((), wedge(d_scalar(f), p12).terms())
+        scalar_rule.record((e1, e2, f), scalar_residual(courant_terms, anchor, e1, e2, f, e12, correction))
+        morphism.record((e1, e2), anchor_residual(anchor, e1, e2, e12))
+        e13 = dorfman_bracket(e1, e3)  # [e1,e3] + d<e1,e3>, built as one bracket
+        e12_d = Section(e1.ctx, e12.vec, e12.form + ext_d(p12))  # [e1,e2] + d<e1,e2>
+        compat.record((e1, e2, e3), _pairing_residual(e1, e2, e3, e12_d, e13))
+    return [jacobi, scalar_rule, morphism, compat]
 
 
 def check_dorfman_axioms(ctx: Context, seed: int = 0, samples: int = 25) -> list[CheckResult]:
     """Exact residual checks for the Dorfman-bracket identities on seeded sections."""
     sweep = cases(seed, samples, partial(_axiom_case, ctx))
-    return sweep_checks(DORFMAN_AXIOMS, sweep, _dorfman_residuals)
+    leibniz = CheckResult("leibniz_identity", "[e1,[e2,e3]] = [[e1,e2],e3] + [e2,[e1,e3]]")
+    left = CheckResult("scalar_rule_left", "[e1, f*e2] = f*[e1,e2] + rho(e1)(f)*e2")
+    right = CheckResult("scalar_rule_right", "[f*e1, e2] = f*[e1,e2] - rho(e2)(f)*e1 + df ^ 2<e1,e2>")
+    compat = CheckResult("pairing_compat", "L_rho(e1)<e2,e3> = <[e1,e2], e3> + <e2, [e1,e3]>")
+    morphism = CheckResult("anchor_morphism", "rho([e1,e2]) = [rho(e1), rho(e2)]")
+    for e1, e2, e3, f in sweep:
+        e12, e13, e23 = dorfman_bracket(e1, e2), dorfman_bracket(e1, e3), dorfman_bracket(e2, e3)
+        leibniz.record((e1, e2, e3), leibniz_residual(dorfman_terms, e1, e2, e3, e12, e13, e23))
+        left.record((e1, e2, f), scalar_residual(dorfman_terms, anchor, e1, e2, f, e12))
+        # [f*e1, e2] - (f*[e1,e2] - rho(e2)(f)*e1 + df ^ 2<e1,e2>)
+        df_pair = ((), wedge(d_scalar(f), pairing(e1, e2)).terms(-2))
+        rhs = e12.terms(-1, f), e1.terms(1, vec_apply(e2.vec, f)), df_pair
+        right.record((e1, e2, f), e1.summed(dorfman_terms(f * e1, e2), *rhs))
+        compat.record((e1, e2, e3), _pairing_residual(e1, e2, e3, e12, e13))
+        morphism.record((e1, e2), anchor_residual(anchor, e1, e2, e12))
+    return [leibniz, left, right, compat, morphism]
 
 
 def check_deformation(

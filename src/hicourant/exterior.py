@@ -121,8 +121,8 @@ class _Alternating:
             idx = tuple(idx)
             if len(idx) != degree:
                 raise ValueError(f"index {idx} does not have degree {degree}")
-            if any(not 1 <= v <= m for v in idx) or any(idx[t] >= idx[t + 1] for t in range(len(idx) - 1)):
-                raise ValueError(f"index {idx} is not strictly increasing within 1..{m}")
+            if any(type(v) is not int or not u < v <= m for u, v in zip((0, *idx), idx)):
+                raise ValueError(f"index {idx} is not a strictly increasing tuple of ints within 1..{m}")
             if not isinstance(poly, Poly):
                 poly = Poly.const(m, poly)
             same_chart(self, poly)

@@ -16,7 +16,7 @@ from functools import partial
 from itertools import chain, combinations, product
 
 from .courant import CheckResult, Section, cases, dorfman_terms, leibniz_residual
-from .courant import anchor_residual, scalar_residual, sweep_checks
+from .courant import anchor_residual, scalar_residual
 from .exterior import (
     Context,
     Form,
@@ -151,9 +151,23 @@ def check_nambu(c: NambuCandidate, seed: int = 0, samples: int = 25) -> list[Che
     identity = "graph closure holds iff the fundamental identity holds"
     verdicts = ("fundamental", fundamental), ("closure", closure)
     checks = [fundamental, closure, CheckResult.iff("closure_iff_fundamental", identity, (c.pi,), *verdicts)]
-    if fundamental.passed:
-        checks.extend(sweep_checks(LEIBNIZ_ALGEBROID, sweep, partial(_algebroid_residuals, c)))
-    return checks
+    if not fundamental.passed:
+        return checks
+    form_terms, nm1_terms, anchor = partial(_nambu_form_terms, c), partial(_nm1_terms, c), partial(pi_sharp, c)
+    leibniz = CheckResult("form_bracket_leibniz", "[a,[b,g]]_pi = [[a,b]_pi,g]_pi + [b,[a,g]_pi]_pi")
+    morphism = CheckResult("anchor_morphism", "pi#[a,b]_pi = [pi#a, pi#b]")
+    scalar_rule = CheckResult("scalar_rule", "[a, f*b]_pi = f*[a,b]_pi + pi#(a)(f)*b")
+    nm1_leibniz = CheckResult("nm1_bracket_leibniz", "{x,{y,z}}_pi = {{x,y}_pi,z}_pi + {y,{x,z}_pi}_pi")
+    comparison = CheckResult("bracket_comparison", "pi#([a,b]_pi - [a,b]^pi) = 0")
+    for a, b, g, f, xi, eta, zeta in sweep:
+        ab, ag, bg = nambu_form_bracket(c, a, b), nambu_form_bracket(c, a, g), nambu_form_bracket(c, b, g)
+        leibniz.record((a, b, g), leibniz_residual(form_terms, a, b, g, ab, ag, bg))
+        morphism.record((a, b), anchor_residual(anchor, a, b, ab))
+        scalar_rule.record((a, b, f), scalar_residual(form_terms, anchor, a, b, f, ab))
+        xy, xz, yz = (leibniz_nm1_bracket(c, x, y) for x, y in ((xi, eta), (xi, zeta), (eta, zeta)))
+        nm1_leibniz.record((xi, eta, zeta), leibniz_residual(nm1_terms, xi, eta, zeta, xy, xz, yz))
+        comparison.record((a, b), pi_sharp(c, ab.summed(ab.terms(), _marrero_terms(c, a, b, -1))))
+    return [*checks, leibniz, morphism, scalar_rule, nm1_leibniz, comparison]
 
 
 def _algebroid_case(ctx: Context, rng: random.Random):
@@ -161,25 +175,3 @@ def _algebroid_case(ctx: Context, rng: random.Random):
     a, b, g = (random_form(rng, ctx.m, ctx.n) for _ in range(3))
     f = random_poly(rng, ctx.m)
     return (a, b, g, f, *(random_form(rng, ctx.m, ctx.n - 1) for _ in range(3)))
-
-
-LEIBNIZ_ALGEBROID = (
-    ("form_bracket_leibniz", "[a,[b,g]]_pi = [[a,b]_pi,g]_pi + [b,[a,g]_pi]_pi"),
-    ("anchor_morphism", "pi#[a,b]_pi = [pi#a, pi#b]"),
-    ("scalar_rule", "[a, f*b]_pi = f*[a,b]_pi + pi#(a)(f)*b"),
-    ("nm1_bracket_leibniz", "{x,{y,z}}_pi = {{x,y}_pi,z}_pi + {y,{x,z}_pi}_pi"),
-    ("bracket_comparison", "pi#([a,b]_pi - [a,b]^pi) = 0"),
-)
-
-
-def _algebroid_residuals(c: NambuCandidate, a, b, g, f, xi, eta, zeta):
-    form_terms = partial(_nambu_form_terms, c)
-    nm1_terms = partial(_nm1_terms, c)
-    anchor = partial(pi_sharp, c)
-    ab, ag, bg = nambu_form_bracket(c, a, b), nambu_form_bracket(c, a, g), nambu_form_bracket(c, b, g)
-    yield (a, b, g), leibniz_residual(form_terms, a, b, g, ab, ag, bg)
-    yield (a, b), anchor_residual(anchor, a, b, ab)
-    yield (a, b, f), scalar_residual(form_terms, anchor, a, b, f, ab)
-    xy, xz, yz = (leibniz_nm1_bracket(c, x, y) for x, y in ((xi, eta), (xi, zeta), (eta, zeta)))
-    yield (xi, eta, zeta), leibniz_residual(nm1_terms, xi, eta, zeta, xy, xz, yz)
-    yield (a, b), pi_sharp(c, ab.summed(ab.terms(), _marrero_terms(c, a, b, -1)))

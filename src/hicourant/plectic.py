@@ -18,7 +18,7 @@ from functools import partial
 from itertools import combinations, product
 
 from .courant import CheckResult, Section, cases, deformed_terms, dorfman_bracket, dorfman_terms, pairing
-from .courant import anchor, scalar_residual, sweep_checks
+from .courant import anchor, scalar_residual
 from .exterior import (
     Context,
     Form,
@@ -197,20 +197,6 @@ def _coordinate_graph_pairs(c: PlecticCandidate):
 # these t: pairwise distinct on every chart, and the origin first.
 RANK_POINTS = (0, 1, -1, 2, Fraction(1, 2))
 
-GRAPH_CLOSURE = (
-    ("graph_closure", "[X + i_X omega, Y + i_Y omega] has form part i_{[X,Y]} omega"),
-    ("graph_isotropy", "<X + i_X omega, Y + i_Y omega> = 0"),
-    ("deformed_graph_closure", "[X + i_X omega, Y + i_Y omega]_theta has form part i_{[X,Y]} omega"),
-)
-
-
-def _graph_residuals(c: PlecticCandidate, theta: Form | None, e1: Section, e2: Section):
-    yield (e1, e2), _graph_defect(c, e1, dorfman_terms(e1, e2))
-    yield (e1, e2), pairing(e1, e2)
-    if theta is not None:
-        yield (e1, e2), _graph_defect(c, e1, deformed_terms(e1, e2, theta))
-
-
 def check_plectic(
     c: PlecticCandidate, seed: int = 0, samples: int = 25, theta: Form | None = None
 ) -> list[CheckResult]:
@@ -224,8 +210,16 @@ def check_plectic(
     d_omega = ext_d(c.omega)
     closed = CheckResult("omega_closed", "d omega = 0")
     closed.record((c.omega,), d_omega)
-    table = GRAPH_CLOSURE if theta is not None else GRAPH_CLOSURE[:2]
-    closure, isotropy, *twisted = sweep_checks(table, sweep, partial(_graph_residuals, c, theta))
+    closure = CheckResult("graph_closure", "[X + i_X omega, Y + i_Y omega] has form part i_{[X,Y]} omega")
+    isotropy = CheckResult("graph_isotropy", "<X + i_X omega, Y + i_Y omega> = 0")
+    twisted = CheckResult(
+        "deformed_graph_closure", "[X + i_X omega, Y + i_Y omega]_theta has form part i_{[X,Y]} omega"
+    )
+    for e1, e2 in sweep:
+        closure.record((e1, e2), _graph_defect(c, e1, dorfman_terms(e1, e2)))
+        isotropy.record((e1, e2), pairing(e1, e2))
+        if theta is not None:
+            twisted.record((e1, e2), _graph_defect(c, e1, deformed_terms(e1, e2, theta)))
     identity = "the graph is closed iff d omega = 0"
     verdicts = ("d-closed", closed), ("graph-closed", closure)
     checks += [closed, closure, isotropy, CheckResult.iff("closure_iff_closed", identity, (c.omega,), *verdicts)]
@@ -233,9 +227,9 @@ def check_plectic(
         matched = CheckResult("omega_theta_matched", "d omega + theta = 0")
         matched.record((c.omega, theta), d_omega + theta)
         identity = "the graph is closed under [.,.]_theta iff d omega + theta = 0"
-        verdicts = ("matched", matched), ("graph-closed", twisted[0])
+        verdicts = ("matched", matched), ("graph-closed", twisted)
         agreement = CheckResult.iff("deformed_closure_iff_matched", identity, (c.omega, theta), *verdicts)
-        checks += [matched, *twisted, agreement]
+        checks += [matched, twisted, agreement]
     return checks
 
 
@@ -294,23 +288,6 @@ def semi_bracket(c: PlecticCandidate, p: HamiltonianPair, q: HamiltonianPair) ->
     return i_vec(p.x_xi, i_vec(q.x_xi, c.omega))
 
 
-ADMISSIBLE_LIE_ALGEBROID = (
-    ("skew_symmetry", "[a,b]_w + [b,a]_w = 0"),
-    ("jacobi_identity", "[[a,b]_w,c]_w + [[b,c]_w,a]_w + [[c,a]_w,b]_w = 0"),
-    ("anchor_property", "form part of [a,b]_w equals i_{[X_a,X_b]} omega"),
-    ("scalar_rule", "[a, f*b]_w = f*[a,b]_w + X_a(f)*b"),
-)
-
-
-def _admissible_residuals(c: PlecticCandidate, a, b, e, f):
-    ab = dorfman_bracket(a, b)
-    yield (a.form, b.form), a.summed(ab.terms(), dorfman_terms(b, a))
-    bc, ca = dorfman_bracket(b, e), dorfman_bracket(e, a)
-    yield (a.form, b.form, e.form), a.summed(dorfman_terms(ab, e), dorfman_terms(bc, a), dorfman_terms(ca, b))
-    yield (a.form, b.form), _graph_defect(c, a, ab.terms())
-    yield (a.form, b.form, f), scalar_residual(dorfman_terms, anchor, a, b, f, ab)
-
-
 def check_admissible_lie_algebroid(
     c: PlecticCandidate, seed: int = 0, samples: int = 25
 ) -> list[CheckResult]:
@@ -326,4 +303,16 @@ def check_admissible_lie_algebroid(
     )
     if not ext_d(c.omega).is_zero:
         raise NotClosedError("omega is not closed; the admissible bracket needs d omega = 0")
-    return sweep_checks(ADMISSIBLE_LIE_ALGEBROID, sweep, partial(_admissible_residuals, c))
+    skew = CheckResult("skew_symmetry", "[a,b]_w + [b,a]_w = 0")
+    jacobi = CheckResult("jacobi_identity", "[[a,b]_w,c]_w + [[b,c]_w,a]_w + [[c,a]_w,b]_w = 0")
+    anchored = CheckResult("anchor_property", "form part of [a,b]_w equals i_{[X_a,X_b]} omega")
+    scalar_rule = CheckResult("scalar_rule", "[a, f*b]_w = f*[a,b]_w + X_a(f)*b")
+    for a, b, e, f in sweep:
+        ab = dorfman_bracket(a, b)
+        skew.record((a.form, b.form), a.summed(ab.terms(), dorfman_terms(b, a)))
+        bc, ca = dorfman_bracket(b, e), dorfman_bracket(e, a)
+        cyclic = dorfman_terms(ab, e), dorfman_terms(bc, a), dorfman_terms(ca, b)
+        jacobi.record((a.form, b.form, e.form), a.summed(*cyclic))
+        anchored.record((a.form, b.form), _graph_defect(c, a, ab.terms()))
+        scalar_rule.record((a.form, b.form, f), scalar_residual(dorfman_terms, anchor, a, b, f, ab))
+    return [skew, jacobi, anchored, scalar_rule]

@@ -153,7 +153,7 @@ class Poly:
         coeffs: dict[int, Fraction] = {}
         for exps, coeff in (terms or {}).items():
             exps = tuple(exps)
-            if len(exps) != m or any(e < 0 for e in exps):
+            if len(exps) != m or any(type(e) is not int or e < 0 for e in exps):
                 raise ValueError(f"bad exponent vector {exps} for dimension {m}")
             c = _coerce(coeff)
             if c:

@@ -37,6 +37,27 @@ REFUSALS = {
     "tensor-m-zero": (lambda: Form(0, 0), ValueError, "chart dimension must be positive"),
     "tensor-degree-negative": (lambda: MultiVec(3, -1), ValueError, "tensor degree must be nonnegative"),
     "tensor-index-length": (lambda: Form(3, 2, {(1,): 1}), ValueError, "index (1,) does not have degree 2"),
+    # a bool or float entry would hash like an int one into the cached index signs
+    "Form-index-bool": (
+        lambda: Form(3, 1, {(True,): 1}),
+        ValueError,
+        "index (True,) is not a strictly increasing tuple of ints within 1..3",
+    ),
+    "Form-index-float": (
+        lambda: Form(3, 2, {(1.0, 2): 1}),
+        ValueError,
+        "index (1.0, 2) is not a strictly increasing tuple of ints within 1..3",
+    ),
+    "MultiVec-index-bool": (
+        lambda: MultiVec(3, 2, {(True, 3): 1}),
+        ValueError,
+        "index (True, 3) is not a strictly increasing tuple of ints within 1..3",
+    ),
+    "MultiVec-index-float": (
+        lambda: MultiVec(3, 1, {(2.0,): 1}),
+        ValueError,
+        "index (2.0,) is not a strictly increasing tuple of ints within 1..3",
+    ),
     "tensor-coefficient-off-chart": (lambda: Form(3, 1, {(1,): Poly.var(4, 1)}), *OFF_CHART),
     "form-plus-multivec": (lambda: dx(3, 1) + dd(3, 1), TypeError, "summand must be a Form, got MultiVec"),
     "sum-of-two-degrees": (lambda: dx(3, 1) + dx(3, 1, 2), ValueError, "summand must have degree 1, got 2"),
@@ -53,6 +74,12 @@ REFUSALS = {
     "Poly-exponent-length": (lambda: Poly(2, {(1,): 1}), ValueError, "bad exponent vector (1,) for dimension 2"),
     "Poly-exponent-negative": (
         lambda: Poly(2, {(1, -1): 1}), ValueError, "bad exponent vector (1, -1) for dimension 2"
+    ),
+    "Poly-exponent-float": (
+        lambda: Poly(2, {(1.0, 0): 1}), ValueError, "bad exponent vector (1.0, 0) for dimension 2"
+    ),
+    "Poly-exponent-bool": (
+        lambda: Poly(2, {(0, True): 1}), ValueError, "bad exponent vector (0, True) for dimension 2"
     ),
     "Poly.var-out-of-range": (lambda: Poly.var(2, 3), ValueError, "coordinate index 3 out of range 1..2"),
     "Poly-negative-power": (
