@@ -19,7 +19,6 @@ import json
 import os
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import cache
 
 from . import courant, nambu, plectic
@@ -62,7 +61,6 @@ def _plectic_scope(ctx: Context, args, omega: Form, **_) -> str:
     return f"{rank}; closure over all coordinate-vector pairs plus {args.samples} seeded random pairs"
 
 
-@dataclass(frozen=True)
 class CheckTarget:
     """What `check <target>` runs and reports.
 
@@ -72,9 +70,8 @@ class CheckTarget:
     quantifier_scope text, with each given flag's tensor passed by name.
     """
 
-    suite: Callable
-    flags: tuple[str, ...] = ()
-    scope: Callable = _random_scope
+    def __init__(self, suite: Callable, flags: tuple[str, ...] = (), scope: Callable = _random_scope):
+        self.suite, self.flags, self.scope = suite, flags, scope
 
 
 CHECK_TARGETS = {
@@ -122,17 +119,14 @@ BRACKETS = {
 }
 
 
-@dataclass
 class SuiteReport:
     """One suite run.  Its fields, in order and then `passed`, are its JSON report's keys."""
 
-    suite: str
-    m: int
-    n: int
-    seed: int
-    params: dict
-    quantifier_scope: str
-    checks: list[CheckResult]
+    def __init__(
+        self, suite: str, m: int, n: int, seed: int, params: dict, quantifier_scope: str, checks: list[CheckResult]
+    ):
+        self.suite, self.m, self.n, self.seed = suite, m, n, seed
+        self.params, self.quantifier_scope, self.checks = params, quantifier_scope, checks
 
     @property
     def passed(self) -> bool:

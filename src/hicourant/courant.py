@@ -17,7 +17,6 @@ only the inner brackets a residual builds.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import chain, product
@@ -26,6 +25,7 @@ from .exterior import (
     Context,
     Form,
     MultiVec,
+    Value,
     collect,
     contract_terms,
     d_scalar,
@@ -43,15 +43,12 @@ from .scalar import ChartMismatchError, InputError, same_chart
 HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
-class Section:
+class Section(Value):
     """An element X + alpha of the generalized tangent bundle."""
 
-    ctx: Context
-    vec: MultiVec
-    form: Form
+    _fields = ("ctx", "vec", "form")
 
-    def __post_init__(self):
+    def _check(self):
         if self.vec.degree != 1:
             raise InputError("vector part must have degree 1")
         same_chart(self.ctx, self.vec)
@@ -186,23 +183,22 @@ def random_section(rng: random.Random, ctx: Context) -> Section:
 # -- check reporting ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Failure:
-    """One counterexample: the inputs that produced it and the nonzero residual."""
+class Failure(Value):
+    """One counterexample: the inputs that produced it, a tuple of texts, and the nonzero residual's text."""
 
-    inputs: tuple[str, ...]
-    residual: str
+    _fields = ("inputs", "residual")
 
 
-@dataclass
 class CheckResult:
     """Outcome of one identity check (a sweep, a rank probe or an iff verdict) with counterexample
     witnesses.  The field order here and in Failure is the key order of a check in the JSON report."""
 
-    name: str
-    identity: str
-    cases: int = 0
-    failures: list[Failure] = field(default_factory=list)
+    def __init__(self, name: str, identity: str, cases: int = 0, failures=()):
+        self.name, self.identity, self.cases = name, identity, cases
+        self.failures: list[Failure] = list(failures)
+
+    def __eq__(self, other):  # an __eq__ without a __hash__ leaves the class unhashable
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
 
     @property
     def passed(self) -> bool:
@@ -361,4 +357,4 @@ def check_gauge_isomorphism(
     if not dphi.is_zero:
         return [check]
     identity = "d phi = 0: gauge(phi)[e1,e2] = [gauge(phi)e1, gauge(phi)e2]"
-    return [check, CheckResult("gauge_automorphism", identity, check.cases, list(check.failures))]
+    return [check, CheckResult("gauge_automorphism", identity, check.cases, check.failures)]

@@ -31,7 +31,6 @@ that occur, and lie_terms only where a Jacobian entry of X meets a slot of T.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import chain, combinations
@@ -42,14 +41,48 @@ from .scalar import sum_of_products, term_texts
 MultiIndex = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Context:
+class Value:
+    """An immutable value with the fields `_fields` names, given positionally or by keyword and checked by
+    `_check`: equal and hashed alike to its own type with equal fields, printed as Name(field=value, ...)."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *args, **kwargs):
+        args += tuple(kwargs.pop(name) for name in self._fields[len(args):] if name in kwargs) if kwargs else ()
+        if kwargs or len(args) != len(self._fields):
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(self._fields)}")
+        # set one by one, never through vars(self), which would build a __dict__ and slow every field read
+        for name, value in zip(self._fields, args):
+            object.__setattr__(self, name, value)
+        self._check()
+
+    def _check(self) -> None:
+        """Refuse invalid fields; nothing to refuse here."""
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return NotImplemented if type(other) is not type(self) else other is self or self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in zip(self._fields, self._key()))})"
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"cannot set or delete {name!r}: {type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+
+class Context(Value):
     """Chart dimension m and bracket order n, with 1 <= n <= m."""
 
-    m: int
-    n: int
+    _fields = ("m", "n")
 
-    def __post_init__(self):
+    def _check(self):
         for what, value in (("chart dimension m", self.m), ("bracket order n", self.n)):
             if type(value) is not int:
                 raise InputError(f"{what} must be an integer, got {type(value).__name__}")

@@ -11,7 +11,6 @@ n-forms and the Leibniz bracket on (n-1)-forms.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain, combinations, product
 
@@ -21,6 +20,7 @@ from .exterior import (
     Context,
     Form,
     MultiVec,
+    Value,
     contract_form_into_vec,
     contract_terms,
     d_scalar,
@@ -34,14 +34,12 @@ from .exterior import (
 from .scalar import Poly, monomials_up_to
 
 
-@dataclass(frozen=True)
-class NambuCandidate:
-    """An (n+1)-vector field to be tested and used as a Nambu-Poisson tensor."""
+class NambuCandidate(Value):
+    """An (n+1)-vector field pi on the chart ctx, to be tested and used as a Nambu-Poisson tensor."""
 
-    ctx: Context
-    pi: MultiVec
+    _fields = ("ctx", "pi")
 
-    def __post_init__(self):
+    def _check(self):
         self.ctx.require_degree("tensor", 1, self.pi)
 
 

@@ -12,7 +12,6 @@ Rank probes and solves share one Gauss-Jordan pass over [omega-flat | rhs].
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import combinations, product
@@ -20,9 +19,9 @@ from itertools import combinations, product
 from .courant import CheckResult, Section, cases, deformed_terms, dorfman_bracket, dorfman_terms, pairing
 from .courant import anchor, scalar_residual
 from .exterior import (
-    Context,
     Form,
     MultiVec,
+    Value,
     contract_terms,
     ext_d,
     i_vec,
@@ -45,14 +44,12 @@ class InconsistentCandidateError(ValueError):
     """Raised when a field and a form break the equation that would make them a pair."""
 
 
-@dataclass(frozen=True)
-class PlecticCandidate:
-    """An (n+1)-form to be tested and used as a multisymplectic structure."""
+class PlecticCandidate(Value):
+    """An (n+1)-form omega on the chart ctx, to be tested and used as a multisymplectic structure."""
 
-    ctx: Context
-    omega: Form
+    _fields = ("ctx", "omega")
 
-    def __post_init__(self):
+    def _check(self):
         self.ctx.require_degree("structure form", 1, self.omega)
 
     @property
@@ -65,15 +62,12 @@ def omega_flat(c: PlecticCandidate, X: MultiVec) -> Form:
     return i_vec(X, c.omega)
 
 
-@dataclass(frozen=True)
-class AdmissiblePair:
-    """An n-form together with a vector field realizing it as i_X omega."""
+class AdmissiblePair(Value):
+    """An n-form alpha together with a vector field x_alpha realizing it as i_X omega of the candidate."""
 
-    candidate: PlecticCandidate
-    alpha: Form
-    x_alpha: MultiVec
+    _fields = ("candidate", "alpha", "x_alpha")
 
-    def __post_init__(self):
+    def _check(self):
         if self.alpha != i_vec(self.x_alpha, self.candidate.omega):
             raise InconsistentCandidateError("alpha is not i_{x_alpha} omega: pair is not admissible")
 
@@ -83,15 +77,12 @@ class AdmissiblePair:
         return Section(self.candidate.ctx, self.x_alpha, self.alpha)
 
 
-@dataclass(frozen=True)
-class HamiltonianPair:
-    """An (n-1)-form together with a vector field realizing d xi = i_X omega."""
+class HamiltonianPair(Value):
+    """An (n-1)-form xi together with a vector field x_xi realizing d xi = i_X omega of the candidate."""
 
-    candidate: PlecticCandidate
-    xi: Form
-    x_xi: MultiVec
+    _fields = ("candidate", "xi", "x_xi")
 
-    def __post_init__(self):
+    def _check(self):
         if ext_d(self.xi) != i_vec(self.x_xi, self.candidate.omega):
             raise InconsistentCandidateError("d xi is not i_{x_xi} omega: pair is not Hamiltonian")
 

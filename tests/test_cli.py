@@ -1,7 +1,6 @@
 """End-to-end command line: exit codes, outputs, JSON determinism, replay."""
 
 import argparse
-import dataclasses
 import io
 import json
 import os
@@ -537,9 +536,8 @@ def test_structure_flag_the_target_does_not_read_exits_2(argv, flag, monkeypatch
         raise AssertionError("a suite ran")
 
     target = argv[0]
-    monkeypatch.setitem(
-        cli.CHECK_TARGETS, target, dataclasses.replace(cli.CHECK_TARGETS[target], suite=no_suite)
-    )
+    kept = cli.CHECK_TARGETS[target]
+    monkeypatch.setitem(cli.CHECK_TARGETS, target, cli.CheckTarget(no_suite, kept.flags, kept.scope))
     assert cli.main(["check", *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -18,10 +18,18 @@ a rename would otherwise show only as failed benchmark operations.
 The package supports Python 3.10, so every source of the package, the
 tests and the benchmark must parse under the 3.10 grammar, also where
 only a newer Python runs the tests.
+
+Every command-line run pays for `import hicourant.cli` before it starts,
+so that import loads none of the introspection machinery the package has
+no use for: no `dataclasses`, `inspect`, `dis`, `ast`, `tokenize` or
+`typing`.  A fresh interpreter lists its modules, so the test counts
+modules and does not time anything.
 """
 
 import ast
 import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 from types import ModuleType
@@ -247,6 +255,21 @@ def missing_hicourant_names(source: str) -> list[str]:
 @pytest.mark.parametrize("path", sorted((ROOT / "bench").glob("*.py")), ids=lambda p: p.name)
 def test_benchmark_hicourant_names_exist(path):
     assert missing_hicourant_names(path.read_text(encoding="utf-8")) == []
+
+
+def modules_after(statement: str) -> set[str]:
+    """The modules a fresh interpreter on the checkout's src/ has loaded after running statement."""
+    code = f"import sys\n{statement}\nprint(*sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return set(result.stdout.split())
+
+
+def test_importing_the_cli_loads_no_introspection_machinery():
+    added = modules_after("import hicourant.cli") - modules_after("pass")
+    # the CLI's own imports load with it, not later in the first job
+    assert {"hicourant.cli", "argparse", "json", "fractions"} <= added
+    assert added & {"dataclasses", "inspect", "dis", "ast", "tokenize", "typing"} == set()
 
 
 def test_benchmark_name_checker_flags_missing_names():

@@ -8,7 +8,7 @@ Each `print(...)  # X` line of the quick start must print X.  The schema
 must list a real report's keys in the report's order at every level.
 """
 
-import dataclasses
+import inspect
 import json
 import re
 import shlex
@@ -80,7 +80,7 @@ def test_the_schema_block_lists_a_real_reports_keys_in_order():
     result = run_main(argv)
     assert result["exit"] == 1, result["stderr"]
     report = json.loads(result["stdout"])
-    assert list(schema) == list(report) == [f.name for f in dataclasses.fields(SuiteReport)] + ["passed"]
+    assert list(schema) == list(report) == list(inspect.signature(SuiteReport).parameters) + ["passed"]
     assert list(schema["params"]) == list(report["params"])
     (check_schema,) = schema["checks"]
     (failure_schema,) = check_schema["failures"]
