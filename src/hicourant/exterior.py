@@ -137,9 +137,10 @@ def _split_sign(sub: MultiIndex, full: MultiIndex) -> tuple[int, MultiIndex] | N
 
 
 class _Alternating:
-    """Shared storage and ring operations for forms and multivector fields."""
+    """Shared storage and ring operations for forms and multivector fields.  Values are
+    immutable; the text `_text`, kept by the first str() that succeeds, is not part of ==, hash or repr."""
 
-    __slots__ = ("m", "degree", "coeffs")
+    __slots__ = ("m", "degree", "coeffs", "_text")
     _symbol = "?"
 
     def __init__(self, m: int, degree: int, coeffs: dict[MultiIndex, Poly] | None = None):
@@ -233,6 +234,10 @@ class _Alternating:
         return hash((type(self).__name__, self.m, self.degree, frozenset(self.coeffs.items())))
 
     def __str__(self):
+        try:
+            return self._text
+        except AttributeError:
+            pass
         rendered = []
         for idx in sorted(self.coeffs):
             poly = self.coeffs[idx]
@@ -241,7 +246,8 @@ class _Alternating:
                 rendered.extend(term_texts(poly, basis))
             else:
                 rendered.append((False, f"({poly})*{basis}" if basis else str(poly)))
-        return join_signed_terms(rendered)
+        self._text = text = join_signed_terms(rendered)
+        return text
 
     def __repr__(self):
         return f"{type(self).__name__}({self.m}, {self.degree}, {str(self)!r})"

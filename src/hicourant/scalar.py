@@ -10,7 +10,7 @@ FIELD_BITS bits per exponent, so a product of monomials is an integer
 addition, and coefficients are int numerators over one denominator per
 polynomial.  `Fraction` and exponent tuples appear only at the boundary:
 the constructor, `const`, `coefficients`, `constant_term` and `eval_at`;
-`term_texts` prints each term from its packed key and int numerator.
+`term_texts` prints each term from its int numerator and cached key text.
 Every sum and product (`+`, `-`, `*` and the tensor operators) runs
 through one fused multiply-accumulate, `sum_of_products`, which adds every
 product into one dict of int numerators over a running lcm of the sum's
@@ -25,7 +25,7 @@ and `variables()` lists the variables that occur, whose partials are nonzero.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache, lru_cache, reduce
 from itertools import combinations_with_replacement
 from math import gcd, lcm
 from operator import or_
@@ -96,32 +96,34 @@ def monomials_up_to(m: int, max_degree: int) -> list[Exponents]:
     return out
 
 
+@lru_cache(maxsize=1024)
+def _monomial(key: int, m: int) -> tuple[int, Exponents, str]:
+    """Total degree, exponents and factor text ("x1*x1*x3") of a packed key on chart m."""
+    exps = _unpack(key, m)
+    return sum(exps), exps, "*".join(f"x{i}" for i, e in enumerate(exps, 1) for _ in range(e))
+
+
 def term_texts(p: Poly, tail: str = "") -> list[tuple[bool, str]]:
     """(is_negative, text) of each term |c| * x^exps * tail of p, highest total degree
-    first, then exponents descending.  Each key is unpacked once and each coefficient
-    written from its numerator and p.den; the magnitude is left out when it is 1 and
-    the term has factors or a tail.  Powers are spelled as repeated factors ("x1*x1")
-    because the surface grammar reserves "^" for the wedge product.
+    first, then exponents descending.  Each key's factors come from one bounded cache and
+    each coefficient is written from its numerator and p.den; the magnitude is left out when
+    it is 1 and the term has factors or a tail.  Powers are spelled as repeated factors
+    ("x1*x1") because the surface grammar reserves "^" for the wedge product.
     """
-    shifts = range(0, FIELD_BITS * p.m, FIELD_BITS)
     den = p.den
     rows = []
     for key, c in p.terms.items():
-        exps = [key >> s & _FIELD_MASK for s in shifts]
-        parts = []
-        for i, e in enumerate(exps, 1):
-            if e:
-                parts += [f"x{i}"] * e
-        if tail:
-            parts.append(tail)
+        degree, exps, text = _monomial(key, p.m)
+        text = f"{text}*{tail}" if text and tail else text or tail
         g = gcd(c, den)
         num, d = abs(c) // g, den // g
-        if num != 1 or d != 1 or not parts:
+        if num != 1 or d != 1 or not text:
             try:
-                parts.insert(0, f"{num}/{d}" if d != 1 else str(num))
+                magnitude = f"{num}/{d}" if d != 1 else str(num)
             except ValueError:
                 raise InputError("a coefficient has more digits than Python's int-string limit") from None
-        rows.append((sum(exps), exps, c < 0, "*".join(parts)))
+            text = f"{magnitude}*{text}" if text else magnitude
+        rows.append((degree, exps, c < 0, text))
     rows.sort(reverse=True)
     return [(negative, text) for _, _, negative, text in rows]
 
@@ -142,10 +144,11 @@ class Poly:
     The form is canonical: no zero numerator is stored, `den` is positive,
     gcd(den, *numerators) is 1, and so `den` is 1 for zero.  Two
     polynomials are therefore equal iff m, `den` and `terms` are equal.
-    Values are immutable; the lazily filled `_partials` memo is not part of ==, hash or repr.
+    Values are immutable; the lazily filled `_partials` memo and the text `_text`, kept by the
+    first str() that succeeds, are not part of ==, hash or repr.
     """
 
-    __slots__ = ("m", "terms", "den", "_partials")
+    __slots__ = ("m", "terms", "den", "_partials", "_text")
 
     def __init__(self, m: int, terms: dict[Exponents, Fraction | int] | None = None):
         if m < 1:
@@ -304,7 +307,11 @@ class Poly:
         return not self.is_zero
 
     def __str__(self):
-        return join_signed_terms(term_texts(self))
+        try:
+            return self._text
+        except AttributeError:
+            self._text = text = join_signed_terms(term_texts(self))
+            return text
 
     def __repr__(self):
         return f"Poly({self.m}, {str(self)!r})"

@@ -26,9 +26,9 @@ from hicourant.dsl import (
     render,
 )
 from hicourant.exterior import Context, Form, MultiVec, random_form, random_multivec, random_poly
-from hicourant.scalar import MAX_EXPONENT, InputError, Poly
+from hicourant.scalar import MAX_EXPONENT, InputError, Poly, monomials_up_to, term_texts
 
-from oracles import io_section_text, kind_of, oracle_parse, oracle_text
+from oracles import io_section_text, kind_of, monomial_text, oracle_parse, oracle_text
 
 CTX32 = Context(3, 2)
 CTX21 = Context(2, 1)
@@ -79,6 +79,23 @@ def test_multi_digit_indices():
     assert parse_scalar("x10*x10", wide) == Poly.var(12, 10) ** 2
     with pytest.raises(GradingError):
         parse_form("dx12", CTX32, 1)
+
+
+@pytest.mark.parametrize(
+    "text,m,expected,value",
+    [
+        ("x01*x2", 3, "scalar", Poly.var(3, 1) * Poly.var(3, 2)),
+        ("x01*x2 + 3", 3, "scalar", Poly.var(3, 1) * Poly.var(3, 2) + 3),
+        ("x007", 7, "scalar", Poly.var(7, 7)),
+        ("dx01", 3, ("form", 1), Form.basis(3, (1,))),
+        ("@01", 3, ("multivec", 1), MultiVec.basis(3, (1,))),
+        ("x1 * x2", 3, "scalar", Poly.var(3, 1) * Poly.var(3, 2)),
+        ("x1*\tx2", 3, "scalar", Poly.var(3, 1) * Poly.var(3, 2)),
+    ],
+)
+def test_leading_zeros_and_spaces_in_a_run_of_factors_keep_their_meaning(text, m, expected, value):
+    ctx = Context(m, 1)
+    assert parse(text, ctx, expected) == oracle_parse(text, ctx, expected) == value
 
 
 def test_lex_errors_carry_position():
@@ -592,6 +609,32 @@ def test_printer_edges_match_the_fraction_route(value):
 def test_printer_matches_the_fraction_route_on_seeded_values():
     for value in _seeded_values():
         assert str(value) == oracle_text(value)
+
+
+TERM_COEFFICIENTS = (1, -1, Fraction(3, 2), Fraction(-7, 3))
+TERM_TAILS = ("", "dx1^dx2", "@3")
+
+
+def assert_terms_match_the_oracle(m, max_degree):
+    """term_texts of each monomial of chart m up to max_degree, alone with each coefficient
+    and tail, and of all of them in one polynomial, against the Fraction oracle."""
+    monomials = monomials_up_to(m, max_degree)
+    for tail in TERM_TAILS:
+        for exps in monomials:
+            for c in TERM_COEFFICIENTS:
+                assert term_texts(Poly(m, {exps: c}), tail) == [monomial_text(c, exps, tail)]
+        terms = {exps: TERM_COEFFICIENTS[i % 4] for i, exps in enumerate(monomials)}
+        ordered = sorted(terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+        assert term_texts(Poly(m, terms), tail) == [monomial_text(c, exps, tail) for exps, c in ordered]
+
+
+def test_the_term_printer_matches_the_oracle_also_after_its_cache_evicts():
+    for m in range(1, 6):
+        assert_terms_match_the_oracle(m, 4)
+    assert len(monomials_up_to(4, 12)) == 1_820  # more keys than the printer's cache holds
+    assert_terms_match_the_oracle(4, 12)
+    for m in range(1, 6):
+        assert_terms_match_the_oracle(m, 4)
 
 
 @pytest.mark.skipif(not INT_DIGITS, reason="no int-string limit")

@@ -5,18 +5,31 @@ The immutable values with named fields (Context, Section, Failure, NambuCandidat
 PlecticCandidate, AdmissiblePair and HamiltonianPair) hash alike when equal, refuse attribute
 assignment with an AttributeError, build from keywords as README's `Context(m=3, n=2)` does,
 and still refuse invalid fields when built.  A CheckResult is mutable: each one has its own
-failures list, and it has no hash."""
+failures list, and it has no hash.
 
+A Poly, Form or MultiVec keeps its text once str() has built it.  That memo is invisible: drawn
+values, from the constructors and from the sums that build values without them, print the
+Fraction oracle's text on every str(), compare, hash and repr alike before and after it is
+filled, and survive pickle and copy as equal values; a coefficient too wide to print is refused
+on every str(), so a refusal keeps nothing."""
+
+import copy
+import pickle
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hicourant.courant import CheckResult, Failure, Section
 from hicourant.dsl import parse_form, parse_multivec, parse_scalar, parse_section
-from hicourant.exterior import Context, Form, MultiVec
+from hicourant.exterior import Context, Form, MultiVec, collect
 from hicourant.nambu import NambuCandidate
 from hicourant.plectic import AdmissiblePair, HamiltonianPair, InconsistentCandidateError, PlecticCandidate
-from hicourant.scalar import InputError, Poly
+from hicourant.scalar import InputError, Poly, sum_of_products
+
+from oracles import oracle_text
 
 C32 = Context(3, 2)
 P = Poly(3, {(1, 0, 2): Fraction(1, 2), (0, 1, 0): -3})
@@ -166,3 +179,75 @@ def test_check_results_do_not_share_a_failures_list():
 def test_a_check_result_is_unhashable():
     with pytest.raises(TypeError):
         hash(CheckResult("check", "x = 0"))
+
+
+# -- the text memo ---------------------------------------------------------------------
+
+coefficients = st.builds(Fraction, st.integers(min_value=-9, max_value=9), st.sampled_from((1, 2, 3, 6)))
+
+
+def exponent_maps(m):
+    return st.dictionaries(st.tuples(*[st.integers(min_value=0, max_value=2)] * m), coefficients, max_size=4)
+
+
+def build_poly(m, terms, summed):
+    """The Poly of terms, from the constructor or as one sum of its monomials."""
+    if not summed:
+        return Poly(m, terms)
+    return sum_of_products(m, [(c, Poly(m, {exps: 1}), None) for exps, c in terms.items()])
+
+
+def build_tensor(cls, m, degree, coeffs, summed):
+    """The tensor of {index: terms}, from the constructor or collected from its coefficients."""
+    polys = {idx: build_poly(m, terms, summed) for idx, terms in coeffs.items()}
+    if not summed:
+        return cls(m, degree, polys)
+    return collect(cls, m, degree, ((idx, 1, p, None) for idx, p in polys.items()))
+
+
+@st.composite
+def tensors(draw, cls, m, degree, summed):
+    indices = st.lists(st.integers(min_value=1, max_value=m), min_size=degree, max_size=degree, unique=True)
+    coeffs = draw(st.dictionaries(indices.map(lambda ids: tuple(sorted(ids))), exponent_maps(m), max_size=3))
+    return lambda: build_tensor(cls, m, degree, coeffs, summed)
+
+
+@st.composite
+def value_builders(draw):
+    """A function that builds one drawn value afresh on each call."""
+    m = draw(st.integers(min_value=1, max_value=4))
+    summed = draw(st.booleans())
+    kind = draw(st.sampled_from(("Poly", "Form", "MultiVec", "Section")))
+    if kind == "Poly":
+        terms = draw(exponent_maps(m))
+        return lambda: build_poly(m, terms, summed)
+    if kind == "Section":
+        ctx = Context(m, draw(st.integers(min_value=1, max_value=m)))
+        vec = draw(tensors(MultiVec, m, 1, summed))
+        form = draw(tensors(Form, m, ctx.n, summed))
+        return lambda: Section(ctx, vec(), form())
+    cls = Form if kind == "Form" else MultiVec
+    return draw(tensors(cls, m, draw(st.integers(min_value=0, max_value=m)), summed))
+
+
+@given(value_builders())
+@settings(max_examples=150, deadline=None)
+def test_the_text_memo_is_invisible(build):
+    value, twin = build(), build()
+    before = hash(value)
+    text = str(value)
+    assert str(value) == text == oracle_text(twin)
+    assert value == twin and hash(value) == before == hash(twin)
+    assert repr(value) == repr(twin) == repr(build())
+    for clone in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert clone == value and hash(clone) == before and str(clone) == text
+    assert pickle.loads(pickle.dumps(twin)) == value  # pickled before its text was built
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int-string limit")
+def test_a_coefficient_too_wide_to_print_is_refused_on_every_str():
+    wide = Poly(2, {(1, 0): 10**4_999, (0, 0): 1})
+    for value in (wide, Form(2, 1, {(2,): wide}), MultiVec(2, 1, {(1,): 10**4_999})):
+        for _ in range(2):
+            with pytest.raises(InputError, match="int-string limit"):
+                str(value)
